@@ -5,124 +5,25 @@ per vertex under the Grover coin, and evaluates every known closed form for
 their long-time behavior (localization probability, travelling-peak
 velocities, weak-limit density, ballistic spread coefficient), each one
 cross-validated against an independent numerical route.
+
+Each layer's public names are listed once, in its module's ``__all__``; the
+package re-exports them.
 """
 
 __version__ = "1.0.0"
 
-from .analytics import (
-    ThetaConstants,
-    WeakLimitModel,
-    f3_matrix,
-    limit_moment,
-    limiting_origin_state,
-    localization_probability_origin,
-    loop_sector_projector,
-    peak_velocities,
-    phase_derivative,
-    spread_coefficient,
-    theta_constants,
-    total_localization,
-    weak_limit_density,
-)
-from .core import (
-    CoinState,
-    GeneralInit,
-    InitialCondition,
-    StandardInit,
-    WalkerState,
-    WalkParams,
-    apply_step,
-    evolve,
-    grover_coin,
-    initial_state,
-    iter_evolution,
-    position_distribution,
-)
-from .errors import (
-    ComplexParseError,
-    DegenerateMomentumError,
-    DegenerateSeriesError,
-    DomainError,
-    GridTooSmallError,
-    LqwError,
-    NormalizationError,
-    QuadratureError,
-    UnsupportedInitialStateError,
-)
-from .harness import (
-    ExperimentReport,
-    Verdict,
-    compare_direct_vs_fourier,
-    distribution_snapshot,
-    empirical_vs_weak_limit,
-    fit_power_law,
-    localization_series,
-    variance_series,
-    verification_suite,
-)
-from .spectral import (
-    EigenSystem,
-    MomentumPoint,
-    default_grid_size,
-    eigen_system,
-    momentum_operator,
-    propagate_fourier,
-)
+from . import analytics, core, errors, harness, spectral
+from .analytics import *  # noqa: F403
+from .core import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    # core
-    "WalkParams",
-    "StandardInit",
-    "GeneralInit",
-    "InitialCondition",
-    "CoinState",
-    "WalkerState",
-    "grover_coin",
-    "initial_state",
-    "apply_step",
-    "evolve",
-    "iter_evolution",
-    "position_distribution",
-    # spectral
-    "MomentumPoint",
-    "EigenSystem",
-    "momentum_operator",
-    "eigen_system",
-    "default_grid_size",
-    "propagate_fourier",
-    # analytics
-    "ThetaConstants",
-    "WeakLimitModel",
-    "theta_constants",
-    "f3_matrix",
-    "loop_sector_projector",
-    "limiting_origin_state",
-    "localization_probability_origin",
-    "peak_velocities",
-    "phase_derivative",
-    "weak_limit_density",
-    "total_localization",
-    "limit_moment",
-    "spread_coefficient",
-    # harness
-    "Verdict",
-    "ExperimentReport",
-    "localization_series",
-    "distribution_snapshot",
-    "variance_series",
-    "fit_power_law",
-    "empirical_vs_weak_limit",
-    "compare_direct_vs_fourier",
-    "verification_suite",
-    # errors
-    "LqwError",
-    "NormalizationError",
-    "DegenerateMomentumError",
-    "GridTooSmallError",
-    "DomainError",
-    "UnsupportedInitialStateError",
-    "QuadratureError",
-    "DegenerateSeriesError",
-    "ComplexParseError",
+    *core.__all__,
+    *spectral.__all__,
+    *analytics.__all__,
+    *harness.__all__,
+    *errors.__all__,
 ]

@@ -14,7 +14,9 @@ components one site; loop components stay put.  Evolution is exact: the
 support after ``t`` steps is ``[-t, t]``, stored densely, so there is no
 truncation error.
 
-All operations are pure; returned states carry read-only arrays.
+All operations are pure; returned states carry read-only arrays.  The
+snapshots ``iter_evolution`` yields are read-only views of the kernel's
+buffers, valid only until the next step; copy one to keep it.
 """
 
 from __future__ import annotations
@@ -30,19 +32,11 @@ __all__ = [
     "StandardInit",
     "GeneralInit",
     "InitialCondition",
-    "CoinState",
     "WalkerState",
     "grover_coin",
-    "initial_state",
-    "apply_step",
     "evolve",
     "iter_evolution",
-    "position_distribution",
 ]
-
-#: A coin state is a plain complex vector of length ``delta`` in the basis
-#: order documented above.
-CoinState = np.ndarray
 
 _NORM_TOL = 1e-10
 
@@ -155,7 +149,7 @@ class WalkerState:
         """Positions n = -t .. t matching the amplitude rows."""
         return np.arange(-self.t, self.t + 1)
 
-    def amplitude(self, n: int) -> CoinState:
+    def amplitude(self, n: int) -> np.ndarray:
         """Coin state at position n (zero vector outside the light cone)."""
         if abs(n) > self.t:
             return np.zeros(self.delta, dtype=np.complex128)
@@ -178,26 +172,13 @@ def grover_coin(params: WalkParams) -> np.ndarray:
     return g
 
 
-def initial_state(init: InitialCondition, params: WalkParams) -> WalkerState:
-    """Walker state at t = 0: all amplitude on the origin site."""
-    return WalkerState(t=0, amplitudes=init.coin_vector(params)[None, :])
-
-
-def apply_step(state: WalkerState, params: WalkParams) -> WalkerState:
-    """One application of U = S (I x G); support grows one site each side."""
-    if state.delta != params.delta:
-        raise ValueError(f"state has delta={state.delta}, params require {params.delta}")
-    coined = state.amplitudes @ grover_coin(params).T
-    n = coined.shape[0]
-    new = np.zeros((n + 2, params.delta), dtype=np.complex128)
-    new[0:n, 0] = coined[:, 0]
-    new[2 : n + 2, 1] = coined[:, 1]
-    new[1 : n + 1, 2:] = coined[:, 2:]
-    return WalkerState(t=state.t + 1, amplitudes=new)
-
-
 def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
-    """Double-buffered in-place stepping; internal only, never exposed."""
+    """The position-space kernel: one application of U = S (I x G) per step.
+
+    Double-buffered and in place; yields ``(t, window)`` for t = 0 .. t_max,
+    where ``window`` is the ``(2t+1, delta)`` view of the live buffer.
+    Internal only, never exposed.
+    """
     d = params.delta
     g_t = grover_coin(params).T
     cur = np.zeros((2 * t_max + 1, d), dtype=np.complex128)
@@ -226,14 +207,13 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
-    """Yield the WalkerState at every t = 0 .. t_max (snapshots, safe to keep)."""
+    """Yield the WalkerState at every t = 0 .. t_max.
+
+    Each snapshot is a read-only view of the kernel's buffers, valid only
+    until the next step; copy its amplitudes to keep it longer.
+    """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     for t, window in _evolution_buffers(init, params, t_max):
-        yield WalkerState(t=t, amplitudes=window.copy())
+        yield WalkerState(t=t, amplitudes=window)
 
-
-def position_distribution(state: WalkerState) -> dict[int, float]:
-    """Measurement distribution P(n) = sum_j |psi_j(t,n)|^2 over n in [-t, t]."""
-    probs = state.probabilities()
-    return {int(n): float(p) for n, p in zip(state.positions, probs)}

@@ -18,6 +18,7 @@ from . import analytics
 from .core import (
     InitialCondition,
     StandardInit,
+    WalkerState,
     WalkParams,
     evolve,
     grover_coin,
@@ -35,9 +36,12 @@ __all__ = [
     "variance_series",
     "fit_power_law",
     "empirical_vs_weak_limit",
-    "compare_direct_vs_fourier",
     "verification_suite",
 ]
+
+# |a'_1|, the first zero of Ai': the travelling peak sits at the maximum of
+# Ai^2, |a'_1| Airy lengths behind the front v*t.
+_AIRY_PRIME_ZERO = 1.0187929716474710
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,22 @@ def _localization_reference(init: InitialCondition, tau: int) -> float:
     return 0.5 * (even + odd)
 
 
+def _walk(
+    init: InitialCondition, params: WalkParams, t_max: int
+) -> tuple[list[float], WalkerState]:
+    """One run of the kernel: P(X_t = 0) for t = 1..t_max and a copy of the final state."""
+    origin = []
+    for state in iter_evolution(init, params, t_max):
+        if state.t:
+            origin.append(float(np.sum(np.abs(state.amplitude(0)) ** 2)))
+    return origin, WalkerState(t=t_max, amplitudes=state.amplitudes.copy())
+
+
+def _window_mean(origin: list[float]) -> float:
+    """Mean of the origin series over its last ceil(t_max/10) steps."""
+    return float(np.mean(origin[-math.ceil(len(origin) / 10):]))
+
+
 def localization_series(
     init: InitialCondition, tau: int, t_max: int, tolerance: float = 1e-2
 ) -> ExperimentReport:
@@ -97,24 +117,19 @@ def localization_series(
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    params = WalkParams(tau)
     reference = _localization_reference(init, tau)
-    series = []
-    for state in iter_evolution(init, params, t_max):
-        if state.t == 0:
-            continue
-        series.append((state.t, float(np.sum(np.abs(state.amplitude(0)) ** 2))))
+    origin, _ = _walk(init, WalkParams(tau), t_max)
 
     window = math.ceil(t_max / 10)
     report = ExperimentReport(
         experiment="localization_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "origin_probability", "reference"),
-        rows=[(t, p, reference) for t, p in series],
+        rows=[(t, p, reference) for t, p in enumerate(origin, start=1)],
         metrics={"reference": reference, "window": window},
     )
-    if window < len(series):
-        window_mean = float(np.mean([p for _, p in series[-window:]]))
+    if window < t_max:
+        window_mean = _window_mean(origin)
         report.metrics["window_mean"] = window_mean
         report.verdicts.append(
             Verdict.judge("window_mean_deviation", abs(window_mean - reference), tolerance)
@@ -135,7 +150,10 @@ def distribution_snapshot(
     """Full distribution at t_max with measured vs theoretical peak positions.
 
     The travelling peaks are located by argmax over n > t_max/2 and
-    n < -t_max/2, excluding the central localization peak.
+    n < -t_max/2, excluding the central localization peak.  Their theory
+    positions trail the fronts +-v*t by the Airy-edge lag
+    |a'_1| (v (1 - v^2) t / 8)^(1/3), which comes from the cubic term of the
+    phase phi(k) = pi - theta(k) = v k - v (1 - v^2) k^3 / 24 + O(k^5).
     """
     if t_max < 10:
         raise ValueError("t_max must be >= 10")
@@ -143,13 +161,14 @@ def distribution_snapshot(
     positions = state.positions
     probs = state.probabilities()
 
-    v_left, v_right = analytics.peak_velocities(tau)
+    v = analytics.peak_velocities(tau)[1]
+    lag = _AIRY_PRIME_ZERO * (v * (1.0 - v * v) * t_max / 8.0) ** (1.0 / 3.0)
+    right_theory = v * t_max - lag
+    left_theory = -right_theory
     right_mask = positions > t_max / 2
     left_mask = positions < -t_max / 2
     right_peak = _argmax_peak(positions[right_mask], probs[right_mask], +1)
     left_peak = _argmax_peak(positions[left_mask], probs[left_mask], -1)
-    right_theory = v_right * t_max
-    left_theory = v_left * t_max
 
     report = ExperimentReport(
         experiment="distribution_snapshot",
@@ -263,16 +282,6 @@ def empirical_vs_weak_limit(
     return report
 
 
-def compare_direct_vs_fourier(init: InitialCondition, tau: int, t_max: int) -> float:
-    """Max per-amplitude deviation between the two evolution routes."""
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    params = WalkParams(tau)
-    direct = evolve(init, params, t_max)
-    fourier = propagate_fourier(init, params, t_max)
-    return float(np.max(np.abs(direct.amplitudes - fourier.amplitudes)))
-
-
 def _fourier_tail(init: InitialCondition, params: WalkParams, t: int, pad: int = 4) -> float:
     """Max |amplitude| outside the light cone on an enlarged Fourier grid."""
     m = 1 << math.ceil(math.log2(2 * (t + pad) + 2))
@@ -300,12 +309,13 @@ def verification_suite(
     verdicts.append(Verdict.judge(
         "grover_unitarity", np.max(np.abs(g.T @ g - np.eye(params.delta))), 1e-12))
 
-    state = evolve(init, params, t_max)
+    origin, state = _walk(init, params, t_max)
     verdicts.append(Verdict.judge(
         "norm_conservation", abs(float(np.sum(state.probabilities())) - 1.0), 1e-12))
 
+    fourier = propagate_fourier(init, params, t_max)
     verdicts.append(Verdict.judge(
-        "direct_vs_fourier", compare_direct_vs_fourier(init, tau, t_max), 1e-10))
+        "direct_vs_fourier", np.max(np.abs(state.amplitudes - fourier.amplitudes)), 1e-10))
     verdicts.append(Verdict.judge(
         "light_cone_tail", _fourier_tail(init, params, min(t_max, 64)), 1e-12))
 
@@ -350,10 +360,9 @@ def verification_suite(
         abs(analytics.spread_coefficient(init, tau) - moments), 1e-6))
 
     if t_max >= 100:
-        loc = localization_series(init, tau, t_max)
         verdicts.append(Verdict.judge(
             "localization_window_mean",
-            abs(loc.metrics["window_mean"] - loc.metrics["reference"]), 1e-2))
+            abs(_window_mean(origin) - _localization_reference(init, tau)), 1e-2))
 
     return ExperimentReport(
         experiment="verification_suite",

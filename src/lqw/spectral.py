@@ -29,7 +29,6 @@ from .core import InitialCondition, WalkParams, WalkerState
 from .errors import DegenerateMomentumError, GridTooSmallError
 
 __all__ = [
-    "MomentumPoint",
     "EigenSystem",
     "momentum_operator",
     "eigen_system",
@@ -40,36 +39,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MomentumPoint:
-    """A momentum k in (-pi, pi] together with kappa = e^{ik}."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (-math.pi < self.k <= math.pi):
-            raise ValueError(f"k must lie in (-pi, pi], got {self.k}")
-
-    @property
-    def kappa(self) -> complex:
-        return complex(math.cos(self.k), math.sin(self.k))
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Closed-form eigen-decomposition of U_k at one momentum.
 
     ``omegas[j]`` is the phase of eigenvalue j in the fixed order
     (theta, -theta, 0, pi, ..., pi); ``eigenvectors[:, j]`` is the matching
-    unit eigenvector.  ``normalizations[j]`` is the factor N_j with
-    sqrt(N_j) * (raw closed-form vector) of unit norm; for the pi-sector the
-    raw vector is the difference pattern before Gram-Schmidt.
+    unit eigenvector.
     """
 
     k: float
     theta: float
     omegas: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
-    normalizations: np.ndarray = field(repr=False)
 
 
 def momentum_operator(params: WalkParams, k: float) -> np.ndarray:
@@ -123,7 +104,6 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     theta = math.pi - phi
     omegas = np.concatenate([[theta, -theta, 0.0], np.full(tau - 1, math.pi)])
     vecs = np.zeros((d, d), dtype=np.complex128)
-    norms = np.zeros(d)
 
     # j = 1: components 1/(1 + e^{i(theta -+ k)}) and 1/(1 + e^{i theta}),
     # written via theta = pi - phi so the vanishing denominators near k = 0
@@ -133,12 +113,10 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     u[1] = _inv_one_plus_exp(phi - k)
     u[2:] = _inv_one_plus_exp(phi)
     nsq = float(np.sum(np.abs(u) ** 2))
-    norms[0] = 1.0 / nsq
     vecs[:, 0] = u / math.sqrt(nsq)
 
     # j = 2 (omega = -theta): the conjugate with left/right components swapped
     u = np.concatenate((u[[1, 0]], u[2:])).conj()
-    norms[1] = 1.0 / nsq
     vecs[:, 1] = u / math.sqrt(nsq)
 
     # j = 3 (omega = 0): [kappa_1, kappa_2, 1, ..., 1] equals
@@ -152,9 +130,6 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     u[2:] = math.cos(half)
     nsq = 2.0 + tau * math.cos(half) ** 2
     vecs[:, 2] = u / math.sqrt(nsq)
-    # N_3 of the unscaled vector [kappa_1, kappa_2, 1, ..., 1]
-    one_plus_c = 2.0 * math.cos(half) ** 2
-    norms[2] = one_plus_c / (tau + 4.0 + tau * (one_plus_c - 1.0))
 
     # pi-sector: difference pattern (-1 at row 3, +1 at row j), Gram-Schmidt
     for j in range(3, d):
@@ -164,10 +139,9 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
         for p in range(3, j):
             u -= vecs[:, p] * (vecs[:, p].conj() @ u)
         nsq = float(np.sum(np.abs(u) ** 2))
-        norms[j] = 1.0 / nsq
         vecs[:, j] = u / math.sqrt(nsq)
 
-    return EigenSystem(k=k, theta=theta, omegas=omegas, eigenvectors=vecs, normalizations=norms)
+    return EigenSystem(k=k, theta=theta, omegas=omegas, eigenvectors=vecs)
 
 
 def default_grid_size(t: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lqw
 from lqw import ComplexParseError
 from lqw.cli import format_complex, main, parse_complex
 
@@ -98,6 +99,10 @@ class TestSimulate:
     def test_csv_uses_crlf(self, tmp_path):
         run_cli("simulate", "--tau", "1", "--steps", "10", "--out", str(tmp_path))
         assert b"\r\n" in (tmp_path / "simulate.csv").read_bytes()
+
+    def test_tau1_long_walk_passes_peak_verdicts(self, tmp_path):
+        # the travelling peaks lag v*t by ~6 sites here; the verdicts allow for it
+        assert run_cli("simulate", "--tau", "1", "--steps", "4000", "--out", str(tmp_path)) == 0
 
 
 class TestUsageErrors:
@@ -211,3 +216,8 @@ class TestMisc:
 
     def test_missing_subcommand_exits_2(self):
         assert run_cli() == 2
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in lqw.__all__ if not hasattr(lqw, name)]
+        assert lqw.__all__ and not missing
+        assert len(set(lqw.__all__)) == len(lqw.__all__)

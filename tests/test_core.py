@@ -11,15 +11,23 @@ from lqw import (
     StandardInit,
     WalkerState,
     WalkParams,
-    apply_step,
     evolve,
     grover_coin,
-    initial_state,
     iter_evolution,
-    position_distribution,
 )
 
 from conftest import random_standard
+
+
+def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
+    """Dense reference for one step U = S (I x G), independent of the kernel's buffers."""
+    coined = amps @ grover_coin(params).T
+    n = coined.shape[0]
+    new = np.zeros((n + 2, params.delta), dtype=np.complex128)
+    new[0:n, 0] = coined[:, 0]
+    new[2 : n + 2, 1] = coined[:, 1]
+    new[1 : n + 1, 2:] = coined[:, 2:]
+    return new
 
 
 class TestWalkParams:
@@ -67,19 +75,21 @@ class TestGroverCoin:
 
 
 class TestInitialState:
+    """The state at t = 0, taken with evolve(..., 0)."""
+
     def test_standard_places_alpha_beta(self):
-        state = initial_state(StandardInit(1, 0), WalkParams(1))
+        state = evolve(StandardInit(1, 0), WalkParams(1), 0)
         assert state.t == 0
         assert np.array_equal(state.amplitudes, [[1, 0, 0]])
 
     def test_standard_tau10_norm(self):
-        state = initial_state(StandardInit(1 / np.sqrt(2), 1j / np.sqrt(2)), WalkParams(10))
+        state = evolve(StandardInit(1 / np.sqrt(2), 1j / np.sqrt(2)), WalkParams(10), 0)
         assert state.amplitudes.shape == (1, 12)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_general_self_loop_start(self):
         init = GeneralInit((0, 0, 1, 0, 0))
-        state = initial_state(init, WalkParams(3))
+        state = evolve(init, WalkParams(3), 0)
         assert state.amplitude(0)[2] == 1.0
 
     def test_rejects_non_normalized(self):
@@ -91,13 +101,15 @@ class TestInitialState:
     def test_general_wrong_length_rejected(self):
         init = GeneralInit((1, 0, 0))
         with pytest.raises(ValueError):
-            initial_state(init, WalkParams(5))
+            evolve(init, WalkParams(5), 0)
 
 
 class TestApplyStep:
+    """One step of U = S (I x G), taken with evolve(..., 1)."""
+
     def test_tau1_single_step_amplitudes(self):
         # hand-applied master equation rows for tau=1, alpha=1, beta=0
-        state = apply_step(initial_state(StandardInit(1, 0), WalkParams(1)), WalkParams(1))
+        state = evolve(StandardInit(1, 0), WalkParams(1), 1)
         assert np.allclose(state.amplitude(-1), [-1 / 3, 0, 0], atol=1e-15)
         assert np.allclose(state.amplitude(0), [0, 0, 2 / 3], atol=1e-15)
         assert np.allclose(state.amplitude(1), [0, 2 / 3, 0], atol=1e-15)
@@ -105,7 +117,7 @@ class TestApplyStep:
     def test_tau2_single_step_formulas(self):
         alpha, beta = 0.6, 0.8j
         params = WalkParams(2)
-        state = apply_step(initial_state(StandardInit(alpha, beta), params), params)
+        state = evolve(StandardInit(alpha, beta), params, 1)
         assert state.amplitude(-1)[0] == pytest.approx((-2 * alpha + 2 * beta) / 4, abs=1e-15)
         assert state.amplitude(1)[1] == pytest.approx((2 * alpha - 2 * beta) / 4, abs=1e-15)
         assert state.amplitude(0)[2] == pytest.approx((2 * alpha + 2 * beta) / 4, abs=1e-15)
@@ -122,15 +134,13 @@ class TestApplyStep:
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         if norm < 1e-3:
             return
-        params = WalkParams(tau)
-        state = initial_state(StandardInit(alpha / norm, beta / norm), params)
-        stepped = apply_step(state, params)
+        stepped = evolve(StandardInit(alpha / norm, beta / norm), WalkParams(tau), 1)
         assert np.sum(np.abs(stepped.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_delta_rejected(self):
-        state = initial_state(StandardInit(1, 0), WalkParams(1))
+        # a tau = 1 coin vector cannot step under tau = 2
         with pytest.raises(ValueError):
-            apply_step(state, WalkParams(2))
+            evolve(GeneralInit((1, 0, 0)), WalkParams(2), 1)
 
 
 class TestEvolve:
@@ -138,16 +148,16 @@ class TestEvolve:
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(3)
         assert np.array_equal(
-            evolve(init, params, 0).amplitudes, initial_state(init, params).amplitudes
+            evolve(init, params, 0).amplitudes, init.coin_vector(params)[None, :]
         )
 
     def test_matches_repeated_apply_step(self):
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(2)
-        state = initial_state(init, params)
+        amps = init.coin_vector(params)[None, :]
         for _ in range(9):
-            state = apply_step(state, params)
-        assert np.allclose(evolve(init, params, 9).amplitudes, state.amplitudes, atol=1e-14)
+            amps = apply_step(amps, params)
+        assert np.allclose(evolve(init, params, 9).amplitudes, amps, atol=1e-14)
 
     def test_symmetric_init_symmetric_distribution(self, symmetric_init):
         state = evolve(symmetric_init, WalkParams(1), 50)
@@ -167,34 +177,42 @@ class TestEvolve:
         final = evolve(init, WalkParams(1), 5)
         assert np.array_equal(states[-1].amplitudes, final.amplitudes)
 
+    def test_iter_evolution_snapshots_are_read_only_views(self):
+        # each snapshot equals evolve at its t while it is current
+        init = StandardInit(0.6, 0.8j)
+        params = WalkParams(3)
+        for state in iter_evolution(init, params, 8):
+            assert not state.amplitudes.flags.writeable
+            assert np.array_equal(state.amplitudes, evolve(init, params, state.t).amplitudes)
+
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             evolve(StandardInit(1, 0), WalkParams(1), -1)
 
 
 class TestPositionDistribution:
+    """P(X_t = n) as state.probabilities() over state.positions."""
+
     def test_t0_point_mass(self):
-        dist = position_distribution(initial_state(StandardInit(1, 0), WalkParams(4)))
-        assert dist == {0: 1.0}
+        state = evolve(StandardInit(1, 0), WalkParams(4), 0)
+        assert state.positions.tolist() == [0]
+        assert state.probabilities().tolist() == [1.0]
 
     def test_tau1_one_step(self):
         state = evolve(StandardInit(1, 0), WalkParams(1), 1)
-        dist = position_distribution(state)
-        assert dist[-1] == pytest.approx(1 / 9, abs=1e-14)
-        assert dist[0] == pytest.approx(4 / 9, abs=1e-14)
-        assert dist[1] == pytest.approx(4 / 9, abs=1e-14)
+        assert state.positions.tolist() == [-1, 0, 1]
+        assert np.allclose(state.probabilities(), [1 / 9, 4 / 9, 4 / 9], rtol=0, atol=1e-14)
 
     def test_tau10_right_peak_location(self, symmetric_init):
         # travelling peak near sqrt(5/6) * 50 ~ 46
         state = evolve(symmetric_init, WalkParams(10), 50)
-        dist = position_distribution(state)
-        right = {n: p for n, p in dist.items() if n > 25}
-        peak = max(right, key=right.get)
+        right = state.positions > 25
+        peak = state.positions[right][np.argmax(state.probabilities()[right])]
         assert abs(peak - 46) <= 2
 
     def test_sums_to_one(self):
         state = evolve(StandardInit(0.6, 0.8j), WalkParams(5), 40)
-        assert sum(position_distribution(state).values()) == pytest.approx(1.0, abs=1e-12)
+        assert state.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInvariants:

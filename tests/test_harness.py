@@ -3,18 +3,28 @@
 import numpy as np
 import pytest
 
+import lqw.core
 from lqw import (
     DegenerateSeriesError,
     StandardInit,
-    compare_direct_vs_fourier,
+    WalkParams,
     distribution_snapshot,
     empirical_vs_weak_limit,
+    evolve,
     fit_power_law,
     localization_series,
+    propagate_fourier,
     spread_coefficient,
     variance_series,
     verification_suite,
 )
+
+
+def direct_vs_fourier(init, tau, t):
+    """Max per-amplitude deviation between the kernel and the Fourier oracle."""
+    params = WalkParams(tau)
+    direct = evolve(init, params, t)
+    return np.max(np.abs(direct.amplitudes - propagate_fourier(init, params, t).amplitudes))
 
 
 class TestLocalizationSeries:
@@ -71,6 +81,11 @@ class TestDistributionSnapshot:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             distribution_snapshot(StandardInit(1, 0), 1, 5)
+
+    def test_tau1_long_walk_peaks_match_airy_lag(self, symmetric_init):
+        # at t = 4000 the peaks trail v*t by ~6 sites, three times the tolerance
+        report = distribution_snapshot(symmetric_init, 1, 4000)
+        assert report.passed
 
 
 class TestVarianceSeries:
@@ -137,11 +152,11 @@ class TestEmpiricalVsWeakLimit:
 
 class TestCompareDirectVsFourier:
     def test_t0_exactly_zero(self):
-        assert compare_direct_vs_fourier(StandardInit(1, 0), 1, 0) == 0.0
+        assert direct_vs_fourier(StandardInit(1, 0), 1, 0) == 0.0
 
     @pytest.mark.parametrize("tau,t", [(1, 100), (10, 50)])
     def test_oracle_agreement(self, tau, t, symmetric_init):
-        assert compare_direct_vs_fourier(symmetric_init, tau, t) < 1e-10
+        assert direct_vs_fourier(symmetric_init, tau, t) < 1e-10
 
 
 class TestVerificationSuite:
@@ -155,6 +170,20 @@ class TestVerificationSuite:
         assert report.rows == [
             (v.name, v.measured, v.tolerance, v.passed) for v in report.verdicts
         ]
+
+    def test_walks_the_kernel_once(self, symmetric_init, monkeypatch):
+        # norm, direct-vs-Fourier and the localization window share one walk
+        kernel = lqw.core._evolution_buffers
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
+        report = verification_suite(symmetric_init, 2, 128)
+        assert "localization_window_mean" in [v.name for v in report.verdicts]
+        assert len(walks) == 1
 
     def test_short_run_skips_localization_window(self, symmetric_init):
         report = verification_suite(symmetric_init, 1, 32)

@@ -6,29 +6,15 @@ import pytest
 from lqw import (
     DegenerateMomentumError,
     GridTooSmallError,
-    MomentumPoint,
     StandardInit,
     WalkParams,
     default_grid_size,
     eigen_system,
     evolve,
     grover_coin,
-    initial_state,
     momentum_operator,
     propagate_fourier,
 )
-
-
-class TestMomentumPoint:
-    def test_kappa_on_unit_circle(self):
-        for k in (-3.0, -0.5, 0.1, np.pi):
-            assert abs(abs(MomentumPoint(k).kappa) - 1.0) < 1e-14
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            MomentumPoint(-np.pi)
-        with pytest.raises(ValueError):
-            MomentumPoint(4.0)
 
 
 class TestMomentumOperator:
@@ -110,6 +96,11 @@ class TestEigenSystem:
             nearest = min(range(len(remaining)), key=lambda i: abs(remaining[i] - value))
             assert abs(remaining.pop(nearest) - value) < 1e-10
 
+    def test_k_outside_domain_rejected(self):
+        for k in (-np.pi, 4.0):
+            with pytest.raises(ValueError):
+                eigen_system(WalkParams(2), k)
+
     def test_k0_degenerate(self):
         with pytest.raises(DegenerateMomentumError):
             eigen_system(WalkParams(3), 0.0)
@@ -137,14 +128,17 @@ class TestEigenSystem:
     def test_normalization_factors_rescale_raw_vectors(self):
         params = WalkParams(3)
         k = 1.7
-        system = eigen_system(params, k)
-        # j = 3: raw vector [kappa_1, kappa_2, 1, ..., 1]
+        vec = eigen_system(params, k).eigenvectors[:, 2]
+        # j = 3: raw vector [kappa_1, kappa_2, 1, ..., 1] and its closed-form N_3
         raw = np.array(
             [2 / (1 + np.exp(-1j * k)), 2 / (1 + np.exp(1j * k))] + [1.0] * 3,
             dtype=complex,
         )
-        scaled = np.sqrt(system.normalizations[2]) * raw
+        n3 = (1 + np.cos(k)) / (params.tau + 4 + params.tau * np.cos(k))
+        scaled = np.sqrt(n3) * raw
         assert np.linalg.norm(scaled) == pytest.approx(1.0, abs=1e-12)
+        # ... and the rescaled raw vector is the returned eigenvector up to a phase
+        assert abs(np.vdot(vec, scaled)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPropagateFourier:
@@ -159,7 +153,7 @@ class TestPropagateFourier:
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(4)
         fourier = propagate_fourier(init, params, 0)
-        assert np.max(np.abs(fourier.amplitudes - initial_state(init, params).amplitudes)) < 1e-15
+        assert np.max(np.abs(fourier.amplitudes - evolve(init, params, 0).amplitudes)) < 1e-15
 
     def test_tau10_t50_oracle(self, symmetric_init):
         params = WalkParams(10)
