@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeneralInit, InitialCondition, StandardInit, WalkParams
+from .core import GeneralInit, InitialCondition, StandardInit, WalkParams, _check_tau
 from .errors import DomainError, QuadratureError, UnsupportedInitialStateError
 from .quadrature import DEFAULT_NODES, legendre_rule
 
@@ -257,14 +257,6 @@ def spread_coefficient(init: InitialCondition, tau: int) -> float:
            - 4.0 / tau) * re_ab
         - ((1.0 - root / (tau + 2.0)) * imbalance) ** 2
     )
-
-
-def _check_tau(tau: int) -> int:
-    if not isinstance(tau, (int, np.integer)) or isinstance(tau, bool):
-        raise TypeError(f"tau must be an integer, got {type(tau).__name__}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    return int(tau)
 
 
 def _parity_sign(parity: str) -> float:

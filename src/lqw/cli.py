@@ -126,6 +126,8 @@ def _eval_term(text: str, term: list[tuple[str, str, int]]) -> tuple[float, bool
             is_imag = True
             expect_factor = False
             continue
+        if dividing and factor == 0.0:
+            raise ComplexParseError(text, at, "a nonzero divisor")
         value = value / factor if dividing else value * factor
         dividing = False
         expect_factor = False

@@ -41,6 +41,15 @@ __all__ = [
 _NORM_TOL = 1e-10
 
 
+def _check_tau(tau: int) -> int:
+    """Validate a laziness factor and return it as a plain int."""
+    if not isinstance(tau, (int, np.integer)) or isinstance(tau, bool):
+        raise TypeError(f"tau must be an integer, got {type(tau).__name__}")
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1 (got {tau}); closed forms divide by tau")
+    return int(tau)
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Laziness factor of the walk.  ``tau`` self-loops per vertex, tau >= 1."""
@@ -48,10 +57,7 @@ class WalkParams:
     tau: int
 
     def __post_init__(self):
-        if not isinstance(self.tau, (int, np.integer)) or isinstance(self.tau, bool):
-            raise TypeError(f"tau must be an integer, got {type(self.tau).__name__}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1 (got {self.tau}); closed forms divide by tau")
+        _check_tau(self.tau)
 
     @property
     def delta(self) -> int:
@@ -73,7 +79,7 @@ class StandardInit:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN
             raise NormalizationError(
                 f"|alpha|^2 + |beta|^2 = {n!r}, expected 1 within 1e-12"
             )
@@ -95,7 +101,7 @@ class GeneralInit:
         amps = tuple(complex(a) for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         n = sum(abs(a) ** 2 for a in amps)
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN
             raise NormalizationError(f"coin vector norm^2 = {n!r}, expected 1 within 1e-12")
 
     def coin_vector(self, params: WalkParams) -> np.ndarray:
@@ -130,7 +136,7 @@ class WalkerState:
                 f"amplitudes must have shape (2t+1, delta); got {amps.shape} at t={self.t}"
             )
         total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:  # also rejects NaN
             raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -13,9 +13,9 @@ second row by 1/kappa.  Its spectrum is known in closed form: phases
     sin(theta) = sqrt(tau (1 - cos k) (tau + 4 + tau cos k)) / (tau + 2),
 
 with the branch theta in [0, pi].  ``eigen_system`` returns the closed-form
-eigenvectors; ``propagate_fourier`` deliberately avoids them and powers U_k
-directly on a momentum grid, which makes it an independent oracle for the
-position-space kernel in :mod:`lqw.core`.
+eigenvectors; its pi-sector is a closed-form basis of loop differences, the
+same at every k.  ``propagate_fourier`` avoids them and powers U_k directly on
+a momentum grid, an independent oracle for the kernel in :mod:`lqw.core`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InitialCondition, WalkParams, WalkerState
+from .core import InitialCondition, WalkParams, WalkerState, grover_coin
 from .errors import DegenerateMomentumError, GridTooSmallError
 
 __all__ = [
@@ -53,13 +53,16 @@ class EigenSystem:
     eigenvectors: np.ndarray = field(repr=False)
 
 
-def momentum_operator(params: WalkParams, k: float) -> np.ndarray:
-    """The step operator U_k in momentum space (unitary, delta x delta)."""
-    d = params.delta
-    u = np.full((d, d), 2.0 / d, dtype=np.complex128)
-    np.fill_diagonal(u, -params.tau / d)
-    u[0] *= np.exp(1j * k)
-    u[1] *= np.exp(-1j * k)
+def momentum_operator(params: WalkParams, k: float | np.ndarray) -> np.ndarray:
+    """The step operator U_k = diag(e^{ik}, e^{-ik}, 1, ..., 1) @ G (unitary).
+
+    delta x delta for a scalar k; stacked, shape S + (delta, delta), for k of shape S.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    g = grover_coin(params)
+    u = np.broadcast_to(g, k.shape + g.shape).astype(np.complex128)
+    u[..., 0, :] *= np.exp(1j * k)[..., None]
+    u[..., 1, :] *= np.exp(-1j * k)[..., None]
     return u
 
 
@@ -85,8 +88,9 @@ def _inv_one_plus_exp(x: float) -> complex:
 def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     """Closed-form eigenphases and eigenvectors of U_k.
 
-    Raises DegenerateMomentumError at k = 0, where theta collides with the
-    pi-sector and the component denominators 1 + e^{i omega} vanish.
+    The pi-sector columns 3 .. delta-1 are a Helmert basis of loop differences,
+    the same at every k.  Raises DegenerateMomentumError at k = 0, where theta
+    collides with the pi-sector and the denominators 1 + e^{i omega} vanish.
 
     At k = pi the raw omega = 0 eigenvector degenerates (its components
     diverge while the normalization tends to zero); the half-angle rescaling
@@ -131,15 +135,11 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     nsq = 2.0 + tau * math.cos(half) ** 2
     vecs[:, 2] = u / math.sqrt(nsq)
 
-    # pi-sector: difference pattern (-1 at row 3, +1 at row j), Gram-Schmidt
-    for j in range(3, d):
-        u = np.zeros(d, dtype=np.complex128)
-        u[2] = -1.0
-        u[j] = 1.0
-        for p in range(3, j):
-            u -= vecs[:, p] * (vecs[:, p].conj() @ u)
-        nsq = float(np.sum(np.abs(u) ** 2))
-        vecs[:, j] = u / math.sqrt(nsq)
+    # pi-sector: column 2 + n is (n e_{2+n} - e_2 - ... - e_{1+n}) / sqrt(n (n+1)),
+    # which is Gram-Schmidt of the loop differences e_{2+n} - e_2 in closed form
+    n = np.arange(1, tau)
+    rows = np.arange(tau)[:, None]
+    vecs[2:, 3:] = (np.where(rows == n, n, 0.0) - (rows < n)) / np.sqrt(n * (n + 1.0))
 
     return EigenSystem(k=k, theta=theta, omegas=omegas, eigenvectors=vecs)
 
@@ -167,14 +167,11 @@ def momentum_grid_solution(
     if m < 2 * t + 1:
         raise GridTooSmallError(f"grid_size {m} < 2t+1 = {2 * t + 1}: inverse transform would alias")
 
-    d = params.delta
     ks = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    ops = np.empty((m, d, d), dtype=np.complex128)
-    for i, k in enumerate(ks):
-        ops[i] = momentum_operator(params, k)
+    ops = momentum_operator(params, ks)
 
     # Psi~(0, k) is k-independent for a walker starting at the origin.
-    psi = np.broadcast_to(init.coin_vector(params), (m, d)).copy()
+    psi = np.broadcast_to(init.coin_vector(params), (m, params.delta)).copy()
     for _ in range(t):
         psi = np.einsum("mij,mj->mi", ops, psi)
     return ks, psi

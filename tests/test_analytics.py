@@ -76,6 +76,14 @@ class TestThetaConstants:
         with pytest.raises(TypeError):
             theta_constants(2.5)
 
+    def test_tau_check_shared_with_walk_params(self):
+        for bad, exc in ((0, ValueError), (2.5, TypeError), (True, TypeError)):
+            with pytest.raises(exc) as lib:
+                theta_constants(bad)
+            with pytest.raises(exc) as params:
+                WalkParams(bad)
+            assert str(lib.value) == str(params.value)
+
 
 class TestF3Matrix:
     def test_tau1_block_structure(self):

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -50,6 +52,13 @@ class TestParseComplex:
             parse_complex("0.5&0.5i")
         assert info.value.position == 3
         assert "expected" in str(info.value)
+
+    @pytest.mark.parametrize("text,position", [("1/0", 2), ("0/0", 2), ("sqrt(0)i/0", 9)])
+    def test_zero_divisor_rejected(self, text, position):
+        with pytest.raises(ComplexParseError) as info:
+            parse_complex(text)
+        assert info.value.position == position
+        assert info.value.expected == "a nonzero divisor"
 
     @given(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6))
     def test_format_round_trips(self, z):
@@ -122,6 +131,21 @@ class TestUsageErrors:
         status = run_cli("simulate", "--tau", "1", "--alpha", "1", "--beta", "1",
                          "--out", str(tmp_path))
         assert status == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_divisor_exits_2_writes_nothing(self, tmp_path, capsys):
+        status = run_cli("simulate", "--tau", "2", "--alpha", "1/0", "--beta", "1",
+                         "--out", str(tmp_path))
+        assert status == 2
+        assert "nonzero divisor" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_amplitude_exits_2_writes_nothing(self, tmp_path, capsys):
+        # 1e400 overflows to inf, and inf/inf is NaN
+        status = run_cli("density", "--tau", "2", "--alpha", "1e400/1e400", "--beta", "0",
+                         "--out", str(tmp_path))
+        assert status == 2
+        assert "expected 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_exits_2(self, tmp_path):
@@ -205,6 +229,27 @@ class TestVerify:
         rows = read_csv(tmp_path / "verify.csv")
         assert rows[0] == ["check", "measured", "tolerance", "passed"]
         assert all(r[3] == "true" for r in rows[1:])
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The ``lqw ...`` lines of the sh block under "## CLI" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lqw ")]
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert [argv[0] for argv in readme_cli_examples()] == [
+            "simulate", "localize", "density", "variance", "verify"]
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_example_exits_0_and_writes_both(self, argv, tmp_path):
+        out = argv.index("--out") + 1
+        argv = argv[:out] + [str(tmp_path)] + argv[out + 1:]
+        assert run_cli(*argv) == 0
+        assert (tmp_path / f"{argv[0]}.csv").is_file()
+        assert (tmp_path / f"{argv[0]}.json").is_file()
 
 
 class TestMisc:

@@ -98,6 +98,15 @@ class TestInitialState:
         with pytest.raises(NormalizationError):
             GeneralInit((0.5, 0.5))
 
+    def test_rejects_nan_norm(self):
+        # abs(nan - 1) > tol is False, so the checks must be written NaN-safe
+        with pytest.raises(NormalizationError):
+            StandardInit(float("nan"), 0)
+        with pytest.raises(NormalizationError):
+            GeneralInit((float("nan"), 0, 0))
+        with pytest.raises(NormalizationError):
+            WalkerState(t=0, amplitudes=np.full((1, 3), np.nan))
+
     def test_general_wrong_length_rejected(self):
         init = GeneralInit((1, 0, 0))
         with pytest.raises(ValueError):

@@ -36,7 +36,45 @@ class TestMomentumOperator:
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
 
+    @pytest.mark.parametrize("tau", [1, 4, 30])
+    def test_array_k_stacks_scalar_operators(self, tau):
+        params = WalkParams(tau)
+        ks = -np.pi + 2 * np.pi * np.arange(16) / 16
+        stacked = momentum_operator(params, ks)
+        assert stacked.shape == (16, tau + 2, tau + 2)
+        assert np.array_equal(stacked, np.stack([momentum_operator(params, k) for k in ks]))
+        for k, u in zip(ks, stacked):
+            phases = np.ones(tau + 2, dtype=complex)
+            phases[:2] = np.exp(1j * k), np.exp(-1j * k)
+            assert np.array_equal(u, np.diag(phases) @ grover_coin(params))
+
+
+def helmert_column(tau: int, j: int) -> np.ndarray:
+    """((j-2) e_j - e_2 - ... - e_{j-1}) / sqrt((j-2)(j-1)), for 3 <= j < delta."""
+    col = np.zeros(tau + 2)
+    col[2:j] = -1.0
+    col[j] = j - 2
+    return col / np.sqrt((j - 2) * (j - 1))
+
+
 class TestEigenSystem:
+    @pytest.mark.parametrize("tau", [2, 5, 12])
+    def test_pi_sector_is_k_independent_helmert_basis(self, tau):
+        params = WalkParams(tau)
+        a = eigen_system(params, 0.7).eigenvectors[:, 3:]
+        b = eigen_system(params, -2.1).eigenvectors[:, 3:]
+        assert np.array_equal(a, b)
+        for j in range(3, tau + 2):
+            assert np.max(np.abs(a[:, j - 3] - helmert_column(tau, j))) < 1e-15
+
+    def test_large_tau_orthonormal_with_small_residual(self):
+        params = WalkParams(400)
+        system = eigen_system(params, 1.1)
+        v = system.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(params.delta))) < 1e-12
+        residuals = momentum_operator(params, 1.1) @ v - v * np.exp(1j * system.omegas)
+        assert np.max(np.linalg.norm(residuals, axis=0)) < 1e-10
+
     def test_theta_at_pi_tau2(self):
         # cos(theta) = -(tau cos k + 2)/(tau+2) = 0 at k = pi, tau = 2
         system = eigen_system(WalkParams(2), np.pi)
