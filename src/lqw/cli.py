@@ -10,7 +10,8 @@ Subcommands map onto the harness experiments:
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  Exit status: 0 all verdicts passed, 1 a
-tolerance was exceeded, 2 usage error (nothing is written).
+tolerance was exceeded, 2 usage error (nothing is written; this includes
+an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -192,38 +193,60 @@ def _json_value(value):
     return value
 
 
+def _write_csv(fh, report: harness.ExperimentReport) -> None:
+    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(report.columns)
+    for row in report.rows:
+        writer.writerow([_fmt_cell(v) for v in row])
+
+
+def _write_json(fh, report: harness.ExperimentReport) -> None:
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "experiment": report.experiment,
+        "config": _json_value(report.config),
+        "metrics": _json_value(report.metrics),
+        "verdicts": [
+            {"name": v.name, "measured": v.measured,
+             "tolerance": v.tolerance, "passed": v.passed}
+            for v in report.verdicts
+        ],
+        "passed": report.passed,
+    }
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+
+
 def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[Path]:
-    out_dir = config.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if config.fmt in ("csv", "both"):
-        path = out_dir / f"{config.subcommand}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-            writer.writerow(report.columns)
-            for row in report.rows:
-                writer.writerow([_fmt_cell(v) for v in row])
-        written.append(path)
-    if config.fmt in ("json", "both"):
-        path = out_dir / f"{config.subcommand}.json"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "experiment": report.experiment,
-            "config": _json_value(report.config),
-            "metrics": _json_value(report.metrics),
-            "verdicts": [
-                {"name": v.name, "measured": v.measured,
-                 "tolerance": v.tolerance, "passed": v.passed}
-                for v in report.verdicts
-            ],
-            "passed": report.passed,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-    return written
+    """Write the artifacts all or nothing.
+
+    Each artifact goes to a temp file in the output directory, and the temp
+    files replace their targets only after every write succeeded.  An
+    OSError leaves no artifact behind and becomes a UsageError.
+    """
+    writers = {"csv": _write_csv, "json": _write_json}
+    if config.fmt != "both":
+        writers = {config.fmt: writers[config.fmt]}
+    paths = [config.out / f"{config.subcommand}.{ext}" for ext in writers]
+    temps: list[Path] = []
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            if path.is_dir():  # os.replace would fail only after the others are in place
+                raise UsageError(f"cannot write the output: {path} is a directory")
+        for path, write in zip(paths, writers.values()):
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temp, "x", newline="") as fh:
+                temps.append(temp)
+                write(fh, report)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write the output: {exc}") from exc
+    return paths
 
 
 def _density_report(config: CliConfig) -> harness.ExperimentReport:
@@ -388,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(config)
     except (LqwError, ValueError) as exc:
-        # precondition violations surface before any file is written
+        # precondition violations and unwritable outputs leave no file behind
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

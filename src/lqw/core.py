@@ -11,16 +11,28 @@ this package:
 
 One step applies the Grover coin at every site and then shifts the left/right
 components one site; loop components stay put.  Evolution is exact: the
-support after ``t`` steps is ``[-t, t]``, stored densely, so there is no
-truncation error.
+support after ``t`` steps is ``[-t, t]``, so there is no truncation error.
+
+The Grover coin treats all loops alike, so the kernel never stores them one
+by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
+``d`` orthogonal to ``(1, ..., 1)``:
+
+* the moving sector ``(left, right, u)`` is an exact three-state walk with
+  coin ``2|p><p| - I``, ``p = (1, 1, sqrt(tau)) / sqrt(delta)``;
+* the loop differences ``d`` never move: they live at the origin only (zero
+  for ``StandardInit``) and change sign every step.
+
+A step therefore costs O(t) at any ``tau``.  A ``WalkerState`` from the
+kernel builds its full ``(2t+1, delta)`` amplitudes only when they are read.
 
 All operations are pure; returned states carry read-only arrays.  The
 snapshots ``iter_evolution`` yields are read-only views of the kernel's
-buffers, valid only until the next step; copy one to keep it.
+buffers, valid only until the next step; ``state.copy()`` keeps one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,28 +130,77 @@ InitialCondition = StandardInit | GeneralInit
 
 @dataclass(frozen=True)
 class WalkerState:
-    """Full wavefunction after ``t`` steps.
+    """Wavefunction after ``t`` steps.
 
     ``amplitudes`` has shape ``(2t+1, delta)``; row ``i`` is the coin state at
     position ``n = i - origin_offset`` with ``origin_offset = t``.
+
+    ``WalkerState(t, amplitudes)`` keeps the full array it is given.  A state
+    from the kernel keeps only the moving sector and the origin's loop
+    differences, and builds ``amplitudes`` the first time it is read; its
+    norm check, ``probabilities()`` and ``amplitude(n)`` never need the
+    full array.
     """
 
     t: int
     amplitudes: np.ndarray = field(repr=False)
+    # kernel states: rows left, right and u over the sites, and d at n = 0
+    _moving: np.ndarray | None = field(default=None, init=False, repr=False)
+    _loop_diff: np.ndarray | None = field(default=None, init=False, repr=False)
+    _probs: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def _from_sectors(cls, t: int, moving: np.ndarray, loop_diff: np.ndarray) -> "WalkerState":
+        """A kernel state; ``moving`` is not copied."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "t", t)
+        object.__setattr__(state, "_moving", moving)
+        object.__setattr__(state, "_loop_diff", loop_diff)
+        state.__post_init__()
+        return state
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if amps.ndim != 2 or amps.shape[0] != 2 * self.t + 1:
-            raise ValueError(
-                f"amplitudes must have shape (2t+1, delta); got {amps.shape} at t={self.t}"
-            )
-        total = float(np.sum(np.abs(amps) ** 2))
+        if self._moving is None:
+            amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+            if amps.ndim != 2 or amps.shape[0] != 2 * self.t + 1:
+                raise ValueError(
+                    f"amplitudes must have shape (2t+1, delta); got {amps.shape} at t={self.t}"
+                )
+            amps.setflags(write=False)
+            object.__setattr__(self, "amplitudes", amps)
+            probs = np.sum(np.abs(amps) ** 2, axis=1)
+        else:
+            probs = np.sum(np.abs(self._moving) ** 2, axis=0)
+            # d is orthogonal to the uniform loop mode, so its weight just adds
+            probs[self.t] += np.sum(np.abs(self._loop_diff) ** 2)
+        total = float(np.sum(probs))
         if not abs(total - 1.0) <= _NORM_TOL:  # also rejects NaN
             raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
+        probs.setflags(write=False)
+        object.__setattr__(self, "_probs", probs)
+
+    def __getattr__(self, name):
+        # called only for names not found normally: a kernel state has no
+        # ``amplitudes`` until this first read builds and stores them
+        if name != "amplitudes" or self._moving is None:
+            raise AttributeError(name)
+        amps = self._expand(0, 2 * self.t + 1)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        return amps
+
+    def _expand(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi-1 of the full amplitudes, built from the reduced data."""
+        tau = self._loop_diff.shape[0]
+        moving = self._moving[:, lo:hi]
+        rows = np.empty((hi - lo, tau + 2), dtype=np.complex128)
+        rows[:, :2] = moving[:2].T
+        rows[:, 2:] = (moving[2] / math.sqrt(tau))[:, None]
+        if lo <= self.t < hi:
+            rows[self.t - lo, 2:] += self._loop_diff
+        return rows
 
     @property
     def origin_offset(self) -> int:
@@ -148,6 +209,8 @@ class WalkerState:
 
     @property
     def delta(self) -> int:
+        if self._moving is not None:
+            return self._loop_diff.shape[0] + 2
         return self.amplitudes.shape[1]
 
     @property
@@ -159,11 +222,20 @@ class WalkerState:
         """Coin state at position n (zero vector outside the light cone)."""
         if abs(n) > self.t:
             return np.zeros(self.delta, dtype=np.complex128)
-        return self.amplitudes[n + self.origin_offset]
+        i = n + self.origin_offset
+        if self._moving is not None:
+            return self._expand(i, i + 1)[0]
+        return self.amplitudes[i]
 
     def probabilities(self) -> np.ndarray:
-        """P(X_t = n) for n = -t .. t as an array aligned with ``positions``."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        """P(X_t = n) for n = -t .. t as a read-only array aligned with ``positions``."""
+        return self._probs
+
+    def copy(self) -> "WalkerState":
+        """A state that owns its data, to keep an ``iter_evolution`` snapshot."""
+        if self._moving is not None:
+            return WalkerState._from_sectors(self.t, self._moving.copy(), self._loop_diff)
+        return WalkerState(self.t, self.amplitudes.copy())
 
 
 def grover_coin(params: WalkParams) -> np.ndarray:
@@ -178,48 +250,71 @@ def grover_coin(params: WalkParams) -> np.ndarray:
     return g
 
 
+def _moving_coin(params: WalkParams) -> np.ndarray:
+    """The Grover coin on (left, right, u), u the uniform loop mode.
+
+    2|p><p| - I with p = (1, 1, sqrt(tau)) / sqrt(delta), written entry by
+    entry; at tau = 1 it equals ``grover_coin`` bit for bit.
+    """
+    tau, d = params.tau, params.delta
+    edge = 2.0 * math.sqrt(tau) / d
+    return np.array([
+        [-tau / d, 2.0 / d, edge],
+        [2.0 / d, -tau / d, edge],
+        [edge, edge, (tau - 2) / d],
+    ])
+
+
 def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     """The position-space kernel: one application of U = S (I x G) per step.
 
-    Double-buffered and in place; yields ``(t, window)`` for t = 0 .. t_max,
-    where ``window`` is the ``(2t+1, delta)`` view of the live buffer.
-    Internal only, never exposed.
+    Evolves the moving sector (left, right, u) under ``_moving_coin``,
+    double-buffered and in place; the loop differences d at the origin only
+    change sign.  Yields ``(t, window, d_t)`` for t = 0 .. t_max, where
+    ``window`` is the ``(3, 2t+1)`` view of the live buffer: one row per
+    component, so each shift is a contiguous copy.  Internal only, never
+    exposed.
     """
-    d = params.delta
-    g_t = grover_coin(params).T
-    cur = np.zeros((2 * t_max + 1, d), dtype=np.complex128)
+    coin = init.coin_vector(params)
+    root_tau = math.sqrt(params.tau)
+    u = coin[2:].sum() / root_tau
+    # the same u / sqrt(tau) that WalkerState._expand adds back
+    diff = coin[2:] - u / root_tau
+    signed_diff = (diff, -diff)
+
+    g = _moving_coin(params)
+    cur = np.zeros((3, 2 * t_max + 1), dtype=np.complex128)
     nxt = np.zeros_like(cur)
-    cur[t_max] = init.coin_vector(params)
-    c = t_max  # row index of the origin
-    yield 0, cur[c:c + 1]
+    c = t_max  # column index of the origin
+    cur[:, c] = coin[0], coin[1], u
+    yield 0, cur[:, c:c + 1], signed_diff[0]
     for t in range(t_max):
         lo, hi = c - t, c + t + 1
-        coined = cur[lo:hi] @ g_t
-        nxt[lo - 1 : hi + 1] = 0.0
-        nxt[lo - 1 : hi - 1, 0] = coined[:, 0]
-        nxt[lo + 1 : hi + 1, 1] = coined[:, 1]
-        nxt[lo:hi, 2:] = coined[:, 2:]
+        coined = g @ cur[:, lo:hi]
+        nxt[:, lo - 1 : hi + 1] = 0.0
+        nxt[0, lo - 1 : hi - 1] = coined[0]
+        nxt[1, lo + 1 : hi + 1] = coined[1]
+        nxt[2, lo:hi] = coined[2]
         cur, nxt = nxt, cur
-        yield t + 1, cur[lo - 1 : hi + 1]
+        yield t + 1, cur[:, lo - 1 : hi + 1], signed_diff[(t + 1) % 2]
 
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    for _, window in _evolution_buffers(init, params, t):
+    for _, window, diff in _evolution_buffers(init, params, t):
         pass
-    return WalkerState(t=t, amplitudes=window.copy())
+    return WalkerState._from_sectors(t, window.copy(), diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     """Yield the WalkerState at every t = 0 .. t_max.
 
     Each snapshot is a read-only view of the kernel's buffers, valid only
-    until the next step; copy its amplitudes to keep it longer.
+    until the next step; ``state.copy()`` keeps one longer.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    for t, window in _evolution_buffers(init, params, t_max):
-        yield WalkerState(t=t, amplitudes=window)
-
+    for t, window, diff in _evolution_buffers(init, params, t_max):
+        yield WalkerState._from_sectors(t, window, diff)

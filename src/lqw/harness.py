@@ -97,8 +97,8 @@ def _walk(
     origin = []
     for state in iter_evolution(init, params, t_max):
         if state.t:
-            origin.append(float(np.sum(np.abs(state.amplitude(0)) ** 2)))
-    return origin, WalkerState(t=t_max, amplitudes=state.amplitudes.copy())
+            origin.append(float(state.probabilities()[state.origin_offset]))
+    return origin, state.copy()
 
 
 def _window_mean(origin: list[float]) -> float:

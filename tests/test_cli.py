@@ -156,6 +156,24 @@ class TestUsageErrors:
         assert status == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_text("keep")
+        status = run_cli("simulate", "--tau", "2", "--steps", "20", "--out", str(target))
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert target.read_text() == "keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+    def test_unwritable_artifact_leaves_nothing_behind(self, tmp_path, capsys):
+        # simulate.json is a directory: simulate.csv must not be written either
+        (tmp_path / "simulate.json").mkdir()
+        status = run_cli("simulate", "--tau", "2", "--steps", "20", "--out", str(tmp_path))
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["simulate.json"]
+        assert list((tmp_path / "simulate.json").iterdir()) == []
+
 
 class TestLocalize:
     def test_series_and_reference(self, tmp_path):
@@ -250,6 +268,19 @@ class TestReadmeExamples:
         assert run_cli(*argv) == 0
         assert (tmp_path / f"{argv[0]}.csv").is_file()
         assert (tmp_path / f"{argv[0]}.json").is_file()
+
+
+def readme_library_sketch() -> str:
+    """The python block under "## Library sketch" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeLibrarySketch:
+    def test_sketch_runs(self):
+        namespace = {}
+        exec(compile(readme_library_sketch(), "README.md", "exec"), namespace)
+        assert namespace["state"].t == 50
 
 
 class TestMisc:

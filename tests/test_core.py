@@ -1,5 +1,7 @@
 """Position-space evolution: coin algebra, hand-derived steps, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,21 @@ def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
     new[2 : n + 2, 1] = coined[:, 1]
     new[1 : n + 1, 2:] = coined[:, 2:]
     return new
+
+
+def dense_states(init, params: WalkParams, t_max: int):
+    """Yield (t, amplitudes) for t = 0 .. t_max by repeated dense steps."""
+    amps = init.coin_vector(params)[None, :]
+    yield 0, amps
+    for t in range(1, t_max + 1):
+        amps = apply_step(amps, params)
+        yield t, amps
+
+
+def random_general(rng, params: WalkParams) -> GeneralInit:
+    """A random normalized coin vector; at tau >= 2 its loops are not uniform."""
+    v = rng.normal(size=params.delta) + 1j * rng.normal(size=params.delta)
+    return GeneralInit(tuple(v / np.linalg.norm(v)))
 
 
 class TestWalkParams:
@@ -163,9 +180,7 @@ class TestEvolve:
     def test_matches_repeated_apply_step(self):
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(2)
-        amps = init.coin_vector(params)[None, :]
-        for _ in range(9):
-            amps = apply_step(amps, params)
+        *_, (_, amps) = dense_states(init, params, 9)
         assert np.allclose(evolve(init, params, 9).amplitudes, amps, atol=1e-14)
 
     def test_symmetric_init_symmetric_distribution(self, symmetric_init):
@@ -270,3 +285,51 @@ class TestInvariants:
         amps[1, 0] = 2.0
         with pytest.raises(NormalizationError):
             WalkerState(t=1, amplitudes=amps)
+
+
+class TestReducedKernel:
+    """The 3-component kernel against the dense delta-component reference."""
+
+    @pytest.mark.parametrize("tau", range(1, 21))
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_matches_dense_reference(self, tau, kind):
+        params = WalkParams(tau)
+        rng = np.random.default_rng(100 + tau)
+        init = random_standard(rng) if kind == "standard" else random_general(rng, params)
+        if kind == "general" and tau >= 2:
+            loops = init.coin_vector(params)[2:]
+            assert np.max(np.abs(loops - loops.mean())) > 1e-3  # loop differences present
+        checked = {1, 2, 37, 200}
+        pairs = zip(iter_evolution(init, params, 200), dense_states(init, params, 200))
+        for state, (t, dense) in pairs:
+            if t not in checked:
+                continue
+            dense_probs = np.sum(np.abs(dense) ** 2, axis=1)
+            if tau == 1:
+                assert np.array_equal(state.amplitudes, dense)
+                assert np.array_equal(state.probabilities(), dense_probs)
+            else:
+                assert np.max(np.abs(state.amplitudes - dense)) < 1e-12
+                assert np.max(np.abs(state.probabilities() - dense_probs)) < 1e-12
+            for n in (-t, -1, 0, 1, t):
+                assert np.array_equal(state.amplitude(n), state.amplitudes[n + t])
+
+    def test_loop_difference_start_stays_put(self):
+        # no weight on the uniform loop mode: nothing moves, the loops flip sign
+        start = np.array([1, -1]) / np.sqrt(2)
+        init = GeneralInit((0, 0, *start))
+        for state in iter_evolution(init, WalkParams(2), 9):
+            probs = state.probabilities()
+            assert probs[state.t] == pytest.approx(1.0, abs=1e-15)
+            assert np.count_nonzero(probs) == 1
+            assert np.array_equal(state.amplitude(0), [0, 0, *((-1) ** state.t * start)])
+
+    def test_memory_does_not_grow_with_tau(self):
+        init = StandardInit(1 / np.sqrt(2), 1j / np.sqrt(2))
+        tracemalloc.start()
+        try:
+            evolve(init, WalkParams(400), 100).probabilities()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
