@@ -169,7 +169,7 @@ class WeakLimitModel:
     def p_hat(self) -> float:
         return total_localization(self.init, self.tau)
 
-    def density(self, x: float) -> float:
+    def density(self, x: float | np.ndarray) -> float | np.ndarray:
         return weak_limit_density(self.init, self.tau, x)
 
     def continuous_mass(self, lo: float | None = None, hi: float | None = None,
@@ -187,19 +187,26 @@ class WeakLimitModel:
         return atom + body
 
 
-def weak_limit_density(init: InitialCondition, tau: int, x: float) -> float:
+def weak_limit_density(
+    init: InitialCondition, tau: int, x: float | np.ndarray
+) -> float | np.ndarray:
     """The continuous part f(x) of the limiting law of X_t / t.
 
     Defined for |x| < Omega = sqrt(tau / (tau + 2)); diverges integrably at
-    the edges.  Only derived for two-component initial states.
+    the edges.  Only derived for two-component initial states.  A scalar x
+    gives a float; an array gives f at every point, elementwise the same
+    arithmetic as the scalar.
     """
     tau = _check_tau(tau)
     _require_standard(init)
     omega = math.sqrt(tau / (tau + 2.0))
-    if abs(x) >= omega:
-        raise DomainError(f"|x| = {abs(x)} outside the support (-{omega}, {omega})")
-    return float(_density_numerator(init, tau, np.asarray(x))
-                 / (math.pi * (1.0 - x * x) * math.sqrt(2.0 * tau - 2.0 * (tau + 2.0) * x * x)))
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(np.abs(x) >= omega):
+        raise DomainError(
+            f"|x| = {float(np.max(np.abs(x)))} outside the support (-{omega}, {omega})")
+    f = _density_numerator(init, tau, x) / (
+        math.pi * (1.0 - x * x) * np.sqrt(2.0 * tau - 2.0 * (tau + 2.0) * x * x))
+    return float(f) if f.ndim == 0 else f
 
 
 def total_localization(init: InitialCondition, tau: int) -> float:

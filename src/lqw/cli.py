@@ -255,8 +255,8 @@ def _density_report(config: CliConfig) -> harness.ExperimentReport:
     omega = model.omega
     n = config.grid
     # interior grid: the density diverges at +-Omega
-    xs = [-omega + (j + 0.5) * (2.0 * omega / n) for j in range(n)]
-    rows = [(float(x), model.density(x)) for x in xs]
+    xs = -omega + (np.arange(n) + 0.5) * (2.0 * omega / n)
+    rows = list(zip(map(float, xs), map(float, model.density(xs))))
     body = model.continuous_mass(nodes=config.quad_nodes)
     report = harness.ExperimentReport(
         experiment="weak_limit_density",

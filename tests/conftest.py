@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqw import StandardInit
+from lqw import GeneralInit, StandardInit, WalkParams
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +22,9 @@ def random_standard(rng: np.random.Generator) -> StandardInit:
     beta = complex(raw[2], raw[3])
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     return StandardInit(alpha / norm, beta / norm)
+
+
+def random_general(rng: np.random.Generator, params: WalkParams) -> GeneralInit:
+    """A random normalized coin vector; at tau >= 2 its loops are not uniform."""
+    v = rng.normal(size=params.delta) + 1j * rng.normal(size=params.delta)
+    return GeneralInit(tuple(v / np.linalg.norm(v)))

@@ -268,6 +268,19 @@ class TestWeakLimitDensity:
         with pytest.raises(UnsupportedInitialStateError):
             weak_limit_density(GeneralInit((0, 0, 1)), 1, 0.0)
 
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    def test_array_equals_scalar_calls(self, tau, skewed_init):
+        omega = peak_velocities(tau)[1]
+        xs = -omega + (np.arange(2001) + 0.5) * (2.0 * omega / 2001)
+        values = weak_limit_density(skewed_init, tau, xs)
+        assert values.shape == xs.shape
+        assert values.tolist() == [weak_limit_density(skewed_init, tau, x) for x in xs.tolist()]
+
+    def test_array_domain_error(self):
+        omega = peak_velocities(3)[1]
+        with pytest.raises(DomainError):
+            weak_limit_density(StandardInit(1, 0), 3, np.array([0.0, 0.5 * omega, omega]))
+
     @pytest.mark.parametrize("tau", [1, 4, 9])
     def test_nonnegative_on_support(self, tau, skewed_init):
         omega = peak_velocities(tau)[1]

@@ -18,7 +18,7 @@ from lqw import (
     iter_evolution,
 )
 
-from conftest import random_standard
+from conftest import random_general, random_standard
 
 
 def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
@@ -39,12 +39,6 @@ def dense_states(init, params: WalkParams, t_max: int):
     for t in range(1, t_max + 1):
         amps = apply_step(amps, params)
         yield t, amps
-
-
-def random_general(rng, params: WalkParams) -> GeneralInit:
-    """A random normalized coin vector; at tau >= 2 its loops are not uniform."""
-    v = rng.normal(size=params.delta) + 1j * rng.normal(size=params.delta)
-    return GeneralInit(tuple(v / np.linalg.norm(v)))
 
 
 class TestWalkParams:

@@ -171,6 +171,11 @@ class TestVerificationSuite:
             (v.name, v.measured, v.tolerance, v.passed) for v in report.verdicts
         ]
 
+    def test_large_tau_passes(self, symmetric_init):
+        # tau 100, t 200 is where the oracle's cost grows with delta: a k-block
+        # of operators is squared about three times instead of 200 steps
+        assert verification_suite(symmetric_init, 100, 200).passed
+
     def test_walks_the_kernel_once(self, symmetric_init, monkeypatch):
         # norm, direct-vs-Fourier and the localization window share one walk
         kernel = lqw.core._evolution_buffers

@@ -1,5 +1,7 @@
 """Momentum-space operator, closed-form eigen-system, Fourier oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,21 @@ from lqw import (
     eigen_system,
     evolve,
     grover_coin,
+    momentum_grid_solution,
     momentum_operator,
     propagate_fourier,
 )
+
+from conftest import random_general, random_standard
+
+
+def stepwise_grid_solution(init, params: WalkParams, t: int, ks: np.ndarray) -> np.ndarray:
+    """Reference oracle: Psi~(t, k) at each of ``ks`` by t successive U_k products."""
+    ops = momentum_operator(params, ks)
+    psi = np.broadcast_to(init.coin_vector(params), (len(ks), params.delta)).copy()
+    for _ in range(t):
+        psi = np.einsum("mij,mj->mi", ops, psi)
+    return psi
 
 
 class TestMomentumOperator:
@@ -179,6 +193,34 @@ class TestEigenSystem:
         assert abs(np.vdot(vec, scaled)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestMomentumGridSolution:
+    # odd, even and power-of-two exponents; squaring stops once 4 e < delta,
+    # so at tau 100 (delta 102) t = 31 squares once and t = 200 three times
+    TIMES = (0, 1, 2, 3, 31, 63, 64, 65, 200)
+
+    @pytest.mark.parametrize("tau", [1, 2, 5, 20, 100])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_matches_stepwise_reference(self, tau, kind):
+        params = WalkParams(tau)
+        rng = np.random.default_rng(tau)
+        init = random_standard(rng) if kind == "standard" else random_general(rng, params)
+        for t in self.TIMES:
+            ks, psi = momentum_grid_solution(init, params, t)
+            # every k is powered on its own: 32 spread-out points keep the reference cheap
+            sub = slice(None, None, max(1, len(ks) // 32))
+            ref = stepwise_grid_solution(init, params, t, ks[sub])
+            assert np.max(np.abs(psi[sub] - ref)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [2, 100])
+    def test_explicit_odd_grid(self, tau):
+        # 2t + 1 points: not the default power of two, not a whole number of k-blocks
+        params = WalkParams(tau)
+        init = random_general(np.random.default_rng(0), params)
+        ks, psi = momentum_grid_solution(init, params, 65, grid_size=131)
+        assert ks.shape == (131,)
+        assert np.max(np.abs(psi - stepwise_grid_solution(init, params, 65, ks))) < 1e-12
+
+
 class TestPropagateFourier:
     def test_one_step_matches_direct(self):
         init = StandardInit(1, 0)
@@ -208,6 +250,16 @@ class TestPropagateFourier:
         base = propagate_fourier(symmetric_init, params, 20, grid_size=64)
         fine = propagate_fourier(symmetric_init, params, 20, grid_size=128)
         assert np.max(np.abs(base.amplitudes - fine.amplitudes)) < 1e-12
+
+    def test_memory_bounded_by_k_blocks(self, symmetric_init):
+        # the whole (512, 102, 102) operator stack alone would take 85 MB
+        tracemalloc.start()
+        try:
+            propagate_fourier(symmetric_init, WalkParams(100), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_default_grid_size(self):
         assert default_grid_size(0) == 2
