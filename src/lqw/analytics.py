@@ -5,10 +5,15 @@ form lives here: the three momentum integrals Theta_1..Theta_3 of the
 omega = 0 spectral projector, the F_3 matrix they assemble, the limiting
 origin coin state and localization probability, the travelling-peak
 velocities, the weak-limit density f(x) on (-Omega, Omega) with its
-delta-atom mass P_hat, rescaled moments, and the ballistic spread
-coefficient.  Moment evaluators integrate f numerically (after removing the
-endpoint singularity analytically), which keeps them an independent check on
-the closed-form spread coefficient rather than a restatement of it.
+delta-atom mass P_hat and its cumulative distribution, rescaled moments, and
+the ballistic spread coefficient.
+
+The weak-limit CDF is the elementary antiderivative of f (weak-limit theorem:
+Konno, J. Math. Soc. Japan 57, 1179 (2005)), evaluated over arrays.  Moment
+evaluators and ``WeakLimitModel.continuous_mass`` integrate f numerically
+(after removing the endpoint singularity analytically), which keeps them an
+independent check on the closed-form spread coefficient and CDF rather than a
+restatement of them.
 """
 
 from __future__ import annotations
@@ -177,14 +182,24 @@ class WeakLimitModel:
         """Integral of f over (lo, hi), defaulting to the whole support."""
         return _density_integral(self.init, self.tau, 0, nodes, lo=lo, hi=hi)
 
-    def cdf(self, x: float, nodes: int = DEFAULT_NODES) -> float:
-        """P(X_t / t <= x) in the limit, atom included."""
-        atom = self.p_hat if x >= 0.0 else 0.0
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """P(X_t / t <= x) in the limit, atom included, in closed form.
+
+        With x = Omega sin(u), the integral of f up to x is an elementary
+        antiderivative in u taken from -pi/2 to u, divided by
+        pi sqrt(2 (tau + 2)); the atom P_hat is added for x >= 0.  The CDF is
+        exactly 0 for x <= -Omega.  A scalar x gives a float; an array gives
+        the CDF at every point.  NaN raises DomainError.  ``continuous_mass``
+        integrates the same body by quadrature and is its independent check.
+        """
+        x = _check_not_nan(x)
         omega = self.omega
-        if x <= -omega:
-            return atom
-        body = _density_integral(self.init, self.tau, 0, nodes, hi=min(x, omega))
-        return atom + body
+        u = np.arcsin(np.clip(x / omega, -1.0, 1.0))
+        rise = (_density_antiderivative(self.init, self.tau, u)
+                - _density_antiderivative(self.init, self.tau, -0.5 * math.pi))
+        body = np.where(x <= -omega, 0.0, rise / (math.pi * math.sqrt(2.0 * (self.tau + 2.0))))
+        total = body + np.where(x >= 0.0, self.p_hat, 0.0)
+        return float(total) if total.ndim == 0 else total
 
 
 def weak_limit_density(
@@ -195,12 +210,12 @@ def weak_limit_density(
     Defined for |x| < Omega = sqrt(tau / (tau + 2)); diverges integrably at
     the edges.  Only derived for two-component initial states.  A scalar x
     gives a float; an array gives f at every point, elementwise the same
-    arithmetic as the scalar.
+    arithmetic as the scalar.  NaN raises DomainError.
     """
     tau = _check_tau(tau)
     _require_standard(init)
     omega = math.sqrt(tau / (tau + 2.0))
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_not_nan(x)
     if np.any(np.abs(x) >= omega):
         raise DomainError(
             f"|x| = {float(np.max(np.abs(x)))} outside the support (-{omega}, {omega})")
@@ -288,11 +303,40 @@ def _re_ab(init: StandardInit) -> float:
     return (np.conj(init.alpha) * init.beta).real
 
 
-def _density_numerator(init: StandardInit, tau: int, x: np.ndarray) -> np.ndarray:
+def _check_not_nan(x: float | np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(np.isnan(x)):
+        raise DomainError("x is NaN")
+    return x
+
+
+def _density_coefficients(init: StandardInit, tau: int) -> tuple[float, float, float]:
+    """(a, b, c) of the numerator a + b x + c x^2 of f."""
     re_ab = _re_ab(init)
     imbalance = abs(init.beta) ** 2 - abs(init.alpha) ** 2
-    return (1.0 + 2.0 * re_ab + 2.0 * imbalance * x
-            + (1.0 - 2.0 * re_ab * (tau + 4.0) / tau) * x * x)
+    return 1.0 + 2.0 * re_ab, 2.0 * imbalance, 1.0 - 2.0 * re_ab * (tau + 4.0) / tau
+
+
+def _density_numerator(init: StandardInit, tau: int, x: np.ndarray) -> np.ndarray:
+    a, b, c = _density_coefficients(init, tau)
+    return a + b * x + c * x * x
+
+
+def _density_antiderivative(init: StandardInit, tau: int, u: float | np.ndarray) -> np.ndarray:
+    """Antiderivative of the smooth integrand that f becomes under x = Omega sin(u).
+
+    The integrand is (a + b Omega sin u + c Omega^2 sin^2 u) / (1 - Omega^2 sin^2 u)
+    with a, b, c from ``_density_coefficients``.  With s = sqrt(1 - Omega^2)
+    its three parts integrate to I0 = atan2(s sin u, cos u) / s,
+    I1 = -arctan(Omega cos u / s) / (Omega s) and I2 = (I0 - u) / Omega^2,
+    all continuous on [-pi/2, pi/2]; this returns a I0 + b Omega I1 + c Omega^2 I2.
+    """
+    a, b, c = _density_coefficients(init, tau)
+    omega = math.sqrt(tau / (tau + 2.0))
+    s = math.sqrt(2.0 / (tau + 2.0))
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    return ((a + c) * np.arctan2(s * sin_u, cos_u)
+            - b * np.arctan(omega * cos_u / s)) / s - c * u
 
 
 def _density_integral(

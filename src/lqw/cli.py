@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, analytics, harness
 from .core import StandardInit
 from .errors import ComplexParseError, LqwError, NormalizationError
-from .quadrature import DEFAULT_NODES
+from .quadrature import DEFAULT_NODES, MAX_NODES
 
 __all__ = ["CliConfig", "parse_complex", "format_complex", "run", "main"]
 
@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        dest="fmt", help="which artifact files to write")
         p.add_argument("--quad-nodes", type=_positive_int, default=None,
-                       help="Gauss-Legendre node count (default 2048; env LQW_QUAD_NODES)")
+                       help="Gauss-Legendre node count (default 2048, at most 8192; "
+                            "env LQW_QUAD_NODES)")
         if name == "density":
             p.add_argument("--grid", type=_positive_int, default=201,
                            help="number of tabulation points (default 201)")
@@ -370,8 +371,9 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     except NormalizationError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
 
-    quad = args.quad_nodes
+    quad, source = args.quad_nodes, "--quad-nodes"
     if quad is None:
+        source = "LQW_QUAD_NODES"
         env = os.environ.get("LQW_QUAD_NODES")
         if env is not None:
             try:
@@ -382,6 +384,8 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
                 raise UsageError(f"LQW_QUAD_NODES must be >= 1, got {quad}")
         else:
             quad = DEFAULT_NODES
+    if quad > MAX_NODES:
+        raise UsageError(f"{source} must be <= {MAX_NODES}, got {quad}")
 
     return CliConfig(
         subcommand=args.subcommand,

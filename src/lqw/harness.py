@@ -242,7 +242,9 @@ def empirical_vs_weak_limit(
 
     Compares empirical and limiting CDFs on |x| > epsilon (outside the
     delta-atom's neighborhood) and the total mass inside |x| < epsilon
-    against the atom plus the density's share.
+    against the atom plus the density's share.  The closed-form limiting
+    CDF is itself checked against ``nodes``-point quadrature of the density
+    on 33 points spanning [-Omega, Omega].
     """
     model = analytics.WeakLimitModel(init, tau)
     if t_max < 100:
@@ -256,11 +258,15 @@ def empirical_vs_weak_limit(
     emp_cdf = np.cumsum(probs)
 
     outside = np.abs(xs) > epsilon
-    theory_cdf = np.array([model.cdf(x, nodes=nodes) for x in xs[outside]])
-    sup_distance = float(np.max(np.abs(emp_cdf[outside] - theory_cdf)))
+    sup_distance = float(np.max(np.abs(emp_cdf[outside] - model.cdf(xs[outside]))))
 
     near_mass = float(np.sum(probs[~outside]))
-    near_theory = model.p_hat + model.continuous_mass(-epsilon, epsilon, nodes=nodes)
+    near_theory = model.cdf(epsilon) - model.cdf(-epsilon)
+
+    sweep = np.linspace(-model.omega, model.omega, 33)
+    quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x, nodes=nodes)
+                      for x in sweep.tolist()]
+    cdf_error = float(np.max(np.abs(model.cdf(sweep) - quadrature_cdf)))
 
     report = ExperimentReport(
         experiment="empirical_vs_weak_limit",
@@ -279,6 +285,7 @@ def empirical_vs_weak_limit(
     report.verdicts.append(
         Verdict.judge("near_origin_mass_deviation", abs(near_mass - near_theory), tolerance)
     )
+    report.verdicts.append(Verdict.judge("cdf_closed_vs_quadrature", cdf_error, 1e-10))
     return report
 
 

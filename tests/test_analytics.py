@@ -11,6 +11,7 @@ from lqw import (
     StandardInit,
     UnsupportedInitialStateError,
     WalkParams,
+    WeakLimitModel,
     eigen_system,
     f3_matrix,
     limit_moment,
@@ -24,6 +25,7 @@ from lqw import (
     total_localization,
     weak_limit_density,
 )
+from lqw.analytics import _density_integral
 
 from conftest import random_standard
 
@@ -281,11 +283,71 @@ class TestWeakLimitDensity:
         with pytest.raises(DomainError):
             weak_limit_density(StandardInit(1, 0), 3, np.array([0.0, 0.5 * omega, omega]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            weak_limit_density(StandardInit(1, 0), 3, float("nan"))
+        with pytest.raises(DomainError):
+            weak_limit_density(StandardInit(1, 0), 3, np.array([0.0, np.nan]))
+
     @pytest.mark.parametrize("tau", [1, 4, 9])
     def test_nonnegative_on_support(self, tau, skewed_init):
         omega = peak_velocities(tau)[1]
         for x in np.linspace(-0.999 * omega, 0.999 * omega, 101):
             assert weak_limit_density(skewed_init, tau, float(x)) >= 0.0
+
+
+CDF_TAUS = [*range(1, 21), 100, 1000, 10**4, 10**5]
+
+
+@pytest.fixture(params=["symmetric_init", "real_skewed", "skewed_init"])
+def cdf_init(request) -> StandardInit:
+    """The symmetric init, a real skewed pair, and the complex-phase skewed init."""
+    if request.param == "real_skewed":
+        return StandardInit(0.6, 0.8)
+    return request.getfixturevalue(request.param)
+
+
+class TestWeakLimitCdf:
+    @pytest.mark.parametrize("tau", CDF_TAUS)
+    def test_matches_quadrature(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        xs = np.linspace(-model.omega, model.omega, 33)
+        oracle = [(model.p_hat if x >= 0.0 else 0.0)
+                  + _density_integral(cdf_init, tau, 0, 2048, hi=x) for x in xs.tolist()]
+        assert np.max(np.abs(model.cdf(xs) - oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    def test_array_equals_scalar_calls(self, tau, skewed_init):
+        model = WeakLimitModel(skewed_init, tau)
+        xs = np.linspace(-1.1, 1.1, 2001)
+        values = model.cdf(xs)
+        assert values.shape == xs.shape
+        assert values.tolist() == [model.cdf(x) for x in xs.tolist()]
+        assert isinstance(model.cdf(0.25), float)
+
+    @pytest.mark.parametrize("tau", CDF_TAUS)
+    def test_zero_below_and_one_above_the_support(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        below = np.array([-model.omega, np.nextafter(-model.omega, -2.0), -1.0, -np.inf])
+        above = np.array([model.omega, np.nextafter(model.omega, 2.0), 1.0, np.inf])
+        assert model.cdf(below).tolist() == [0.0] * 4
+        assert np.max(np.abs(model.cdf(above) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("tau", [1, 2, 10, 100, 10**5])
+    def test_monotone_with_atom_jump_at_origin(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        grid = model.cdf(np.linspace(-model.omega, model.omega, 100_001))
+        assert np.all(np.diff(grid) >= 0.0)
+        left_of_zero = model.cdf(np.nextafter(0.0, -1.0))
+        assert model.cdf(0.0) == left_of_zero + model.p_hat
+        assert model.cdf(-0.0) == model.cdf(0.0)
+
+    def test_nan_rejected(self, skewed_init):
+        model = WeakLimitModel(skewed_init, 3)
+        with pytest.raises(DomainError):
+            model.cdf(float("nan"))
+        with pytest.raises(DomainError):
+            model.cdf(np.array([0.1, np.nan]))
 
 
 class TestTotalLocalization:

@@ -148,6 +148,25 @@ class TestUsageErrors:
         assert "expected 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("subcommand", ["density", "verify"])
+    @pytest.mark.parametrize("nodes", [lqw.quadrature.MAX_NODES + 1, 10**9])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_quad_nodes_above_cap_exits_2(self, subcommand, nodes, via, tmp_path, capsys,
+                                          monkeypatch):
+        def no_rule(n):
+            raise AssertionError(f"built a {n}-node rule")
+
+        monkeypatch.setattr(lqw.quadrature, "roots_legendre", no_rule)
+        argv = [subcommand, "--tau", "2", "--out", str(tmp_path)]
+        if via == "flag":
+            argv += ["--quad-nodes", str(nodes)]
+        else:
+            monkeypatch.setenv("LQW_QUAD_NODES", str(nodes))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(lqw.quadrature.MAX_NODES) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_2(self, tmp_path):
         assert run_cli("simulate", "--tau", "1", "--bogus", "1") == 2
 

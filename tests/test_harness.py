@@ -143,6 +143,39 @@ class TestEmpiricalVsWeakLimit:
         large = empirical_vs_weak_limit(symmetric_init, 1, 600)
         assert large.metrics["sup_distance"] <= small.metrics["sup_distance"] + 0.01
 
+    def test_closed_cdf_verdict_passes(self, symmetric_init):
+        report = empirical_vs_weak_limit(symmetric_init, 3, 200)
+        verdict = {v.name: v for v in report.verdicts}["cdf_closed_vs_quadrature"]
+        assert verdict.tolerance == 1e-10
+        assert verdict.passed and verdict.measured < 1e-12
+
+    def test_closed_cdf_verdict_judges_the_quadrature(self, symmetric_init):
+        # a coarse rule cannot match the closed form; the comparison metrics do not use it
+        coarse = empirical_vs_weak_limit(symmetric_init, 3, 200, nodes=4)
+        fine = empirical_vs_weak_limit(symmetric_init, 3, 200)
+        assert not {v.name: v for v in coarse.verdicts}["cdf_closed_vs_quadrature"].passed
+        assert coarse.metrics == fine.metrics
+
+    # (init, tau, t_max) -> {verdict: (measured, passed)} from the per-point quadrature CDF
+    QUADRATURE_CDF_VERDICTS = {
+        ("symmetric", 1, 1000): {"sup_distance": (0.009812600032243046, True),
+                                 "near_origin_mass_deviation": (0.00024407409372001476, True)},
+        ("alpha_one", 10, 500): {"sup_distance": (0.02799855514659455, True),
+                                 "near_origin_mass_deviation": (0.00014706404481817925, True)},
+        ("skewed", 100, 400): {"sup_distance": (0.061264460265690567, False),
+                               "near_origin_mass_deviation": (0.00010789185401935408, True)},
+    }
+
+    @pytest.mark.parametrize("case", QUADRATURE_CDF_VERDICTS)
+    def test_verdicts_match_quadrature_cdf(self, case, symmetric_init, skewed_init):
+        name, tau, t_max = case
+        init = {"symmetric": symmetric_init, "alpha_one": StandardInit(1, 0),
+                "skewed": skewed_init}[name]
+        verdicts = {v.name: v for v in empirical_vs_weak_limit(init, tau, t_max).verdicts}
+        for verdict, (measured, passed) in self.QUADRATURE_CDF_VERDICTS[case].items():
+            assert verdicts[verdict].passed is passed
+            assert verdicts[verdict].measured == pytest.approx(measured, rel=0, abs=1e-12)
+
     def test_epsilon_domain_checked(self, symmetric_init):
         with pytest.raises(ValueError):
             empirical_vs_weak_limit(symmetric_init, 1, 200, epsilon=0.9)
