@@ -8,6 +8,10 @@ velocities, the weak-limit density f(x) on (-Omega, Omega) with its
 delta-atom mass P_hat and its cumulative distribution, rescaled moments, and
 the ballistic spread coefficient.
 
+The omega = 0 eigenvector puts the same amplitude on every loop, so F_3 is a
+3 x 3 block on (left, right, one loop), and the limiting origin state costs
+O(delta); only ``f3_matrix`` expands the block to delta x delta.
+
 The weak-limit CDF is the elementary antiderivative of f (weak-limit theorem:
 Konno, J. Math. Soc. Japan 57, 1179 (2005)), evaluated over arrays.  Moment
 evaluators and ``WeakLimitModel.continuous_mass`` integrate f numerically
@@ -32,7 +36,6 @@ __all__ = [
     "WeakLimitModel",
     "theta_constants",
     "f3_matrix",
-    "loop_sector_projector",
     "limiting_origin_state",
     "localization_probability_origin",
     "peak_velocities",
@@ -71,33 +74,18 @@ def f3_matrix(tau: int) -> np.ndarray:
     their off-diagonal pair, Theta_1 everywhere else.
     """
     tau = _check_tau(tau)
-    th = theta_constants(tau)
-    d = tau + 2
-    f3 = np.full((d, d), th.theta1)
-    f3[0, 0] = f3[1, 1] = th.theta2
-    f3[0, 1] = f3[1, 0] = th.theta3
-    return f3
-
-
-def loop_sector_projector(tau: int) -> np.ndarray:
-    """Projector on the omega = pi eigenspace (loop differences), rank tau - 1.
-
-    Equals the sum of the constant F_j matrices for j >= 4.  The eigenspace is
-    {v : v_left = v_right = 0, loop components sum to 0}, so on the loop block
-    the projector is I - (1/tau) * ones.
-    """
-    tau = _check_tau(tau)
-    d = tau + 2
-    p = np.zeros((d, d))
-    p[2:, 2:] = np.eye(tau) - 1.0 / tau
-    return p
+    # coin component -> row of the (left, right, one loop) block
+    block_index = np.minimum(np.arange(tau + 2), 2)
+    return _f3_block(tau)[np.ix_(block_index, block_index)]
 
 
 def limiting_origin_state(
     init: InitialCondition, tau: int, parity: str = "even"
 ) -> np.ndarray:
-    """Long-time origin coin state [F_3 +- sum_{j>=4} F_j] psi(0).
+    """Long-time origin coin state [F_3 +- sum_{j>=4} F_j] psi(0), in O(delta).
 
+    F_3 acts through its block on (left, right, sum of loops); the pi-sector
+    projector sum_{j>=4} F_j is I - (1/tau) * ones on the loop block.
     ``parity`` ("even" or "odd") selects the sign of the (-1)^t factor on the
     pi-sector; for two-component initial states the pi-sector annihilates the
     input and both parities coincide.
@@ -105,7 +93,9 @@ def limiting_origin_state(
     tau = _check_tau(tau)
     sign = _parity_sign(parity)
     psi0 = init.coin_vector(WalkParams(tau))
-    return (f3_matrix(tau) + sign * loop_sector_projector(tau)) @ psi0
+    loops = psi0[2:]
+    left, right, loop = _f3_block(tau) @ np.array([psi0[0], psi0[1], loops.sum()])
+    return np.concatenate(([left, right], loop + sign * (loops - loops.mean())))
 
 
 def localization_probability_origin(
@@ -279,6 +269,13 @@ def spread_coefficient(init: InitialCondition, tau: int) -> float:
            - 4.0 / tau) * re_ab
         - ((1.0 - root / (tau + 2.0)) * imbalance) ** 2
     )
+
+
+def _f3_block(tau: int) -> np.ndarray:
+    """F_3 on (left, right, one loop): every entry of the dense F_3 is one of these nine."""
+    th = theta_constants(tau)
+    t1, t2, t3 = th.theta1, th.theta2, th.theta3
+    return np.array([[t2, t3, t1], [t3, t2, t1], [t1, t1, t1]])
 
 
 def _parity_sign(parity: str) -> float:

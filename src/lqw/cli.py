@@ -348,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        dest="fmt", help="which artifact files to write")
-        p.add_argument("--quad-nodes", type=_positive_int, default=None,
-                       help="Gauss-Legendre node count (default 2048, at most 8192; "
-                            "env LQW_QUAD_NODES)")
+        if name in ("density", "verify"):  # the subcommands that build a quadrature rule
+            p.add_argument("--quad-nodes", type=_positive_int, default=None,
+                           help="Gauss-Legendre node count (default 2048, at most 8192; "
+                                "env LQW_QUAD_NODES)")
         if name == "density":
             p.add_argument("--grid", type=_positive_int, default=201,
                            help="number of tabulation points (default 201)")
@@ -371,19 +372,16 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     except NormalizationError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
 
-    quad, source = args.quad_nodes, "--quad-nodes"
+    quad, source = getattr(args, "quad_nodes", DEFAULT_NODES), "--quad-nodes"
     if quad is None:
         source = "LQW_QUAD_NODES"
-        env = os.environ.get("LQW_QUAD_NODES")
-        if env is not None:
-            try:
-                quad = int(env)
-            except ValueError as exc:
-                raise UsageError(f"LQW_QUAD_NODES={env!r} is not an integer") from exc
-            if quad < 1:
-                raise UsageError(f"LQW_QUAD_NODES must be >= 1, got {quad}")
-        else:
-            quad = DEFAULT_NODES
+        env = os.environ.get("LQW_QUAD_NODES", str(DEFAULT_NODES))
+        try:
+            quad = int(env)
+        except ValueError as exc:
+            raise UsageError(f"LQW_QUAD_NODES={env!r} is not an integer") from exc
+        if quad < 1:
+            raise UsageError(f"LQW_QUAD_NODES must be >= 1, got {quad}")
     if quad > MAX_NODES:
         raise UsageError(f"{source} must be <= {MAX_NODES}, got {quad}")
 

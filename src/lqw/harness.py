@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics
+from . import analytics, spectral
 from .core import (
     InitialCondition,
     StandardInit,
@@ -329,11 +329,9 @@ def verification_suite(
     residual = 0.0
     for k in (-2.6, -1.3, 0.7, 1.9, math.pi):
         system = eigen_system(params, k)
-        u_k = momentum_operator(params, k)
-        for j in range(params.delta):
-            vec = system.eigenvectors[:, j]
-            residual = max(residual, float(np.linalg.norm(
-                u_k @ vec - np.exp(1j * system.omegas[j]) * vec)))
+        vecs = system.eigenvectors
+        gap = momentum_operator(params, k) @ vecs - vecs * np.exp(1j * system.omegas)
+        residual = max(residual, float(np.max(np.linalg.norm(gap, axis=0))))
     verdicts.append(Verdict.judge("eigen_equation_residual", residual, 1e-10))
 
     lam = np.linalg.eigvals(momentum_operator(params, 1.234))
@@ -395,12 +393,11 @@ def _theta_quadrature_error(tau: int) -> float:
 
 
 def _f3_projector_error(tau: int) -> float:
-    """f3_matrix vs the momentum integral of the omega = 0 projector."""
-    params = WalkParams(tau)
+    """F_3 vs the momentum integral of the omega = 0 projector.
+
+    Both are taken on (left, right, one loop); each of the nine entries is a dense F_3 entry.
+    """
     ks, w = midpoint_rule(1024, -math.pi, math.pi)
-    d = params.delta
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for k, wk in zip(ks, w):
-        vec = eigen_system(params, k).eigenvectors[:, 2]
-        acc += wk * np.outer(vec, vec.conj())
-    return float(np.max(np.abs(acc / (2 * math.pi) - analytics.f3_matrix(tau))))
+    vec = np.stack(spectral._zero_phase_vector(tau, ks))
+    acc = np.einsum("m,im,jm->ij", w, vec, vec.conj()) / (2 * math.pi)
+    return float(np.max(np.abs(acc - analytics._f3_block(tau))))

@@ -14,10 +14,12 @@ second row by 1/kappa.  Its spectrum is known in closed form: phases
 
 with the branch theta in [0, pi].  ``eigen_system`` returns the closed-form
 eigenvectors; its pi-sector is a closed-form basis of loop differences, the
-same at every k.  ``propagate_fourier`` avoids them and powers the full
-delta x delta U_k directly on a momentum grid, by repeated squaring in bounded
-blocks of k: an independent oracle for the three-component kernel in
-:mod:`lqw.core`.
+same at every k.  The other three put the same amplitude on every loop; the
+omega = 0 one comes from ``_zero_phase_vector`` as (left, right, one loop)
+components over an array of k.  ``propagate_fourier`` avoids the eigenvectors
+and powers the full delta x delta U_k directly on a momentum grid, by
+repeated squaring in bounded blocks of k: an independent oracle for the
+three-component kernel in :mod:`lqw.core`.
 """
 
 from __future__ import annotations
@@ -87,6 +89,19 @@ def _inv_one_plus_exp(x: float) -> complex:
     return np.exp(0.5j * x) / (2j * math.sin(0.5 * x))
 
 
+def _zero_phase_vector(tau: int, k: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """(left, right, one loop) components of the unit omega = 0 eigenvector of U_k.
+
+    [kappa_1, kappa_2, 1, ..., 1] equals [e^{ik/2}, e^{-ik/2}, cos(k/2), ...] / cos(k/2);
+    the half-angle form has no cancellation and reaches the k = pi limit
+    [i, -i, 0, ...] continuously.  k may be a scalar or an array.
+    """
+    half = 0.5 * np.asarray(k, dtype=np.float64)
+    cos_half = np.cos(half)
+    norm = np.sqrt(2.0 + tau * cos_half**2)
+    return np.exp(1j * half) / norm, np.exp(-1j * half) / norm, cos_half / norm
+
+
 def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     """Closed-form eigenphases and eigenvectors of U_k.
 
@@ -125,17 +140,8 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     u = np.concatenate((u[[1, 0]], u[2:])).conj()
     vecs[:, 1] = u / math.sqrt(nsq)
 
-    # j = 3 (omega = 0): [kappa_1, kappa_2, 1, ..., 1] equals
-    # (2/(2 cos(k/2))) * [e^{ik/2}, e^{-ik/2}, cos(k/2), ...]; the half-angle
-    # form has no cancellation and reaches the k = pi limit [i, -i, 0, ...]
-    # continuously.
-    half = 0.5 * k
-    u = np.empty(d, dtype=np.complex128)
-    u[0] = np.exp(1j * half)
-    u[1] = np.exp(-1j * half)
-    u[2:] = math.cos(half)
-    nsq = 2.0 + tau * math.cos(half) ** 2
-    vecs[:, 2] = u / math.sqrt(nsq)
+    # j = 3 (omega = 0): the same amplitude on every loop
+    vecs[0, 2], vecs[1, 2], vecs[2:, 2] = _zero_phase_vector(tau, k)
 
     # pi-sector: column 2 + n is (n e_{2+n} - e_2 - ... - e_{1+n}) / sqrt(n (n+1)),
     # which is Gram-Schmidt of the loop differences e_{2+n} - e_2 in closed form

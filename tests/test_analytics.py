@@ -1,5 +1,7 @@
 """Closed-form asymptotics against independent quadrature/finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,7 +19,6 @@ from lqw import (
     limit_moment,
     limiting_origin_state,
     localization_probability_origin,
-    loop_sector_projector,
     peak_velocities,
     phase_derivative,
     spread_coefficient,
@@ -27,7 +28,7 @@ from lqw import (
 )
 from lqw.analytics import _density_integral
 
-from conftest import random_standard
+from conftest import random_general, random_standard
 
 TAUS = [1, 2, 5, 10, 20]
 
@@ -43,6 +44,13 @@ def kappa1(k):
 
 def kappa2(k):
     return 2 / (1 + np.exp(1j * k))
+
+
+def dense_loop_projector(tau):
+    """Projector on the pi-sector: I - (1/tau) * ones on the loop block, 0 elsewhere."""
+    p = np.zeros((tau + 2, tau + 2))
+    p[2:, 2:] = np.eye(tau) - 1.0 / tau
+    return p
 
 
 class TestThetaConstants:
@@ -119,7 +127,7 @@ class TestF3Matrix:
     @pytest.mark.parametrize("tau", [2, 5])
     def test_loop_sector_projector(self, tau):
         # sums |lambda_j><lambda_j| over an orthonormal pi-sector basis
-        p = loop_sector_projector(tau)
+        p = dense_loop_projector(tau)
         system = eigen_system(WalkParams(tau), 1.3)
         acc = np.zeros_like(p, dtype=complex)
         for j in range(3, tau + 2):
@@ -155,6 +163,17 @@ class TestLimitingOriginState:
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
             limiting_origin_state(StandardInit(1, 0), 1, "sideways")
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 10, 400])
+    @pytest.mark.parametrize("parity,sign", [("even", 1.0), ("odd", -1.0)])
+    def test_matches_dense_projectors(self, tau, parity, sign, skewed_init):
+        # oracle: the dense (F_3 +- P_loop) @ psi0 that the O(delta) form replaces
+        rng = np.random.default_rng(tau)
+        dense = f3_matrix(tau) + sign * dense_loop_projector(tau)
+        for init in (skewed_init, random_general(rng, WalkParams(tau))):
+            psi0 = init.coin_vector(WalkParams(tau))
+            expected = dense @ psi0
+            assert np.max(np.abs(limiting_origin_state(init, tau, parity) - expected)) < 1e-15
 
 
 class TestLocalizationProbability:
@@ -195,6 +214,16 @@ class TestLocalizationProbability:
         sim = evolve(init, WalkParams(2), 1200)
         p_even = float(np.sum(np.abs(sim.amplitude(0)) ** 2))
         assert abs(p_even - localization_probability_origin(init, 2, "even")) < 2e-2
+
+    def test_large_tau_allocates_no_dense_matrix(self, symmetric_init):
+        # one delta x delta float matrix at tau 2000 would be 32 MB
+        tracemalloc.start()
+        try:
+            localization_probability_origin(symmetric_init, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPeakVelocities:

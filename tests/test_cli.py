@@ -167,6 +167,21 @@ class TestUsageErrors:
         assert err.startswith("error:") and str(lqw.quadrature.MAX_NODES) in err
         assert list(tmp_path.iterdir()) == []
 
+    # a single localize step emits no convergence verdict
+    @pytest.mark.parametrize("subcommand,steps", [("simulate", 20), ("localize", 1),
+                                                  ("variance", 20)])
+    def test_quadrature_free_commands_ignore_quad_nodes_env(self, subcommand, steps, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setenv("LQW_QUAD_NODES", "abc")
+        assert run_cli(subcommand, "--tau", "2", "--steps", str(steps),
+                       "--out", str(tmp_path)) == 0
+
+    def test_quad_nodes_is_unknown_to_simulate(self, tmp_path, capsys):
+        status = run_cli("simulate", "--tau", "2", "--quad-nodes", "5", "--out", str(tmp_path))
+        assert status == 2
+        assert "unrecognized arguments: --quad-nodes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_2(self, tmp_path):
         assert run_cli("simulate", "--tau", "1", "--bogus", "1") == 2
 

@@ -223,6 +223,22 @@ class TestVerificationSuite:
         assert "localization_window_mean" in [v.name for v in report.verdicts]
         assert len(walks) == 1
 
+    def test_eigen_system_only_for_the_residual_check(self, symmetric_init, monkeypatch):
+        # the F3 projector integral uses the three-component omega = 0 vector;
+        # only the eigen-equation residual needs whole eigen-systems, one per k
+        eigen = lqw.spectral.eigen_system
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eigen(*args)
+
+        monkeypatch.setattr(lqw.spectral, "eigen_system", counted)
+        monkeypatch.setattr(lqw.harness, "eigen_system", counted)
+        report = verification_suite(symmetric_init, 2, 128)
+        assert "f3_vs_projector_integral" in [v.name for v in report.verdicts]
+        assert len(calls) <= 5
+
     def test_short_run_skips_localization_window(self, symmetric_init):
         report = verification_suite(symmetric_init, 1, 32)
         assert report.passed

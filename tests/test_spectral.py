@@ -18,6 +18,7 @@ from lqw import (
     momentum_operator,
     propagate_fourier,
 )
+from lqw.spectral import _zero_phase_vector
 
 from conftest import random_general, random_standard
 
@@ -176,6 +177,17 @@ class TestEigenSystem:
         near = eigen_system(params, np.pi - 1e-7).eigenvectors[:, 2]
         at = eigen_system(params, np.pi).eigenvectors[:, 2]
         assert np.linalg.norm(near - at) < 1e-6
+
+    @pytest.mark.parametrize("tau", [1, 4, 30])
+    def test_zero_phase_vector_over_array_k(self, tau):
+        # the array form the F3 projector integral uses: a unit omega = 0
+        # eigenvector of the stacked U_k at every k, k = pi included
+        ks = np.array([-2.9, -0.4, 1e-3, 1.1, np.pi])
+        left, right, loop = _zero_phase_vector(tau, ks)
+        vecs = np.column_stack([left, right] + [loop] * tau)
+        assert np.max(np.abs(np.linalg.norm(vecs, axis=1) - 1.0)) < 1e-15
+        gap = np.einsum("mij,mj->mi", momentum_operator(WalkParams(tau), ks), vecs) - vecs
+        assert np.max(np.abs(gap)) < 1e-14
 
     def test_normalization_factors_rescale_raw_vectors(self):
         params = WalkParams(3)
