@@ -222,8 +222,8 @@ def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[
     """Write the artifacts all or nothing.
 
     Each artifact goes to a temp file in the output directory, and the temp
-    files replace their targets only after every write succeeded.  An
-    OSError leaves no artifact behind and becomes a UsageError.
+    files replace their targets only after every write succeeded.  A failed
+    write leaves no artifact behind; an OSError becomes a UsageError.
     """
     writers = {"csv": _write_csv, "json": _write_json}
     if config.fmt != "both":
@@ -242,10 +242,13 @@ def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[
                 write(fh, report)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
-    except OSError as exc:
+    except BaseException as exc:
+        # also a MemoryError while serializing: no temp file may stay behind
         for temp in temps:
             temp.unlink(missing_ok=True)
-        raise UsageError(f"cannot write the output: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write the output: {exc}") from exc
+        raise
     return paths
 
 
@@ -415,6 +418,10 @@ def main(argv: list[str] | None = None) -> int:
     except (LqwError, ValueError) as exc:
         # precondition violations and unwritable outputs leave no file behind
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # raised before or while writing: either way no artifact is left behind
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,18 +22,21 @@ by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
 * the loop differences ``d`` never move: they live at the origin only (zero
   for ``StandardInit``) and change sign every step.
 
-A step therefore costs O(t) at any ``tau``.  A ``WalkerState`` from the
-kernel builds its full ``(2t+1, delta)`` amplitudes only when they are read.
+A step therefore costs O(t) at any ``tau``.  A ``WalkerState`` holds exactly
+this data, ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at
+the origin), and builds the full ``(2t+1, delta)`` amplitudes only when they
+are read.
 
-All operations are pure; returned states carry read-only arrays.  The
-snapshots ``iter_evolution`` yields are read-only views of the kernel's
-buffers, valid only until the next step; ``state.copy()`` keeps one.
+All operations are pure; states hold read-only views.  The snapshots
+``iter_evolution`` yields view the kernel's buffers and are valid only until
+the next step; ``state.copy()`` keeps one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,90 +131,72 @@ class GeneralInit:
 InitialCondition = StandardInit | GeneralInit
 
 
+def _check_norm(probs: np.ndarray) -> None:
+    """Raise NormalizationError unless ``probs`` sums to 1 within ``_NORM_TOL``."""
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= _NORM_TOL:  # also rejects NaN
+        raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class WalkerState:
-    """Wavefunction after ``t`` steps.
+    """Wavefunction after ``t`` steps, in the walk's reduced coordinates.
 
-    ``amplitudes`` has shape ``(2t+1, delta)``; row ``i`` is the coin state at
-    position ``n = i - origin_offset`` with ``origin_offset = t``.
+    ``moving`` has shape ``(3, 2t+1)``: its rows are the left, right and
+    uniform-loop (u) components at positions n = -t .. t.  ``loop_diff``
+    (shape ``(tau,)``) holds the loop differences d at the origin, orthogonal
+    to the uniform loop mode.  Both are stored as read-only views.
 
-    ``WalkerState(t, amplitudes)`` keeps the full array it is given.  A state
-    from the kernel keeps only the moving sector and the origin's loop
-    differences, and builds ``amplitudes`` the first time it is read; its
-    norm check, ``probabilities()`` and ``amplitude(n)`` never need the
-    full array.
+    ``amplitudes``, the full ``(2t+1, delta)`` array with row ``n + t`` the
+    coin state at position n, is built on first read; the norm check,
+    ``probabilities()`` and ``amplitude(n)`` never need it.
     """
 
     t: int
-    amplitudes: np.ndarray = field(repr=False)
-    # kernel states: rows left, right and u over the sites, and d at n = 0
-    _moving: np.ndarray | None = field(default=None, init=False, repr=False)
-    _loop_diff: np.ndarray | None = field(default=None, init=False, repr=False)
-    _probs: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def _from_sectors(cls, t: int, moving: np.ndarray, loop_diff: np.ndarray) -> "WalkerState":
-        """A kernel state; ``moving`` is not copied."""
-        state = cls.__new__(cls)
-        object.__setattr__(state, "t", t)
-        object.__setattr__(state, "_moving", moving)
-        object.__setattr__(state, "_loop_diff", loop_diff)
-        state.__post_init__()
-        return state
+    moving: np.ndarray = field(repr=False)
+    loop_diff: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if self._moving is None:
-            amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-            if amps.ndim != 2 or amps.shape[0] != 2 * self.t + 1:
-                raise ValueError(
-                    f"amplitudes must have shape (2t+1, delta); got {amps.shape} at t={self.t}"
-                )
-            amps.setflags(write=False)
-            object.__setattr__(self, "amplitudes", amps)
-            probs = np.sum(np.abs(amps) ** 2, axis=1)
-        else:
-            probs = np.sum(np.abs(self._moving) ** 2, axis=0)
-            # d is orthogonal to the uniform loop mode, so its weight just adds
-            probs[self.t] += np.sum(np.abs(self._loop_diff) ** 2)
-        total = float(np.sum(probs))
-        if not abs(total - 1.0) <= _NORM_TOL:  # also rejects NaN
-            raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "_probs", probs)
+        moving = np.asarray(self.moving, dtype=np.complex128).view()
+        loop_diff = np.asarray(self.loop_diff, dtype=np.complex128).view()
+        if moving.shape != (3, 2 * self.t + 1):
+            raise ValueError(f"moving must have shape (3, 2t+1); got {moving.shape} at t={self.t}")
+        if loop_diff.ndim != 1 or loop_diff.size < 1:
+            raise ValueError(f"loop_diff must have shape (tau,), tau >= 1; got {loop_diff.shape}")
+        # read-only views: whatever they view (the kernel's buffers) stays writable
+        moving.setflags(write=False)
+        loop_diff.setflags(write=False)
+        object.__setattr__(self, "moving", moving)
+        object.__setattr__(self, "loop_diff", loop_diff)
+        _check_norm(self._probs)
 
-    def __getattr__(self, name):
-        # called only for names not found normally: a kernel state has no
-        # ``amplitudes`` until this first read builds and stores them
-        if name != "amplitudes" or self._moving is None:
-            raise AttributeError(name)
+    @cached_property
+    def _probs(self) -> np.ndarray:
+        probs = np.sum(np.abs(self.moving) ** 2, axis=0)
+        # d is orthogonal to the uniform loop mode, so its weight just adds
+        probs[self.t] += np.sum(np.abs(self.loop_diff) ** 2)
+        probs.setflags(write=False)
+        return probs
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The full ``(2t+1, delta)`` amplitudes, read-only."""
         amps = self._expand(0, 2 * self.t + 1)
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
         return amps
 
     def _expand(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo .. hi-1 of the full amplitudes, built from the reduced data."""
-        tau = self._loop_diff.shape[0]
-        moving = self._moving[:, lo:hi]
+        tau = self.loop_diff.shape[0]
+        moving = self.moving[:, lo:hi]
         rows = np.empty((hi - lo, tau + 2), dtype=np.complex128)
         rows[:, :2] = moving[:2].T
         rows[:, 2:] = (moving[2] / math.sqrt(tau))[:, None]
         if lo <= self.t < hi:
-            rows[self.t - lo, 2:] += self._loop_diff
+            rows[self.t - lo, 2:] += self.loop_diff
         return rows
-
-    @property
-    def origin_offset(self) -> int:
-        """Row index of position n = 0."""
-        return self.t
-
-    @property
-    def delta(self) -> int:
-        if self._moving is not None:
-            return self._loop_diff.shape[0] + 2
-        return self.amplitudes.shape[1]
 
     @property
     def positions(self) -> np.ndarray:
@@ -221,11 +206,8 @@ class WalkerState:
     def amplitude(self, n: int) -> np.ndarray:
         """Coin state at position n (zero vector outside the light cone)."""
         if abs(n) > self.t:
-            return np.zeros(self.delta, dtype=np.complex128)
-        i = n + self.origin_offset
-        if self._moving is not None:
-            return self._expand(i, i + 1)[0]
-        return self.amplitudes[i]
+            return np.zeros(self.loop_diff.shape[0] + 2, dtype=np.complex128)
+        return self._expand(n + self.t, n + self.t + 1)[0]
 
     def probabilities(self) -> np.ndarray:
         """P(X_t = n) for n = -t .. t as a read-only array aligned with ``positions``."""
@@ -233,9 +215,7 @@ class WalkerState:
 
     def copy(self) -> "WalkerState":
         """A state that owns its data, to keep an ``iter_evolution`` snapshot."""
-        if self._moving is not None:
-            return WalkerState._from_sectors(self.t, self._moving.copy(), self._loop_diff)
-        return WalkerState(self.t, self.amplitudes.copy())
+        return WalkerState(self.t, self.moving.copy(), self.loop_diff.copy())
 
 
 def grover_coin(params: WalkParams) -> np.ndarray:
@@ -305,7 +285,7 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
         raise ValueError("t must be >= 0")
     for _, window, diff in _evolution_buffers(init, params, t):
         pass
-    return WalkerState._from_sectors(t, window.copy(), diff)
+    return WalkerState(t, window.copy(), diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
@@ -317,4 +297,4 @@ def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     for t, window, diff in _evolution_buffers(init, params, t_max):
-        yield WalkerState._from_sectors(t, window, diff)
+        yield WalkerState(t, window, diff)

@@ -97,7 +97,7 @@ def _walk(
     origin = []
     for state in iter_evolution(init, params, t_max):
         if state.t:
-            origin.append(float(state.probabilities()[state.origin_offset]))
+            origin.append(float(state.probabilities()[state.t]))
     return origin, state.copy()
 
 
@@ -322,7 +322,7 @@ def verification_suite(
 
     fourier = propagate_fourier(init, params, t_max)
     verdicts.append(Verdict.judge(
-        "direct_vs_fourier", np.max(np.abs(state.amplitudes - fourier.amplitudes)), 1e-10))
+        "direct_vs_fourier", np.max(np.abs(state.amplitudes - fourier)), 1e-10))
     verdicts.append(Verdict.judge(
         "light_cone_tail", _fourier_tail(init, params, min(t_max, 64)), 1e-12))
 

@@ -18,8 +18,9 @@ same at every k.  The other three put the same amplitude on every loop; the
 omega = 0 one comes from ``_zero_phase_vector`` as (left, right, one loop)
 components over an array of k.  ``propagate_fourier`` avoids the eigenvectors
 and powers the full delta x delta U_k directly on a momentum grid, by
-repeated squaring in bounded blocks of k: an independent oracle for the
-three-component kernel in :mod:`lqw.core`.
+repeated squaring in bounded blocks of k, and returns the full
+``(2t+1, delta)`` amplitude array: an independent oracle for the
+three-component kernel in :mod:`lqw.core`, whose states it never builds.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InitialCondition, WalkParams, WalkerState, grover_coin
+from .core import InitialCondition, WalkParams, _check_norm, grover_coin
 from .errors import DegenerateMomentumError, GridTooSmallError
 
 __all__ = [
     "EigenSystem",
     "momentum_operator",
     "eigen_system",
-    "default_grid_size",
     "momentum_grid_solution",
     "propagate_fourier",
 ]
@@ -152,7 +152,7 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     return EigenSystem(k=k, theta=theta, omegas=omegas, eigenvectors=vecs)
 
 
-def default_grid_size(t: int) -> int:
+def _default_grid_size(t: int) -> int:
     """Smallest power of two with at least 2t + 2 points."""
     return 1 << max(1, math.ceil(math.log2(2 * t + 2)))
 
@@ -182,7 +182,7 @@ def momentum_grid_solution(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    m = default_grid_size(t) if grid_size is None else int(grid_size)
+    m = _default_grid_size(t) if grid_size is None else int(grid_size)
     if m < 2 * t + 1:
         raise GridTooSmallError(f"grid_size {m} < 2t+1 = {2 * t + 1}: inverse transform would alias")
 
@@ -212,11 +212,14 @@ def propagate_fourier(
     params: WalkParams,
     t: int,
     grid_size: int | None = None,
-) -> WalkerState:
-    """Evolve t steps in momentum space and transform back to positions.
+) -> np.ndarray:
+    """Amplitudes after t steps, evolved in momentum space and transformed back.
 
-    Because the walk is supported on 2t + 1 sites, any grid with
-    M >= 2t + 1 points makes the inverse transform exact up to roundoff.
+    Returns the read-only ``(2t+1, delta)`` array whose row ``n + t`` is the
+    coin state at position n, the layout of ``WalkerState.amplitudes``; its
+    norm is checked like a ``WalkerState``'s.  Because the walk is supported
+    on 2t + 1 sites, any grid with M >= 2t + 1 points makes the inverse
+    transform exact up to roundoff.
     """
     ks, psi = momentum_grid_solution(init, params, t, grid_size)
     m = ks.shape[0]
@@ -224,4 +227,6 @@ def propagate_fourier(
     pos = np.fft.ifft(psi, axis=0)
     ns = np.arange(-t, t + 1)
     amps = pos[np.mod(ns, m)] * ((-1.0) ** ns)[:, None]
-    return WalkerState(t=t, amplitudes=np.ascontiguousarray(amps))
+    _check_norm(np.abs(amps) ** 2)
+    amps.setflags(write=False)
+    return amps

@@ -95,7 +95,7 @@ class TestCriterion4OracleEquivalence:
             params = WalkParams(tau)
             for t in (1, 7, 50, 100):
                 direct = evolve(symmetric_init, params, t).amplitudes
-                fourier = propagate_fourier(symmetric_init, params, t).amplitudes
+                fourier = propagate_fourier(symmetric_init, params, t)
                 worst = max(worst, float(np.max(np.abs(direct - fourier))))
         report(4, worst < 1e-10, f"max amplitude deviation {worst:.2e} over taus x steps")
 

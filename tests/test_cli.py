@@ -208,6 +208,29 @@ class TestUsageErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["simulate.json"]
         assert list((tmp_path / "simulate.json").iterdir()) == []
 
+    def test_out_of_memory_exits_2_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(lqw.harness, "verification_suite", exhausted)
+        out = tmp_path / "out"
+        status = run_cli("verify", "--tau", "2", "--steps", "10", "--out", str(out))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_out_of_memory_while_writing_leaves_nothing_behind(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def exhausted(fh, report):
+            raise MemoryError("cannot serialize the report")
+
+        monkeypatch.setattr(lqw.cli, "_write_json", exhausted)
+        status = run_cli("simulate", "--tau", "2", "--steps", "20", "--out", str(tmp_path))
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLocalize:
     def test_series_and_reference(self, tmp_path):

@@ -116,7 +116,7 @@ class TestInitialState:
         with pytest.raises(NormalizationError):
             GeneralInit((float("nan"), 0, 0))
         with pytest.raises(NormalizationError):
-            WalkerState(t=0, amplitudes=np.full((1, 3), np.nan))
+            WalkerState(0, np.full((3, 1), np.nan), np.zeros(1))
 
     def test_general_wrong_length_rejected(self):
         init = GeneralInit((1, 0, 0))
@@ -272,13 +272,67 @@ class TestInvariants:
 
     def test_walker_state_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            WalkerState(t=1, amplitudes=np.ones((2, 3)) / np.sqrt(6))
+            WalkerState(1, np.ones((3, 2)) / np.sqrt(6), np.zeros(1))
 
     def test_walker_state_rejects_bad_norm(self):
-        amps = np.zeros((3, 3), dtype=complex)
-        amps[1, 0] = 2.0
+        moving = np.zeros((3, 3), dtype=complex)
+        moving[0, 1] = 2.0
         with pytest.raises(NormalizationError):
-            WalkerState(t=1, amplitudes=amps)
+            WalkerState(1, moving, np.zeros(1))
+
+
+class TestWalkerState:
+    """One layout: (left, right, u) over the sites plus the loop differences d."""
+
+    @pytest.mark.parametrize("tau", [1, 2, 10])
+    def test_fields_rebuild_the_state_exactly(self, tau):
+        params = WalkParams(tau)
+        init = random_general(np.random.default_rng(7 + tau), params)
+        state = evolve(init, params, 25)
+        if tau >= 2:
+            assert np.max(np.abs(state.loop_diff)) > 1e-3  # loop differences present
+        rebuilt = WalkerState(state.t, state.moving, state.loop_diff)
+        assert np.array_equal(rebuilt.amplitudes, state.amplitudes)
+        assert np.array_equal(rebuilt.probabilities(), state.probabilities())
+
+    def test_snapshot_fields_are_read_only(self):
+        params = WalkParams(3)
+        init = random_general(np.random.default_rng(3), params)
+        snapshots = iter_evolution(init, params, 6)
+        for _ in range(4):
+            state = next(snapshots)
+        with pytest.raises(ValueError):
+            state.moving[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.loop_diff[0] = 1.0
+        after = next(snapshots)
+        expected = evolve(init, params, 4)
+        assert np.array_equal(after.moving, expected.moving)
+        assert np.array_equal(after.loop_diff, expected.loop_diff)
+
+    def test_amplitudes_built_once_and_read_only(self):
+        params = WalkParams(4)
+        state = evolve(random_general(np.random.default_rng(5), params), params, 9)
+        rebuilt = WalkerState(state.t, state.moving, state.loop_diff)
+        for s in (state, rebuilt):
+            assert s.amplitudes is s.amplitudes
+            assert s.amplitudes.shape == (19, 6)
+            with pytest.raises(ValueError):
+                s.amplitudes[0, 0] = 1.0
+
+    def test_rejects_wrong_moving_shape(self):
+        moving = np.zeros((2, 3), dtype=complex)
+        moving[0, 1] = 1.0
+        with pytest.raises(ValueError, match="moving"):
+            WalkerState(1, moving, np.zeros(1))
+        with pytest.raises(ValueError, match="moving"):
+            WalkerState(1, np.zeros((3, 1)), np.zeros(1))
+
+    def test_rejects_empty_loop_diff(self):
+        moving = np.zeros((3, 1), dtype=complex)
+        moving[0, 0] = 1.0
+        with pytest.raises(ValueError, match="loop_diff"):
+            WalkerState(0, moving, np.zeros(0))
 
 
 class TestReducedKernel:

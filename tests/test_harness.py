@@ -24,7 +24,7 @@ def direct_vs_fourier(init, tau, t):
     """Max per-amplitude deviation between the kernel and the Fourier oracle."""
     params = WalkParams(tau)
     direct = evolve(init, params, t)
-    return np.max(np.abs(direct.amplitudes - propagate_fourier(init, params, t).amplitudes))
+    return np.max(np.abs(direct.amplitudes - propagate_fourier(init, params, t)))
 
 
 class TestLocalizationSeries:

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lqw.spectral
 from lqw import (
     DegenerateMomentumError,
     GridTooSmallError,
+    NormalizationError,
     StandardInit,
     WalkParams,
-    default_grid_size,
     eigen_system,
     evolve,
     grover_coin,
@@ -239,19 +240,19 @@ class TestPropagateFourier:
         params = WalkParams(1)
         direct = evolve(init, params, 1)
         fourier = propagate_fourier(init, params, 1, grid_size=8)
-        assert np.max(np.abs(direct.amplitudes - fourier.amplitudes)) < 1e-12
+        assert np.max(np.abs(direct.amplitudes - fourier)) < 1e-12
 
     def test_t0_reproduces_initial_state(self):
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(4)
         fourier = propagate_fourier(init, params, 0)
-        assert np.max(np.abs(fourier.amplitudes - evolve(init, params, 0).amplitudes)) < 1e-15
+        assert np.max(np.abs(fourier - evolve(init, params, 0).amplitudes)) < 1e-15
 
     def test_tau10_t50_oracle(self, symmetric_init):
         params = WalkParams(10)
         direct = evolve(symmetric_init, params, 50)
         fourier = propagate_fourier(symmetric_init, params, 50, grid_size=128)
-        assert np.max(np.abs(direct.amplitudes - fourier.amplitudes)) < 1e-10
+        assert np.max(np.abs(direct.amplitudes - fourier)) < 1e-10
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
@@ -261,7 +262,7 @@ class TestPropagateFourier:
         params = WalkParams(3)
         base = propagate_fourier(symmetric_init, params, 20, grid_size=64)
         fine = propagate_fourier(symmetric_init, params, 20, grid_size=128)
-        assert np.max(np.abs(base.amplitudes - fine.amplitudes)) < 1e-12
+        assert np.max(np.abs(base - fine)) < 1e-12
 
     def test_memory_bounded_by_k_blocks(self, symmetric_init):
         # the whole (512, 102, 102) operator stack alone would take 85 MB
@@ -274,7 +275,27 @@ class TestPropagateFourier:
         assert peak < 10e6
 
     def test_default_grid_size(self):
-        assert default_grid_size(0) == 2
-        assert default_grid_size(3) == 8
-        assert default_grid_size(50) == 128
-        assert default_grid_size(1000) >= 2001
+        def points(t):
+            return momentum_grid_solution(StandardInit(1, 0), WalkParams(1), t)[0].shape[0]
+
+        assert points(0) == 2
+        assert points(3) == 8
+        assert points(50) == 128
+        assert points(1000) >= 2001
+
+    def test_returns_read_only_checked_array(self, symmetric_init, monkeypatch):
+        amps = propagate_fourier(symmetric_init, WalkParams(3), 7)
+        assert type(amps) is np.ndarray
+        assert amps.shape == (15, 5)
+        with pytest.raises(ValueError):
+            amps[0, 0] = 1.0
+
+        solve = lqw.spectral.momentum_grid_solution
+
+        def inflated(*args, **kwargs):
+            ks, psi = solve(*args, **kwargs)
+            return ks, psi * 1.01
+
+        monkeypatch.setattr(lqw.spectral, "momentum_grid_solution", inflated)
+        with pytest.raises(NormalizationError):
+            propagate_fourier(symmetric_init, WalkParams(3), 7)
