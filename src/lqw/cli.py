@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -196,8 +197,12 @@ def _json_value(value):
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
     writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(report.columns)
-    for row in report.rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    # the csv module writes str(cell), which is _fmt_cell's text for an exact
+    # float or int but not for a bool or a numpy scalar (np.float32(0.1))
+    if set(map(type, itertools.chain.from_iterable(report.rows))) <= {float, int}:
+        writer.writerows(report.rows)
+    else:
+        writer.writerows([_fmt_cell(v) for v in row] for row in report.rows)
 
 
 def _write_json(fh, report: harness.ExperimentReport) -> None:

@@ -245,6 +245,15 @@ def _moving_coin(params: WalkParams) -> np.ndarray:
     ])
 
 
+def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
+    """The initial coin state as (left, right, u) at the origin and the loop differences d."""
+    coin = init.coin_vector(params)
+    root_tau = math.sqrt(params.tau)
+    u = coin[2:].sum() / root_tau
+    # the same u / sqrt(tau) that WalkerState._expand adds back
+    return np.array([coin[0], coin[1], u]), coin[2:] - u / root_tau
+
+
 def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     """The position-space kernel: one application of U = S (I x G) per step.
 
@@ -255,18 +264,14 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     component, so each shift is a contiguous copy.  Internal only, never
     exposed.
     """
-    coin = init.coin_vector(params)
-    root_tau = math.sqrt(params.tau)
-    u = coin[2:].sum() / root_tau
-    # the same u / sqrt(tau) that WalkerState._expand adds back
-    diff = coin[2:] - u / root_tau
+    start, diff = _reduced_start(init, params)
     signed_diff = (diff, -diff)
 
     g = _moving_coin(params)
     cur = np.zeros((3, 2 * t_max + 1), dtype=np.complex128)
     nxt = np.zeros_like(cur)
     c = t_max  # column index of the origin
-    cur[:, c] = coin[0], coin[1], u
+    cur[:, c] = start
     yield 0, cur[:, c:c + 1], signed_diff[0]
     for t in range(t_max):
         lo, hi = c - t, c + t + 1

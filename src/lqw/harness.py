@@ -43,6 +43,9 @@ __all__ = [
 # Ai^2, |a'_1| Airy lengths behind the front v*t.
 _AIRY_PRIME_ZERO = 1.0187929716474710
 
+# Steps of the kernel walk that judges the closed-form final state (about 1 ms).
+_KERNEL_PROBE_STEPS = 256
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -245,6 +248,12 @@ def empirical_vs_weak_limit(
     against the atom plus the density's share.  The closed-form limiting
     CDF is itself checked against ``nodes``-point quadrature of the density
     on 33 points spanning [-Omega, Omega].
+
+    The state at t_max comes from the spectrum of U_k in closed form
+    (O(t log t)), not from the O(t^2) kernel walk.  The kernel judges that
+    route: ``closed_form_vs_kernel`` is the largest difference of the
+    reduced amplitudes (left, right, u and the loop differences) between
+    the two after min(t_max, 256) steps.
     """
     model = analytics.WeakLimitModel(init, tau)
     if t_max < 100:
@@ -252,7 +261,8 @@ def empirical_vs_weak_limit(
     if not 0.0 < epsilon < model.omega:
         raise ValueError(f"epsilon must lie in (0, Omega={model.omega})")
 
-    state = evolve(init, WalkParams(tau), t_max)
+    params = WalkParams(tau)
+    state = spectral._closed_form_state(init, params, t_max)
     probs = state.probabilities()
     xs = state.positions / t_max
     emp_cdf = np.cumsum(probs)
@@ -267,6 +277,12 @@ def empirical_vs_weak_limit(
     quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x, nodes=nodes)
                       for x in sweep.tolist()]
     cdf_error = float(np.max(np.abs(model.cdf(sweep) - quadrature_cdf)))
+
+    probe = min(t_max, _KERNEL_PROBE_STEPS)
+    kernel = evolve(init, params, probe)
+    closed = spectral._closed_form_state(init, params, probe)
+    route_error = max(float(np.max(np.abs(closed.moving - kernel.moving))),
+                      float(np.max(np.abs(closed.loop_diff - kernel.loop_diff))))
 
     report = ExperimentReport(
         experiment="empirical_vs_weak_limit",
@@ -286,6 +302,7 @@ def empirical_vs_weak_limit(
         Verdict.judge("near_origin_mass_deviation", abs(near_mass - near_theory), tolerance)
     )
     report.verdicts.append(Verdict.judge("cdf_closed_vs_quadrature", cdf_error, 1e-10))
+    report.verdicts.append(Verdict.judge("closed_form_vs_kernel", route_error, 1e-12))
     return report
 
 

@@ -21,6 +21,18 @@ and powers the full delta x delta U_k directly on a momentum grid, by
 repeated squaring in bounded blocks of k, and returns the full
 ``(2t+1, delta)`` amplitude array: an independent oracle for the
 three-component kernel in :mod:`lqw.core`, whose states it never builds.
+
+The private ``_closed_form_state`` builds the final ``WalkerState`` from the
+spectrum instead, in O(t log t).  On (left, right, u) U_k is 3 x 3 with
+phases (theta, -theta, 0); on the plane orthogonal to the omega = 0
+eigenvector v0 Cayley-Hamilton gives U^t = s_t U - s_{t-1} I, with
+s_t = sin(t theta) / sin(theta), so
+
+    Psi~(t, k) = P0 psi0 + s_t (U_k psi0 - P0 psi0) - s_{t-1} (psi0 - P0 psi0),
+
+P0 = v0 v0^dagger, and one inverse FFT per row returns the positions.  It
+needs neither the theta-eigenvectors nor their 1/(1 + e^{i omega})
+denominators.  The kernel judges it (``harness.empirical_vs_weak_limit``).
 """
 
 from __future__ import annotations
@@ -30,7 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InitialCondition, WalkParams, _check_norm, grover_coin
+from .core import (
+    InitialCondition,
+    WalkerState,
+    WalkParams,
+    _check_norm,
+    _moving_coin,
+    _reduced_start,
+    grover_coin,
+)
 from .errors import DegenerateMomentumError, GridTooSmallError
 
 __all__ = [
@@ -70,18 +90,19 @@ def momentum_operator(params: WalkParams, k: float | np.ndarray) -> np.ndarray:
     return u
 
 
-def _pi_minus_theta(tau: int, k: float) -> float:
+def _pi_minus_theta(tau: int, k: float | np.ndarray) -> np.ndarray:
     """phi = pi - theta, accurate to full relative precision even as k -> 0.
 
     theta itself rounds to pi near k = 0; phi ~ sqrt(tau/(tau+2)) |k| is the
-    quantity every eigenvector denominator actually depends on.
+    quantity every eigenvector denominator actually depends on.  k may be a
+    scalar or an array.
     """
     # 1 - cos k as 2 sin^2(k/2): no cancellation for small k
-    one_minus_c = 2.0 * math.sin(k / 2.0) ** 2
+    one_minus_c = 2.0 * np.sin(0.5 * np.asarray(k, dtype=np.float64)) ** 2
     cos_k = 1.0 - one_minus_c
     cos_phi = (tau * cos_k + 2.0) / (tau + 2.0)
-    sin_phi = math.sqrt(max(tau * one_minus_c * (tau + 4.0 + tau * cos_k), 0.0)) / (tau + 2.0)
-    return math.atan2(sin_phi, cos_phi)
+    sin_phi = np.sqrt(np.maximum(tau * one_minus_c * (tau + 4.0 + tau * cos_k), 0.0)) / (tau + 2.0)
+    return np.arctan2(sin_phi, cos_phi)
 
 
 def _inv_one_plus_exp(x: float) -> complex:
@@ -121,7 +142,7 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
             "k = 0 is degenerate: theta -> pi merges with the pi-sector"
         )
 
-    phi = _pi_minus_theta(tau, k)
+    phi = float(_pi_minus_theta(tau, k))
     theta = math.pi - phi
     omegas = np.concatenate([[theta, -theta, 0.0], np.full(tau - 1, math.pi)])
     vecs = np.zeros((d, d), dtype=np.complex128)
@@ -150,6 +171,62 @@ def eigen_system(params: WalkParams, k: float) -> EigenSystem:
     vecs[2:, 3:] = (np.where(rows == n, n, 0.0) - (rows < n)) / np.sqrt(n * (n + 1.0))
 
     return EigenSystem(k=k, theta=theta, omegas=omegas, eigenvectors=vecs)
+
+
+def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
+    """The state after t steps from the spectrum of U_k, without walking the kernel.
+
+    On (left, right, u) U_k = D_k C, with D_k = diag(e^{ik}, e^{-ik}, 1) and C
+    the kernel's coin, and (module docstring)
+
+        Psi~(t, k) = P0 psi0 + s_t (D_k C psi0 - P0 psi0) - s_{t-1} (psi0 - P0 psi0),
+
+    s_t = (-1)^(t+1) sin(t phi) / sin(phi) with phi = pi - theta.  The grid
+    k_j = 2 pi (j + 1/2) / M, M = 2t + 1, never hits k = 0, the only point
+    where sin(phi) = 0, and its M points transform the 2t + 1 sites back
+    exactly.  The loop differences are (-1)^t d, as in the kernel.  O(t log t)
+    time, O(t) memory.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    start, diff = _reduced_start(init, params)
+    m = 2 * t + 1
+    ks = (2.0 * np.pi / m) * (np.arange(m) + 0.5)
+    phi = _pi_minus_theta(params.tau, ks)
+    sin_phi = np.sin(phi)
+    sign = 1.0 if t % 2 else -1.0  # (-1)^(t+1)
+    s_t = sign * np.sin(t * phi) / sin_phi
+    s_prev = -sign * np.sin((t - 1) * phi) / sin_phi
+    del phi, sin_phi
+    left, right, loop = _zero_phase_vector(params.tau, ks)
+    loop *= math.sqrt(params.tau)  # v0 on (left, right, u)
+    overlap = left.conj() * start[0] + right.conj() * start[1] + loop * start[2]
+    # in place, row by row, so one row-sized buffer is all that adds to the output
+    out = np.empty((3, m), dtype=np.complex128)
+    coined = _moving_coin(params) @ start
+    np.exp(1j * ks, out=out[0])
+    del ks
+    np.multiply(out[0].conj(), coined[1], out=out[1])
+    out[0] *= coined[0]
+    out[2] = coined[2]  # out = D_k C psi0
+    proj = np.empty(m, dtype=np.complex128)
+    for row, v, s in zip(out, (left, right, loop), start):
+        # row <- proj + s_t (row - proj) + s_{t-1} (proj - psi0), proj = (P0 psi0) on this row
+        np.multiply(v, overlap, out=proj)
+        row -= proj
+        row *= s_t
+        row += proj
+        proj -= s
+        proj *= s_prev
+        row += proj
+    del left, right, loop, overlap, proj, s_t, s_prev
+    # row p of the inverse transform holds n = p - t once the rows carry
+    # e^{-i k t} (k t reduced mod 2 pi in integers) and the output e^{i pi p / M}
+    out *= np.exp((-1j * np.pi / m) * ((2 * np.arange(m) + 1) * t % (2 * m)))
+    for row in out:  # one row at a time: ifft(out=) needs numpy >= 2
+        row[:] = np.fft.ifft(row)
+    out *= np.exp((1j * np.pi / m) * np.arange(m))
+    return WalkerState(t, out, diff if t % 2 == 0 else -diff)
 
 
 def _default_grid_size(t: int) -> int:

@@ -1,11 +1,13 @@
 """CLI: complex-literal grammar, subcommand artifacts, exit codes."""
 
 import csv
+import io
 import json
 import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +114,61 @@ class TestSimulate:
     def test_tau1_long_walk_passes_peak_verdicts(self, tmp_path):
         # the travelling peaks lag v*t by ~6 sites here; the verdicts allow for it
         assert run_cli("simulate", "--tau", "1", "--steps", "4000", "--out", str(tmp_path)) == 0
+
+
+def cell_by_cell_csv(report) -> bytes:
+    """The CSV of ``report`` with every cell passed through ``_fmt_cell``."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(report.columns)
+    for row in report.rows:
+        writer.writerow([lqw.cli._fmt_cell(v) for v in row])
+    return fh.getvalue().encode()
+
+
+class TestCsvSerialization:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--tau", "10", "--steps", "60"),
+        ("localize", "--tau", "3", "--steps", "150", "--alpha", "0.6", "--beta", "0.8i"),
+        ("density", "--tau", "5", "--grid", "301"),
+        ("variance", "--tau", "2", "--steps", "80"),
+        ("verify", "--tau", "2", "--steps", "40"),
+    ], ids=lambda argv: argv[0])
+    def test_bytes_match_cell_by_cell_formatting(self, argv, tmp_path, monkeypatch):
+        reports, cells = [], []
+        write, fmt_cell = lqw.cli._write_outputs, lqw.cli._fmt_cell
+
+        def captured(report, config):
+            reports.append(report)
+            return write(report, config)
+
+        def counted(value):
+            cells.append(value)
+            return fmt_cell(value)
+
+        monkeypatch.setattr(lqw.cli, "_write_outputs", captured)
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
+        run_cli(*argv, "--out", str(tmp_path))
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", fmt_cell)
+        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cell_by_cell_csv(reports[0])
+        # tables of plain floats and ints skip the per-cell path; verify has text and bools
+        assert bool(cells) is (argv[0] == "verify")
+
+    # the csv module writes str(cell): 'True' for True and '0.1' for
+    # np.float32(0.1), so any cell that is not an exact float or int goes
+    # through _fmt_cell
+    @pytest.mark.parametrize("odd,text", [
+        (True, "true"), (np.float32(0.1), "0.10000000149011612"),
+        (np.float64(0.5), "0.5"), (np.int64(7), "7"),
+    ], ids=["bool", "float32", "float64", "int64"])
+    def test_numpy_scalars_and_bools_are_formatted_per_cell(self, odd, text):
+        report = lqw.ExperimentReport(
+            experiment="mixed", config={}, columns=("n", "x"),
+            rows=[(1, 0.25), (2, odd), (3, 1e-300)])
+        fh = io.StringIO(newline="")
+        lqw.cli._write_csv(fh, report)
+        assert fh.getvalue() == f"n,x\r\n1,0.25\r\n2,{text}\r\n3,1e-300\r\n"
+        assert fh.getvalue().encode() == cell_by_cell_csv(report)
 
 
 class TestUsageErrors:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import lqw.core
+import lqw.harness
+import lqw.spectral
 from lqw import (
     DegenerateSeriesError,
     StandardInit,
+    WalkerState,
     WalkParams,
     distribution_snapshot,
     empirical_vs_weak_limit,
@@ -175,6 +178,56 @@ class TestEmpiricalVsWeakLimit:
         for verdict, (measured, passed) in self.QUADRATURE_CDF_VERDICTS[case].items():
             assert verdicts[verdict].passed is passed
             assert verdicts[verdict].measured == pytest.approx(measured, rel=0, abs=1e-12)
+
+    def test_final_state_needs_no_long_walk(self, symmetric_init, monkeypatch):
+        # the t_max state comes from the closed form; the kernel only walks the probe
+        walks = []
+        evolve_ = lqw.harness.evolve
+        buffers = lqw.core._evolution_buffers
+
+        def spied_evolve(init, params, t):
+            walks.append(t)
+            return evolve_(init, params, t)
+
+        def spied_buffers(init, params, t_max):
+            walks.append(t_max)
+            return buffers(init, params, t_max)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(lqw.harness, "evolve", spied_evolve)
+        monkeypatch.setattr(lqw.core, "_evolution_buffers", spied_buffers)
+        for name in ("eigen_system", "momentum_operator", "momentum_grid_solution",
+                     "propagate_fourier"):
+            monkeypatch.setattr(lqw.spectral, name, forbidden(name))
+            monkeypatch.setattr(lqw.harness, name, forbidden(name))
+        report = empirical_vs_weak_limit(symmetric_init, 3, 3000)
+        assert len(report.rows) == 6001
+        assert walks and max(walks) <= 256
+
+    def test_closed_form_verdict_passes(self, symmetric_init, skewed_init):
+        for init, tau, t_max in ((symmetric_init, 3, 3000), (skewed_init, 100, 150)):
+            report = empirical_vs_weak_limit(init, tau, t_max)
+            verdict = {v.name: v for v in report.verdicts}["closed_form_vs_kernel"]
+            assert verdict.tolerance == 1e-12
+            assert verdict.passed and verdict.measured < 1e-12
+
+    def test_closed_form_verdict_judges_the_route(self, symmetric_init, monkeypatch):
+        route = lqw.spectral._closed_form_state
+
+        def rotated(init, params, t):
+            # a global phase keeps the norm and the distribution, not the amplitudes
+            state = route(init, params, t)
+            return WalkerState(state.t, state.moving * np.exp(1e-9j), state.loop_diff)
+
+        monkeypatch.setattr(lqw.spectral, "_closed_form_state", rotated)
+        report = empirical_vs_weak_limit(symmetric_init, 3, 300)
+        verdict = {v.name: v for v in report.verdicts}["closed_form_vs_kernel"]
+        assert not verdict.passed and verdict.measured > 1e-11
+        assert not report.passed
 
     def test_epsilon_domain_checked(self, symmetric_init):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from lqw import (
     momentum_operator,
     propagate_fourier,
 )
-from lqw.spectral import _zero_phase_vector
+from lqw.spectral import _pi_minus_theta, _zero_phase_vector
 
 from conftest import random_general, random_standard
 
@@ -190,6 +190,21 @@ class TestEigenSystem:
         gap = np.einsum("mij,mj->mi", momentum_operator(WalkParams(tau), ks), vecs) - vecs
         assert np.max(np.abs(gap)) < 1e-14
 
+    @pytest.mark.parametrize("tau", [1, 4, 30])
+    def test_pi_minus_theta_over_array_k(self, tau):
+        # one phi formula: the array form the closed-form state uses is what
+        # eigen_system reads at each k, and theta stays a plain float
+        ks = np.array([-2.9, -0.4, 1e-9, 1e-3, 1.1, np.pi])
+        phis = _pi_minus_theta(tau, ks)
+        for k, phi in zip(ks, phis):
+            assert _pi_minus_theta(tau, float(k)) == phi
+            theta = eigen_system(WalkParams(tau), float(k)).theta
+            assert type(theta) is float and theta == np.pi - phi
+        cos_theta = -(tau * np.cos(ks) + 2.0) / (tau + 2.0)
+        assert np.max(np.abs(np.cos(np.pi - phis) - cos_theta)) < 1e-15
+        # relative precision as k -> 0: phi ~ sqrt(tau / (tau + 2)) |k|
+        assert phis[2] == pytest.approx(np.sqrt(tau / (tau + 2.0)) * 1e-9, rel=1e-12)
+
     def test_normalization_factors_rescale_raw_vectors(self):
         params = WalkParams(3)
         k = 1.7
@@ -299,3 +314,39 @@ class TestPropagateFourier:
         monkeypatch.setattr(lqw.spectral, "momentum_grid_solution", inflated)
         with pytest.raises(NormalizationError):
             propagate_fourier(symmetric_init, WalkParams(3), 7)
+
+
+class TestClosedFormState:
+    TIMES = (0, 1, 2, 37, 200, 4000)  # t = 0 is the one-point grid
+
+    @pytest.mark.parametrize("tau", [*range(1, 21), 100])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_matches_kernel(self, tau, kind):
+        params = WalkParams(tau)
+        rng = np.random.default_rng(tau)
+        # random_general has nonzero loop differences from tau 2 on
+        init = random_standard(rng) if kind == "standard" else random_general(rng, params)
+        for t in self.TIMES:
+            direct = evolve(init, params, t)
+            closed = lqw.spectral._closed_form_state(init, params, t)
+            assert closed.t == t
+            assert np.max(np.abs(closed.moving - direct.moving)) < 1e-12
+            assert np.array_equal(closed.loop_diff, direct.loop_diff)
+            assert np.max(np.abs(closed.amplitudes - direct.amplitudes)) < 1e-12
+            assert np.max(np.abs(closed.probabilities() - direct.probabilities())) < 1e-12
+
+    def test_memory_no_more_than_the_kernel(self, symmetric_init):
+        # the kernel's evolve peaks at 1.15 MB here; the eigenvector sum on a
+        # power-of-two grid took 3.8 MB
+        route = lqw.spectral._closed_form_state
+        tracemalloc.start()
+        try:
+            route(symmetric_init, WalkParams(3), 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
+
+    def test_negative_t_rejected(self, symmetric_init):
+        with pytest.raises(ValueError):
+            lqw.spectral._closed_form_state(symmetric_init, WalkParams(1), -1)
