@@ -39,7 +39,6 @@ __all__ = [
     "limiting_origin_state",
     "localization_probability_origin",
     "peak_velocities",
-    "phase_derivative",
     "weak_limit_density",
     "total_localization",
     "limit_moment",
@@ -121,26 +120,6 @@ def peak_velocities(tau: int) -> tuple[float, float]:
     return -v, v
 
 
-def phase_derivative(tau: int, k: float, branch: int) -> float:
-    """d omega_j / dk for the travelling branches j = 1, 2.
-
-    Branch 1 carries the minus sign (its k -> 0+ limit is the left-peak
-    velocity), branch 2 the plus sign.  k = 0 is a 0/0 point; the limits are
-    supplied by :func:`peak_velocities`.
-    """
-    tau = _check_tau(tau)
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    if not (-math.pi < k <= math.pi):
-        raise ValueError(f"k must lie in (-pi, pi], got {k}")
-    if k == 0.0:
-        raise DomainError("k = 0 is a removable singularity; use peak_velocities")
-    one_minus_c = 2.0 * math.sin(k / 2.0) ** 2
-    cos_k = 1.0 - one_minus_c
-    value = tau * math.sin(k) / math.sqrt(tau * one_minus_c * (tau * cos_k + tau + 4.0))
-    return -value if branch == 1 else value
-
-
 @dataclass(frozen=True)
 class WeakLimitModel:
     """Weak limit of X_t / t for a two-component initial state.
@@ -167,10 +146,9 @@ class WeakLimitModel:
     def density(self, x: float | np.ndarray) -> float | np.ndarray:
         return weak_limit_density(self.init, self.tau, x)
 
-    def continuous_mass(self, lo: float | None = None, hi: float | None = None,
-                        nodes: int = DEFAULT_NODES) -> float:
-        """Integral of f over (lo, hi), defaulting to the whole support."""
-        return _density_integral(self.init, self.tau, 0, nodes, lo=lo, hi=hi)
+    def continuous_mass(self, hi: float | None = None, nodes: int = DEFAULT_NODES) -> float:
+        """Integral of f from -Omega up to hi, by default over the whole support."""
+        return _density_integral(self.init, self.tau, 0, nodes, hi)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X_t / t <= x) in the limit, atom included, in closed form.
@@ -227,14 +205,13 @@ def limit_moment(
     tau: int,
     r: int,
     nodes: int = DEFAULT_NODES,
-    tol: float = 1e-8,
 ) -> float:
     """r-th moment of the limiting law of X_t / t.
 
     r = 0 returns 1 (total probability).  For r >= 1 the atom at the origin
     contributes nothing and the moment is the quadrature of x^r f(x); the
     result at ``nodes`` points is cross-checked against 2*nodes points and a
-    QuadratureError is raised if they disagree beyond ``tol``.
+    QuadratureError is raised if they disagree beyond 1e-8.
     """
     tau = _check_tau(tau)
     _require_standard(init)
@@ -244,7 +221,7 @@ def limit_moment(
         return 1.0
     coarse = _density_integral(init, tau, r, nodes)
     fine = _density_integral(init, tau, r, 2 * nodes)
-    if abs(fine - coarse) > tol:
+    if abs(fine - coarse) > 1e-8:
         raise QuadratureError(
             f"moment r={r} quadrature not converged: {coarse!r} vs {fine!r} at {nodes} nodes"
         )
@@ -337,20 +314,15 @@ def _density_antiderivative(init: StandardInit, tau: int, u: float | np.ndarray)
 
 
 def _density_integral(
-    init: StandardInit,
-    tau: int,
-    r: int,
-    nodes: int,
-    lo: float | None = None,
-    hi: float | None = None,
+    init: StandardInit, tau: int, r: int, nodes: int, hi: float | None = None
 ) -> float:
-    """integral of x^r f(x) over (lo, hi) within the support.
+    """integral of x^r f(x) from -Omega up to hi, by default over the whole support.
 
     Uses x = Omega sin(u): the edge factor sqrt(Omega^2 - x^2) in f cancels
     against dx, leaving a smooth integrand on a subinterval of (-pi/2, pi/2).
     """
     omega = math.sqrt(tau / (tau + 2.0))
-    u_lo = -0.5 * math.pi if lo is None else math.asin(min(max(lo / omega, -1.0), 1.0))
+    u_lo = -0.5 * math.pi
     u_hi = 0.5 * math.pi if hi is None else math.asin(min(max(hi / omega, -1.0), 1.0))
     if u_hi <= u_lo:
         return 0.0

@@ -157,13 +157,12 @@ class CliConfig:
 
     subcommand: str
     tau: int
-    alpha: complex
-    beta: complex
-    steps: int
+    init: StandardInit
+    steps: int | None
     out: Path
-    fmt: str = "both"
-    grid: int = 201
-    quad_nodes: int = DEFAULT_NODES
+    fmt: str
+    grid: int | None
+    quad_nodes: int
 
 
 class UsageError(LqwError):
@@ -258,7 +257,7 @@ def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[
 
 
 def _density_report(config: CliConfig) -> harness.ExperimentReport:
-    init = StandardInit(config.alpha, config.beta)
+    init = config.init
     model = analytics.WeakLimitModel(init, config.tau)
     omega = model.omega
     n = config.grid
@@ -268,8 +267,7 @@ def _density_report(config: CliConfig) -> harness.ExperimentReport:
     body = model.continuous_mass(nodes=config.quad_nodes)
     report = harness.ExperimentReport(
         experiment="weak_limit_density",
-        config={"tau": config.tau, "alpha": config.alpha, "beta": config.beta,
-                "grid": n},
+        config={"tau": config.tau, "alpha": init.alpha, "beta": init.beta, "grid": n},
         columns=("x", "density"),
         rows=rows,
         metrics={"p_hat": model.p_hat, "omega": omega, "continuous_mass": body,
@@ -281,7 +279,7 @@ def _density_report(config: CliConfig) -> harness.ExperimentReport:
 
 
 def _variance_report(config: CliConfig) -> harness.ExperimentReport:
-    init = StandardInit(config.alpha, config.beta)
+    init = config.init
     report = harness.variance_series(init, config.tau, config.steps)
     c_fit, alpha_fit = harness.fit_power_law(report.rows)
     c_theory = analytics.spread_coefficient(init, config.tau)
@@ -296,7 +294,7 @@ def _variance_report(config: CliConfig) -> harness.ExperimentReport:
 
 def run(config: CliConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
-    init = StandardInit(config.alpha, config.beta)
+    init = config.init
     if config.subcommand == "simulate":
         report = harness.distribution_snapshot(init, config.tau, config.steps)
     elif config.subcommand == "localize":
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = {
         "simulate": dict(steps=50, help="probability distribution after a fixed number of steps"),
         "localize": dict(steps=1000, help="origin probability series vs the localization limit"),
-        "density": dict(steps=0, help="tabulated weak-limit density, atom mass and support bound"),
+        "density": dict(help="tabulated weak-limit density, atom mass and support bound"),
         "variance": dict(steps=1000, help="variance series with ballistic power-law fit"),
         "verify": dict(steps=200, help="run every simulation-vs-analytics cross-check"),
     }
@@ -358,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="fmt", help="which artifact files to write")
         if name in ("density", "verify"):  # the subcommands that build a quadrature rule
             p.add_argument("--quad-nodes", type=_positive_int, default=None,
-                           help="Gauss-Legendre node count (default 2048, at most 8192; "
-                                "env LQW_QUAD_NODES)")
+                           help=f"Gauss-Legendre node count (default {DEFAULT_NODES}, "
+                                f"at most {MAX_NODES}; env LQW_QUAD_NODES)")
         if name == "density":
             p.add_argument("--grid", type=_positive_int, default=201,
-                           help="number of tabulation points (default 201)")
+                           help="number of tabulation points (default %(default)s)")
     return parser
 
 
@@ -376,7 +374,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     except ComplexParseError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        StandardInit(alpha, beta)
+        init = StandardInit(alpha, beta)
     except NormalizationError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
 
@@ -396,12 +394,11 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     return CliConfig(
         subcommand=args.subcommand,
         tau=args.tau,
-        alpha=alpha,
-        beta=beta,
-        steps=getattr(args, "steps", 0),
+        init=init,
+        steps=getattr(args, "steps", None),
         out=Path(args.out),
         fmt=args.fmt,
-        grid=getattr(args, "grid", 201),
+        grid=getattr(args, "grid", None),
         quad_nodes=quad,
     )
 

@@ -62,6 +62,10 @@ def _check_tau(tau: int) -> int:
         raise TypeError(f"tau must be an integer, got {type(tau).__name__}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1 (got {tau}); closed forms divide by tau")
+    try:
+        float(tau)
+    except OverflowError:
+        raise ValueError(f"tau is too large for a float ({int(tau).bit_length()} bits)") from None
     return int(tau)
 
 
@@ -168,17 +172,14 @@ class WalkerState:
         # read-only views: whatever they view (the kernel's buffers) stays writable
         moving.setflags(write=False)
         loop_diff.setflags(write=False)
+        probs = np.sum(np.abs(moving) ** 2, axis=0)
+        # d is orthogonal to the uniform loop mode, so its weight just adds
+        probs[self.t] += np.sum(np.abs(loop_diff) ** 2)
+        _check_norm(probs)
+        probs.setflags(write=False)
         object.__setattr__(self, "moving", moving)
         object.__setattr__(self, "loop_diff", loop_diff)
-        _check_norm(self._probs)
-
-    @cached_property
-    def _probs(self) -> np.ndarray:
-        probs = np.sum(np.abs(self.moving) ** 2, axis=0)
-        # d is orthogonal to the uniform loop mode, so its weight just adds
-        probs[self.t] += np.sum(np.abs(self.loop_diff) ** 2)
-        probs.setflags(write=False)
-        return probs
+        object.__setattr__(self, "_probs", probs)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:

@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import DegenerateSeriesError
 from .quadrature import DEFAULT_NODES, midpoint_rule
-from .spectral import eigen_system, momentum_grid_solution, momentum_operator, propagate_fourier
+from .spectral import eigen_system, momentum_operator, propagate_fourier
 
 __all__ = [
     "Verdict",
@@ -109,9 +109,7 @@ def _window_mean(origin: list[float]) -> float:
     return float(np.mean(origin[-math.ceil(len(origin) / 10):]))
 
 
-def localization_series(
-    init: InitialCondition, tau: int, t_max: int, tolerance: float = 1e-2
-) -> ExperimentReport:
+def localization_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """P(X_t = 0) for t = 1..t_max against the theoretical limit.
 
     Convergence is judged on the mean over the last ceil(t_max/10) steps,
@@ -135,7 +133,7 @@ def localization_series(
         window_mean = _window_mean(origin)
         report.metrics["window_mean"] = window_mean
         report.verdicts.append(
-            Verdict.judge("window_mean_deviation", abs(window_mean - reference), tolerance)
+            Verdict.judge("window_mean_deviation", abs(window_mean - reference), 1e-2)
         )
     return report
 
@@ -147,9 +145,7 @@ def _argmax_peak(positions: np.ndarray, probs: np.ndarray, side: int) -> int:
     return int(positions[pick])
 
 
-def distribution_snapshot(
-    init: InitialCondition, tau: int, t_max: int, peak_tolerance: float = 2.0
-) -> ExperimentReport:
+def distribution_snapshot(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """Full distribution at t_max with measured vs theoretical peak positions.
 
     The travelling peaks are located by argmax over n > t_max/2 and
@@ -173,7 +169,7 @@ def distribution_snapshot(
     right_peak = _argmax_peak(positions[right_mask], probs[right_mask], +1)
     left_peak = _argmax_peak(positions[left_mask], probs[left_mask], -1)
 
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="distribution_snapshot",
         config=_config_echo(init, tau, steps=t_max),
         columns=("n", "probability"),
@@ -184,14 +180,11 @@ def distribution_snapshot(
             "right_peak_theory": right_theory,
             "left_peak_theory": left_theory,
         },
+        verdicts=[
+            Verdict.judge("right_peak_offset", abs(right_peak - round(right_theory)), 2.0),
+            Verdict.judge("left_peak_offset", abs(left_peak - round(left_theory)), 2.0),
+        ],
     )
-    report.verdicts.append(
-        Verdict.judge("right_peak_offset", abs(right_peak - round(right_theory)), peak_tolerance)
-    )
-    report.verdicts.append(
-        Verdict.judge("left_peak_offset", abs(left_peak - round(left_theory)), peak_tolerance)
-    )
-    return report
 
 
 def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
@@ -238,7 +231,6 @@ def empirical_vs_weak_limit(
     tau: int,
     t_max: int,
     epsilon: float = 0.05,
-    tolerance: float = 0.05,
     nodes: int = DEFAULT_NODES,
 ) -> ExperimentReport:
     """Distribution of X_t/t at t_max against the limiting law.
@@ -284,7 +276,7 @@ def empirical_vs_weak_limit(
     route_error = max(float(np.max(np.abs(closed.moving - kernel.moving))),
                       float(np.max(np.abs(closed.loop_diff - kernel.loop_diff))))
 
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="empirical_vs_weak_limit",
         config=_config_echo(init, tau, steps=t_max, epsilon=epsilon),
         columns=("x", "empirical_cdf"),
@@ -296,23 +288,13 @@ def empirical_vs_weak_limit(
             "p_hat": model.p_hat,
             "omega": model.omega,
         },
+        verdicts=[
+            Verdict.judge("sup_distance", sup_distance, 0.05),
+            Verdict.judge("near_origin_mass_deviation", abs(near_mass - near_theory), 0.05),
+            Verdict.judge("cdf_closed_vs_quadrature", cdf_error, 1e-10),
+            Verdict.judge("closed_form_vs_kernel", route_error, 1e-12),
+        ],
     )
-    report.verdicts.append(Verdict.judge("sup_distance", sup_distance, tolerance))
-    report.verdicts.append(
-        Verdict.judge("near_origin_mass_deviation", abs(near_mass - near_theory), tolerance)
-    )
-    report.verdicts.append(Verdict.judge("cdf_closed_vs_quadrature", cdf_error, 1e-10))
-    report.verdicts.append(Verdict.judge("closed_form_vs_kernel", route_error, 1e-12))
-    return report
-
-
-def _fourier_tail(init: InitialCondition, params: WalkParams, t: int, pad: int = 4) -> float:
-    """Max |amplitude| outside the light cone on an enlarged Fourier grid."""
-    m = 1 << math.ceil(math.log2(2 * (t + pad) + 2))
-    _, psi = momentum_grid_solution(init, params, t, m)
-    pos = np.fft.ifft(psi, axis=0)
-    idx = [s * n % m for n in range(t + 1, t + pad + 1) for s in (1, -1)]
-    return float(np.max(np.abs(pos[idx])))
 
 
 def verification_suite(
@@ -341,7 +323,7 @@ def verification_suite(
     verdicts.append(Verdict.judge(
         "direct_vs_fourier", np.max(np.abs(state.amplitudes - fourier)), 1e-10))
     verdicts.append(Verdict.judge(
-        "light_cone_tail", _fourier_tail(init, params, min(t_max, 64)), 1e-12))
+        "light_cone_tail", spectral._light_cone_tail(init, params, min(t_max, 64)), 1e-12))
 
     residual = 0.0
     for k in (-2.6, -1.3, 0.7, 1.9, math.pi):

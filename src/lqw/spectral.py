@@ -21,6 +21,8 @@ and powers the full delta x delta U_k directly on a momentum grid, by
 repeated squaring in bounded blocks of k, and returns the full
 ``(2t+1, delta)`` amplitude array: an independent oracle for the
 three-component kernel in :mod:`lqw.core`, whose states it never builds.
+The private ``_light_cone_tail`` reads the same transform just outside the
+light cone.  Only this module knows the oracle's grid and its aliasing.
 
 The private ``_closed_form_state`` builds the final ``WalkerState`` from the
 spectrum instead, in O(t log t).  On (left, right, u) U_k is 3 x 3 with
@@ -284,26 +286,38 @@ def momentum_grid_solution(
     return ks, psi
 
 
-def propagate_fourier(
-    init: InitialCondition,
-    params: WalkParams,
-    t: int,
-    grid_size: int | None = None,
-) -> np.ndarray:
+def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.ndarray:
     """Amplitudes after t steps, evolved in momentum space and transformed back.
 
     Returns the read-only ``(2t+1, delta)`` array whose row ``n + t`` is the
     coin state at position n, the layout of ``WalkerState.amplitudes``; its
-    norm is checked like a ``WalkerState``'s.  Because the walk is supported
-    on 2t + 1 sites, any grid with M >= 2t + 1 points makes the inverse
-    transform exact up to roundoff.
+    norm is checked like a ``WalkerState``'s.  The grid is the smallest power
+    of two with more points than the walk's 2t + 1 sites, so the inverse
+    transform is exact up to roundoff.
     """
-    ks, psi = momentum_grid_solution(init, params, t, grid_size)
-    m = ks.shape[0]
-    # Psi(t, n) = (-1)^n * IDFT[Psi~](n mod M) for the -pi-based grid.
-    pos = np.fft.ifft(psi, axis=0)
-    ns = np.arange(-t, t + 1)
-    amps = pos[np.mod(ns, m)] * ((-1.0) ** ns)[:, None]
+    amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1), _default_grid_size(t))
     _check_norm(np.abs(amps) ** 2)
     amps.setflags(write=False)
     return amps
+
+
+def _light_cone_tail(init: InitialCondition, params: WalkParams, t: int) -> float:
+    """Max |amplitude| on the 4 sites beyond each edge of the light cone after t steps.
+
+    The exact walk puts nothing there; the oracle runs on the grid of t + 4
+    steps, so those sites do not alias onto the support.
+    """
+    pad = 4
+    beyond = np.arange(t + 1, t + pad + 1)
+    amps = _position_amplitudes(init, params, t, np.concatenate((beyond, -beyond)),
+                                _default_grid_size(t + pad))
+    return float(np.max(np.abs(amps)))
+
+
+def _position_amplitudes(
+    init: InitialCondition, params: WalkParams, t: int, ns: np.ndarray, grid_size: int
+) -> np.ndarray:
+    """Coin states at the positions ``ns`` after t steps, from the ``grid_size``-point oracle."""
+    ks, psi = momentum_grid_solution(init, params, t, grid_size)
+    # Psi(t, n) = (-1)^n * IDFT[Psi~](n mod M) for the -pi-based grid.
+    return np.fft.ifft(psi, axis=0)[np.mod(ns, ks.shape[0])] * ((-1.0) ** ns)[:, None]

@@ -1,0 +1,65 @@
+"""The public surface: the names lqw exports and the parameters of its entry points.
+
+A name or keyword that only the tests would set does not belong here; adding
+one back means changing this file on purpose.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import lqw
+import lqw.cli
+
+EXPORTS = [
+    "__version__",
+    # core
+    "WalkParams", "StandardInit", "GeneralInit", "InitialCondition", "WalkerState",
+    "grover_coin", "evolve", "iter_evolution",
+    # spectral
+    "EigenSystem", "momentum_operator", "eigen_system", "momentum_grid_solution",
+    "propagate_fourier",
+    # analytics
+    "ThetaConstants", "WeakLimitModel", "theta_constants", "f3_matrix",
+    "limiting_origin_state", "localization_probability_origin", "peak_velocities",
+    "weak_limit_density", "total_localization", "limit_moment", "spread_coefficient",
+    # harness
+    "Verdict", "ExperimentReport", "localization_series", "distribution_snapshot",
+    "variance_series", "fit_power_law", "empirical_vs_weak_limit", "verification_suite",
+    # errors
+    "LqwError", "NormalizationError", "DegenerateMomentumError", "GridTooSmallError",
+    "DomainError", "UnsupportedInitialStateError", "QuadratureError",
+    "DegenerateSeriesError", "ComplexParseError",
+]
+
+SIGNATURES = {
+    "localization_series": ("init", "tau", "t_max"),
+    "distribution_snapshot": ("init", "tau", "t_max"),
+    "variance_series": ("init", "tau", "t_max"),
+    "empirical_vs_weak_limit": ("init", "tau", "t_max", "epsilon", "nodes"),
+    "verification_suite": ("init", "tau", "t_max", "nodes"),
+    "limit_moment": ("init", "tau", "r", "nodes"),
+    "WeakLimitModel.continuous_mass": ("self", "hi", "nodes"),
+    "momentum_grid_solution": ("init", "params", "t", "grid_size"),
+    "propagate_fourier": ("init", "params", "t"),
+}
+
+
+def test_exports():
+    assert lqw.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", SIGNATURES)
+def test_parameters(name):
+    owner, _, attr = name.rpartition(".")
+    fn = getattr(getattr(lqw, owner) if owner else lqw, attr)
+    assert tuple(inspect.signature(fn).parameters) == SIGNATURES[name]
+
+
+def test_cli_config_fields():
+    # every default lives in the parser, so the config has none of its own
+    fields = dataclasses.fields(lqw.cli.CliConfig)
+    assert [f.name for f in fields] == [
+        "subcommand", "tau", "init", "steps", "out", "fmt", "grid", "quad_nodes"]
+    assert all(f.default is dataclasses.MISSING for f in fields)

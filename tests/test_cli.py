@@ -178,6 +178,14 @@ class TestUsageErrors:
         assert "tau" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "localize", "density", "variance",
+                                            "verify"])
+    def test_tau_beyond_float_exits_2_writes_nothing(self, subcommand, tmp_path, capsys):
+        status = run_cli(subcommand, "--tau", str(10**400), "--out", str(tmp_path))
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
         status = run_cli("simulate", "--tau", "1", "--alpha", "fish", "--out", str(tmp_path))
         assert status == 2

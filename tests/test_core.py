@@ -55,6 +55,12 @@ class TestWalkParams:
         with pytest.raises(TypeError):
             WalkParams(1.5)
 
+    def test_rejects_tau_beyond_float(self):
+        # every closed form takes tau to a float; 2**1023 still fits
+        with pytest.raises(ValueError, match="too large"):
+            WalkParams(10**400)
+        assert WalkParams(2**1023).tau == 2**1023
+
 
 class TestGroverCoin:
     def test_tau1_entries(self):

@@ -152,6 +152,12 @@ class TestEmpiricalVsWeakLimit:
         assert verdict.tolerance == 1e-10
         assert verdict.passed and verdict.measured < 1e-12
 
+    @pytest.mark.xfail(strict=True, reason="scipy's 2048-node Gauss-Legendre weights miss "
+                       "the closed-form CDF by 2.3e-10 at tau 1e6 (ROADMAP item 2)")
+    def test_closed_cdf_verdict_passes_at_tau_1e6(self, symmetric_init):
+        report = empirical_vs_weak_limit(symmetric_init, 10**6, 100)
+        assert {v.name: v for v in report.verdicts}["cdf_closed_vs_quadrature"].passed
+
     def test_closed_cdf_verdict_judges_the_quadrature(self, symmetric_init):
         # a coarse rule cannot match the closed form; the comparison metrics do not use it
         coarse = empirical_vs_weak_limit(symmetric_init, 3, 200, nodes=4)
@@ -200,10 +206,11 @@ class TestEmpiricalVsWeakLimit:
 
         monkeypatch.setattr(lqw.harness, "evolve", spied_evolve)
         monkeypatch.setattr(lqw.core, "_evolution_buffers", spied_buffers)
+        for name in ("eigen_system", "momentum_operator", "propagate_fourier"):
+            monkeypatch.setattr(lqw.harness, name, forbidden(name))
         for name in ("eigen_system", "momentum_operator", "momentum_grid_solution",
                      "propagate_fourier"):
             monkeypatch.setattr(lqw.spectral, name, forbidden(name))
-            monkeypatch.setattr(lqw.harness, name, forbidden(name))
         report = empirical_vs_weak_limit(symmetric_init, 3, 3000)
         assert len(report.rows) == 6001
         assert walks and max(walks) <= 256

@@ -248,13 +248,17 @@ class TestMomentumGridSolution:
         assert ks.shape == (131,)
         assert np.max(np.abs(psi - stepwise_grid_solution(init, params, 65, ks))) < 1e-12
 
+    def test_grid_too_small(self):
+        with pytest.raises(GridTooSmallError):
+            momentum_grid_solution(StandardInit(1, 0), WalkParams(1), 10, grid_size=20)
+
 
 class TestPropagateFourier:
     def test_one_step_matches_direct(self):
         init = StandardInit(1, 0)
         params = WalkParams(1)
         direct = evolve(init, params, 1)
-        fourier = propagate_fourier(init, params, 1, grid_size=8)
+        fourier = propagate_fourier(init, params, 1)
         assert np.max(np.abs(direct.amplitudes - fourier)) < 1e-12
 
     def test_t0_reproduces_initial_state(self):
@@ -266,18 +270,17 @@ class TestPropagateFourier:
     def test_tau10_t50_oracle(self, symmetric_init):
         params = WalkParams(10)
         direct = evolve(symmetric_init, params, 50)
-        fourier = propagate_fourier(symmetric_init, params, 50, grid_size=128)
+        fourier = propagate_fourier(symmetric_init, params, 50)
         assert np.max(np.abs(direct.amplitudes - fourier)) < 1e-10
 
-    def test_grid_too_small(self):
-        with pytest.raises(GridTooSmallError):
-            propagate_fourier(StandardInit(1, 0), WalkParams(1), 10, grid_size=20)
-
     def test_grid_doubling_insensitive(self, symmetric_init):
+        # the default grid at t = 20 has 64 points; 41 is the fewest that do not alias
         params = WalkParams(3)
-        base = propagate_fourier(symmetric_init, params, 20, grid_size=64)
-        fine = propagate_fourier(symmetric_init, params, 20, grid_size=128)
-        assert np.max(np.abs(base - fine)) < 1e-12
+        base = propagate_fourier(symmetric_init, params, 20)
+        ns = np.arange(-20, 21)
+        for grid_size in (41, 128):
+            amps = lqw.spectral._position_amplitudes(symmetric_init, params, 20, ns, grid_size)
+            assert np.max(np.abs(amps - base)) < 1e-12
 
     def test_memory_bounded_by_k_blocks(self, symmetric_init):
         # the whole (512, 102, 102) operator stack alone would take 85 MB
@@ -314,6 +317,26 @@ class TestPropagateFourier:
         monkeypatch.setattr(lqw.spectral, "momentum_grid_solution", inflated)
         with pytest.raises(NormalizationError):
             propagate_fourier(symmetric_init, WalkParams(3), 7)
+
+
+class TestLightConeTail:
+    @pytest.mark.parametrize("t", [0, 1, 5, 64])
+    def test_nothing_beyond_the_light_cone(self, symmetric_init, t):
+        assert lqw.spectral._light_cone_tail(symmetric_init, WalkParams(3), t) < 1e-12
+
+    def test_reads_the_sites_next_to_the_edge(self, symmetric_init, monkeypatch):
+        solve = lqw.spectral.momentum_grid_solution
+
+        def shifted(*args):
+            # e^{-ik} moves every amplitude one site, the edge site t to t + 1
+            ks, psi = solve(*args)
+            return ks, psi * np.exp(-1j * ks)[:, None]
+
+        edge = np.max(np.abs(evolve(symmetric_init, WalkParams(3), 5).amplitude(5)))
+        monkeypatch.setattr(lqw.spectral, "momentum_grid_solution", shifted)
+        tail = lqw.spectral._light_cone_tail(symmetric_init, WalkParams(3), 5)
+        assert tail == pytest.approx(edge, abs=1e-12)
+        assert tail > 0.06
 
 
 class TestClosedFormState:
