@@ -14,14 +14,19 @@ O(delta); only ``f3_matrix`` expands the block to delta x delta.
 
 The weak-limit CDF is the elementary antiderivative of f (weak-limit theorem:
 Konno, J. Math. Soc. Japan 57, 1179 (2005)), evaluated over arrays.  Moment
-evaluators and ``WeakLimitModel.continuous_mass`` integrate f numerically
-(after removing the endpoint singularity analytically), which keeps them an
-independent check on the closed-form spread coefficient and CDF rather than a
-restatement of them.
+evaluators and ``WeakLimitModel.continuous_mass`` integrate f numerically,
+which keeps them an independent check on the closed-form spread coefficient
+and CDF rather than a restatement of them.  The substitution x = Omega sin(u)
+removes the edge singularity and leaves the denominator
+cos^2 u + s^2 sin^2 u, s = sqrt(2 / (tau + 2)): written so, it does not cancel,
+and a composite Gauss-Legendre rule graded toward u = +-pi/2 resolves its
+near-poles of width s.  The rule depends on tau only through how often its end
+panels halve, so the quadrature stays near machine precision up to tau 10^12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +34,12 @@ import numpy as np
 
 from .core import GeneralInit, InitialCondition, StandardInit, WalkParams, _check_tau
 from .errors import DomainError, QuadratureError, UnsupportedInitialStateError
-from .quadrature import DEFAULT_NODES, legendre_rule
+from .quadrature import graded_edges, legendre_rule
+
+# Gauss-Legendre nodes per panel of the density quadrature, and the panels on
+# [-pi/2, pi/2] before the two end panels are graded down to width s / 32.
+_PANEL_NODES = 20
+_PANELS = 8
 
 __all__ = [
     "ThetaConstants",
@@ -146,9 +156,9 @@ class WeakLimitModel:
     def density(self, x: float | np.ndarray) -> float | np.ndarray:
         return weak_limit_density(self.init, self.tau, x)
 
-    def continuous_mass(self, hi: float | None = None, nodes: int = DEFAULT_NODES) -> float:
+    def continuous_mass(self, hi: float | None = None) -> float:
         """Integral of f from -Omega up to hi, by default over the whole support."""
-        return _density_integral(self.init, self.tau, 0, nodes, hi)
+        return _density_integral(self.init, self.tau, 0, _density_edges(self.tau, hi))
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X_t / t <= x) in the limit, atom included, in closed form.
@@ -200,18 +210,13 @@ def total_localization(init: InitialCondition, tau: int) -> float:
     return th.theta2 + 2.0 * th.theta3 * _re_ab(init)
 
 
-def limit_moment(
-    init: InitialCondition,
-    tau: int,
-    r: int,
-    nodes: int = DEFAULT_NODES,
-) -> float:
+def limit_moment(init: InitialCondition, tau: int, r: int) -> float:
     """r-th moment of the limiting law of X_t / t.
 
     r = 0 returns 1 (total probability).  For r >= 1 the atom at the origin
     contributes nothing and the moment is the quadrature of x^r f(x); the
-    result at ``nodes`` points is cross-checked against 2*nodes points and a
-    QuadratureError is raised if they disagree beyond 1e-8.
+    result is cross-checked against the same rule with every panel split in
+    two, and a QuadratureError is raised if they disagree beyond 1e-8.
     """
     tau = _check_tau(tau)
     _require_standard(init)
@@ -219,11 +224,16 @@ def limit_moment(
         raise ValueError("moment order must be >= 0")
     if r == 0:
         return 1.0
-    coarse = _density_integral(init, tau, r, nodes)
-    fine = _density_integral(init, tau, r, 2 * nodes)
+    edges = _density_edges(tau)
+    split = np.empty(2 * edges.size - 1)
+    split[0::2] = edges
+    split[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    coarse = _density_integral(init, tau, r, edges)
+    fine = _density_integral(init, tau, r, split)
     if abs(fine - coarse) > 1e-8:
         raise QuadratureError(
-            f"moment r={r} quadrature not converged: {coarse!r} vs {fine!r} at {nodes} nodes"
+            f"moment r={r} quadrature not converged: {coarse!r} vs {fine!r} "
+            f"on {edges.size - 1} panels of {_PANEL_NODES} nodes"
         )
     return fine
 
@@ -313,22 +323,42 @@ def _density_antiderivative(init: StandardInit, tau: int, u: float | np.ndarray)
             - b * np.arctan(omega * cos_u / s)) / s - c * u
 
 
-def _density_integral(
-    init: StandardInit, tau: int, r: int, nodes: int, hi: float | None = None
-) -> float:
-    """integral of x^r f(x) from -Omega up to hi, by default over the whole support.
+@functools.lru_cache(maxsize=16)
+def _graded_density_edges(tau: int) -> np.ndarray:
+    edges = graded_edges(-0.5 * math.pi, 0.5 * math.pi, _PANELS,
+                         math.sqrt(2.0 / (tau + 2.0)) / 32.0)
+    edges.setflags(write=False)
+    return edges
 
-    Uses x = Omega sin(u): the edge factor sqrt(Omega^2 - x^2) in f cancels
-    against dx, leaving a smooth integrand on a subinterval of (-pi/2, pi/2).
+
+def _density_edges(tau: int, hi: float | None = None) -> np.ndarray:
+    """Panel edges in u for the integral of f from -Omega up to hi (all of it by default).
+
+    The graded edges are built once per tau; an upper limit inside the support
+    drops the panels above u_hi = asin(hi / Omega) and cuts the one holding it.
     """
+    edges = _graded_density_edges(tau)
+    if hi is None:
+        return edges
     omega = math.sqrt(tau / (tau + 2.0))
-    u_lo = -0.5 * math.pi
-    u_hi = 0.5 * math.pi if hi is None else math.asin(min(max(hi / omega, -1.0), 1.0))
-    if u_hi <= u_lo:
+    u_hi = math.asin(min(max(hi / omega, -1.0), 1.0))
+    return np.append(edges[edges < u_hi], u_hi)
+
+
+def _density_integral(init: StandardInit, tau: int, r: int, edges: np.ndarray) -> float:
+    """integral of x^r f(x) over x = Omega sin(u), u running over the panel edges.
+
+    The edge factor sqrt(Omega^2 - x^2) in f cancels against dx, and
+    1 - x^2 = cos^2 u + s^2 sin^2 u with s^2 = 1 - Omega^2, which keeps the
+    denominator free of cancellation next to the edges of the support.
+    """
+    if edges.size < 2:
         return 0.0
-    u, w = legendre_rule(nodes, u_lo, u_hi)
-    x = omega * np.sin(u)
+    u, w = legendre_rule(_PANEL_NODES, edges[:-1], edges[1:])
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    x = math.sqrt(tau / (tau + 2.0)) * sin_u
     smooth = _density_numerator(init, tau, x) / (
-        math.pi * (1.0 - x * x) * math.sqrt(2.0 * (tau + 2.0))
+        math.pi * (cos_u * cos_u + (2.0 / (tau + 2.0)) * sin_u * sin_u)
+        * math.sqrt(2.0 * (tau + 2.0))
     )
     return float(np.sum(w * x**r * smooth))

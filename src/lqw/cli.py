@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__, analytics, harness
 from .core import StandardInit
 from .errors import ComplexParseError, LqwError, NormalizationError
-from .quadrature import DEFAULT_NODES, MAX_NODES
 
 __all__ = ["CliConfig", "parse_complex", "format_complex", "run", "main"]
 
@@ -162,7 +161,6 @@ class CliConfig:
     out: Path
     fmt: str
     grid: int | None
-    quad_nodes: int
 
 
 class UsageError(LqwError):
@@ -264,7 +262,7 @@ def _density_report(config: CliConfig) -> harness.ExperimentReport:
     # interior grid: the density diverges at +-Omega
     xs = -omega + (np.arange(n) + 0.5) * (2.0 * omega / n)
     rows = list(zip(map(float, xs), map(float, model.density(xs))))
-    body = model.continuous_mass(nodes=config.quad_nodes)
+    body = model.continuous_mass()
     report = harness.ExperimentReport(
         experiment="weak_limit_density",
         config={"tau": config.tau, "alpha": init.alpha, "beta": init.beta, "grid": n},
@@ -304,8 +302,7 @@ def run(config: CliConfig) -> int:
     elif config.subcommand == "variance":
         report = _variance_report(config)
     elif config.subcommand == "verify":
-        report = harness.verification_suite(
-            init, config.tau, config.steps, nodes=config.quad_nodes)
+        report = harness.verification_suite(init, config.tau, config.steps)
     else:
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
 
@@ -354,10 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        dest="fmt", help="which artifact files to write")
-        if name in ("density", "verify"):  # the subcommands that build a quadrature rule
-            p.add_argument("--quad-nodes", type=_positive_int, default=None,
-                           help=f"Gauss-Legendre node count (default {DEFAULT_NODES}, "
-                                f"at most {MAX_NODES}; env LQW_QUAD_NODES)")
         if name == "density":
             p.add_argument("--grid", type=_positive_int, default=201,
                            help="number of tabulation points (default %(default)s)")
@@ -378,19 +371,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     except NormalizationError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
 
-    quad, source = getattr(args, "quad_nodes", DEFAULT_NODES), "--quad-nodes"
-    if quad is None:
-        source = "LQW_QUAD_NODES"
-        env = os.environ.get("LQW_QUAD_NODES", str(DEFAULT_NODES))
-        try:
-            quad = int(env)
-        except ValueError as exc:
-            raise UsageError(f"LQW_QUAD_NODES={env!r} is not an integer") from exc
-        if quad < 1:
-            raise UsageError(f"LQW_QUAD_NODES must be >= 1, got {quad}")
-    if quad > MAX_NODES:
-        raise UsageError(f"{source} must be <= {MAX_NODES}, got {quad}")
-
     return CliConfig(
         subcommand=args.subcommand,
         tau=args.tau,
@@ -399,7 +379,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         out=Path(args.out),
         fmt=args.fmt,
         grid=getattr(args, "grid", None),
-        quad_nodes=quad,
     )
 
 

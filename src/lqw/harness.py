@@ -25,7 +25,7 @@ from .core import (
     iter_evolution,
 )
 from .errors import DegenerateSeriesError
-from .quadrature import DEFAULT_NODES, midpoint_rule
+from .quadrature import midpoint_rule
 from .spectral import eigen_system, momentum_operator, propagate_fourier
 
 __all__ = [
@@ -231,15 +231,14 @@ def empirical_vs_weak_limit(
     tau: int,
     t_max: int,
     epsilon: float = 0.05,
-    nodes: int = DEFAULT_NODES,
 ) -> ExperimentReport:
     """Distribution of X_t/t at t_max against the limiting law.
 
     Compares empirical and limiting CDFs on |x| > epsilon (outside the
     delta-atom's neighborhood) and the total mass inside |x| < epsilon
     against the atom plus the density's share.  The closed-form limiting
-    CDF is itself checked against ``nodes``-point quadrature of the density
-    on 33 points spanning [-Omega, Omega].
+    CDF is itself checked against quadrature of the density on 33 points
+    spanning [-Omega, Omega].
 
     The state at t_max comes from the spectrum of U_k in closed form
     (O(t log t)), not from the O(t^2) kernel walk.  The kernel judges that
@@ -266,7 +265,7 @@ def empirical_vs_weak_limit(
     near_theory = model.cdf(epsilon) - model.cdf(-epsilon)
 
     sweep = np.linspace(-model.omega, model.omega, 33)
-    quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x, nodes=nodes)
+    quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x)
                       for x in sweep.tolist()]
     cdf_error = float(np.max(np.abs(model.cdf(sweep) - quadrature_cdf)))
 
@@ -297,12 +296,7 @@ def empirical_vs_weak_limit(
     )
 
 
-def verification_suite(
-    init: StandardInit,
-    tau: int,
-    t_max: int,
-    nodes: int = DEFAULT_NODES,
-) -> ExperimentReport:
+def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentReport:
     """Cross-check battery: every closed form against an independent route."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -353,12 +347,11 @@ def verification_suite(
         b < a for a, b in zip(p_seq, p_seq[1:]))
     verdicts.append(Verdict.judge("velocity_localization_monotonicity", 0.0 if mono_ok else 1.0, 0.0))
 
-    body = analytics.WeakLimitModel(init, tau).continuous_mass(nodes=nodes)
+    body = analytics.WeakLimitModel(init, tau).continuous_mass()
     closure = analytics.total_localization(init, tau) + body
     verdicts.append(Verdict.judge("weak_limit_closure", abs(closure - 1.0), 1e-6))
 
-    moments = (analytics.limit_moment(init, tau, 2, nodes=nodes)
-               - analytics.limit_moment(init, tau, 1, nodes=nodes) ** 2)
+    moments = analytics.limit_moment(init, tau, 2) - analytics.limit_moment(init, tau, 1) ** 2
     verdicts.append(Verdict.judge(
         "spread_coefficient_consistency",
         abs(analytics.spread_coefficient(init, tau) - moments), 1e-6))

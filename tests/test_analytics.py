@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import lqw.analytics
 from lqw import (
     DomainError,
     GeneralInit,
@@ -25,7 +26,6 @@ from lqw import (
     total_localization,
     weak_limit_density,
 )
-from lqw.analytics import _density_integral
 
 from conftest import random_general, random_standard
 
@@ -304,23 +304,27 @@ class TestWeakLimitDensity:
 
 
 CDF_TAUS = [*range(1, 21), 100, 1000, 10**4, 10**5]
+# the quadrature's near-poles narrow as 1/sqrt(tau); its verdicts must hold this far out
+QUADRATURE_TAUS = [1, 2, 10, 100, 10**4, 10**6, 10**9, 10**12]
 
 
-@pytest.fixture(params=["symmetric_init", "real_skewed", "skewed_init"])
+@pytest.fixture(params=["symmetric_init", "alpha_one", "real_skewed", "skewed_init"])
 def cdf_init(request) -> StandardInit:
-    """The symmetric init, a real skewed pair, and the complex-phase skewed init."""
+    """The symmetric init, alpha = 1, a real skewed pair, and the complex-phase skewed init."""
+    if request.param == "alpha_one":
+        return StandardInit(1, 0)
     if request.param == "real_skewed":
         return StandardInit(0.6, 0.8)
     return request.getfixturevalue(request.param)
 
 
 class TestWeakLimitCdf:
-    @pytest.mark.parametrize("tau", CDF_TAUS)
+    @pytest.mark.parametrize("tau", sorted({*CDF_TAUS, *QUADRATURE_TAUS}))
     def test_matches_quadrature(self, tau, cdf_init):
         model = WeakLimitModel(cdf_init, tau)
         xs = np.linspace(-model.omega, model.omega, 33)
         oracle = [(model.p_hat if x >= 0.0 else 0.0)
-                  + _density_integral(cdf_init, tau, 0, 2048, hi=x) for x in xs.tolist()]
+                  + model.continuous_mass(hi=x) for x in xs.tolist()]
         assert np.max(np.abs(model.cdf(xs) - oracle)) <= 1e-10
 
     @pytest.mark.parametrize("tau", [1, 10, 100])
@@ -367,6 +371,11 @@ class TestTotalLocalization:
                 theta_constants(tau).theta2, abs=1e-15
             )
 
+    @pytest.mark.parametrize("tau", QUADRATURE_TAUS)
+    def test_closure_at_any_tau(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        assert abs(model.p_hat + model.continuous_mass() - 1.0) <= 1e-6
+
     @pytest.mark.parametrize("tau", TAUS)
     def test_closure_with_density(self, tau):
         # oracle: adaptive quadrature of f over the open support
@@ -403,9 +412,11 @@ class TestLimitMoment:
         )
         assert limit_moment(skewed_init, 2, 1) == pytest.approx(oracle, abs=1e-7)
 
-    def test_nonconvergence_reported(self, skewed_init):
+    def test_nonconvergence_reported(self, skewed_init, monkeypatch):
+        # two nodes per panel: splitting the panels moves the moment beyond 1e-8
+        monkeypatch.setattr(lqw.analytics, "_PANEL_NODES", 2)
         with pytest.raises(QuadratureError):
-            limit_moment(skewed_init, 1, 2, nodes=2)
+            limit_moment(skewed_init, 1, 2)
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):

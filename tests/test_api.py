@@ -37,10 +37,10 @@ SIGNATURES = {
     "localization_series": ("init", "tau", "t_max"),
     "distribution_snapshot": ("init", "tau", "t_max"),
     "variance_series": ("init", "tau", "t_max"),
-    "empirical_vs_weak_limit": ("init", "tau", "t_max", "epsilon", "nodes"),
-    "verification_suite": ("init", "tau", "t_max", "nodes"),
-    "limit_moment": ("init", "tau", "r", "nodes"),
-    "WeakLimitModel.continuous_mass": ("self", "hi", "nodes"),
+    "empirical_vs_weak_limit": ("init", "tau", "t_max", "epsilon"),
+    "verification_suite": ("init", "tau", "t_max"),
+    "limit_moment": ("init", "tau", "r"),
+    "WeakLimitModel.continuous_mass": ("self", "hi"),
     "momentum_grid_solution": ("init", "params", "t", "grid_size"),
     "propagate_fourier": ("init", "params", "t"),
 }
@@ -61,5 +61,5 @@ def test_cli_config_fields():
     # every default lives in the parser, so the config has none of its own
     fields = dataclasses.fields(lqw.cli.CliConfig)
     assert [f.name for f in fields] == [
-        "subcommand", "tau", "init", "steps", "out", "fmt", "grid", "quad_nodes"]
+        "subcommand", "tau", "init", "steps", "out", "fmt", "grid"]
     assert all(f.default is dataclasses.MISSING for f in fields)

@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,25 +217,6 @@ class TestUsageErrors:
         assert "expected 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("subcommand", ["density", "verify"])
-    @pytest.mark.parametrize("nodes", [lqw.quadrature.MAX_NODES + 1, 10**9])
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_quad_nodes_above_cap_exits_2(self, subcommand, nodes, via, tmp_path, capsys,
-                                          monkeypatch):
-        def no_rule(n):
-            raise AssertionError(f"built a {n}-node rule")
-
-        monkeypatch.setattr(lqw.quadrature, "roots_legendre", no_rule)
-        argv = [subcommand, "--tau", "2", "--out", str(tmp_path)]
-        if via == "flag":
-            argv += ["--quad-nodes", str(nodes)]
-        else:
-            monkeypatch.setenv("LQW_QUAD_NODES", str(nodes))
-        assert run_cli(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(lqw.quadrature.MAX_NODES) in err
-        assert list(tmp_path.iterdir()) == []
-
     # a single localize step emits no convergence verdict
     @pytest.mark.parametrize("subcommand,steps", [("simulate", 20), ("localize", 1),
                                                   ("variance", 20)])
@@ -241,8 +226,11 @@ class TestUsageErrors:
         assert run_cli(subcommand, "--tau", "2", "--steps", str(steps),
                        "--out", str(tmp_path)) == 0
 
-    def test_quad_nodes_is_unknown_to_simulate(self, tmp_path, capsys):
-        status = run_cli("simulate", "--tau", "2", "--quad-nodes", "5", "--out", str(tmp_path))
+    @pytest.mark.parametrize("subcommand", ["simulate", "localize", "density", "variance",
+                                            "verify"])
+    def test_quad_nodes_is_unknown_to_every_subcommand(self, subcommand, tmp_path, capsys):
+        # no verdict depends on a node count, so no subcommand takes one
+        status = run_cli(subcommand, "--tau", "2", "--quad-nodes", "5", "--out", str(tmp_path))
         assert status == 2
         assert "unrecognized arguments: --quad-nodes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -337,11 +325,17 @@ class TestDensity:
             pytest.approx(1.0, abs=1e-6)
         )
 
-    def test_quad_nodes_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LQW_QUAD_NODES", "512")
-        assert run_cli("density", "--tau", "2", "--out", str(tmp_path)) == 0
+    def test_quad_nodes_env_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LQW_QUAD_NODES", "zero")
-        assert run_cli("density", "--tau", "2", "--out", str(tmp_path)) == 2
+        assert run_cli("density", "--tau", "2", "--out", str(tmp_path)) == 0
+        assert run_cli("verify", "--tau", "2", "--steps", "20", "--out", str(tmp_path)) == 0
+
+    def test_closure_passes_at_tau_1e12(self, tmp_path):
+        # the graded quadrature resolves the edges of the support at any tau
+        assert run_cli("density", "--tau", "1000000000000", "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "density.json").read_text())
+        assert [v["name"] for v in payload["verdicts"]] == ["weak_limit_closure"]
+        assert payload["verdicts"][0]["measured"] <= 1e-9
 
 
 class TestVariance:
@@ -406,6 +400,33 @@ class TestReadmeLibrarySketch:
 
 
 class TestMisc:
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert [re.match(r"[\w-]+", d).group() for d in project["dependencies"]] == ["numpy"]
+        assert "scipy" in [re.match(r"[\w-]+", d).group()
+                           for d in project["optional-dependencies"]["test"]]
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: scipy is made unimportable
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lqw.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for argv in (['simulate', '--steps', '20'], ['density'], ['verify', '--steps', '20']):\n"
+            "    status = main([*argv, '--tau', '10', '--out', out])\n"
+            "    assert status == 0, (argv, status)\n"
+        )
+        src = Path(lqw.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "density.csv", "density.json", "simulate.csv", "simulate.json",
+            "verify.csv", "verify.json"]
+
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
