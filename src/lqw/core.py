@@ -27,9 +27,7 @@ this data, ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at
 the origin), and builds the full ``(2t+1, delta)`` amplitudes only when they
 are read.
 
-All operations are pure; states hold read-only views.  The snapshots
-``iter_evolution`` yields view the kernel's buffers and are valid only until
-the next step; ``state.copy()`` keeps one.
+All operations are pure; states hold read-only views.
 """
 
 from __future__ import annotations
@@ -161,6 +159,8 @@ class WalkerState:
     loop_diff: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool):
+            raise TypeError(f"t must be an integer, got {type(self.t).__name__}")
         if self.t < 0:
             raise ValueError("t must be >= 0")
         moving = np.asarray(self.moving, dtype=np.complex128).view()
@@ -169,7 +169,7 @@ class WalkerState:
             raise ValueError(f"moving must have shape (3, 2t+1); got {moving.shape} at t={self.t}")
         if loop_diff.ndim != 1 or loop_diff.size < 1:
             raise ValueError(f"loop_diff must have shape (tau,), tau >= 1; got {loop_diff.shape}")
-        # read-only views: whatever they view (the kernel's buffers) stays writable
+        # read-only views: the arrays a caller passed in stay writable
         moving.setflags(write=False)
         loop_diff.setflags(write=False)
         probs = np.sum(np.abs(moving) ** 2, axis=0)
@@ -214,10 +214,6 @@ class WalkerState:
         """P(X_t = n) for n = -t .. t as a read-only array aligned with ``positions``."""
         return self._probs
 
-    def copy(self) -> "WalkerState":
-        """A state that owns its data, to keep an ``iter_evolution`` snapshot."""
-        return WalkerState(self.t, self.moving.copy(), self.loop_diff.copy())
-
 
 def grover_coin(params: WalkParams) -> np.ndarray:
     """Grover coin 2|psi><psi| - I on the delta-dimensional coin space.
@@ -258,10 +254,10 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
 def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     """The position-space kernel: one application of U = S (I x G) per step.
 
-    Evolves the moving sector (left, right, u) under ``_moving_coin``,
-    double-buffered and in place; the loop differences d at the origin only
-    change sign.  Yields ``(t, window, d_t)`` for t = 0 .. t_max, where
-    ``window`` is the ``(3, 2t+1)`` view of the live buffer: one row per
+    Evolves the moving sector (left, right, u) under ``_moving_coin``; the
+    loop differences d at the origin only change sign.  Yields
+    ``(t, window, d_t)`` for t = 0 .. t_max, where ``window`` is a new
+    ``(3, 2t+1)`` array that the kernel never writes again: one row per
     component, so each shift is a contiguous copy.  Internal only, never
     exposed.
     """
@@ -269,20 +265,15 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     signed_diff = (diff, -diff)
 
     g = _moving_coin(params)
-    cur = np.zeros((3, 2 * t_max + 1), dtype=np.complex128)
-    nxt = np.zeros_like(cur)
-    c = t_max  # column index of the origin
-    cur[:, c] = start
-    yield 0, cur[:, c:c + 1], signed_diff[0]
-    for t in range(t_max):
-        lo, hi = c - t, c + t + 1
-        coined = g @ cur[:, lo:hi]
-        nxt[:, lo - 1 : hi + 1] = 0.0
-        nxt[0, lo - 1 : hi - 1] = coined[0]
-        nxt[1, lo + 1 : hi + 1] = coined[1]
-        nxt[2, lo:hi] = coined[2]
-        cur, nxt = nxt, cur
-        yield t + 1, cur[:, lo - 1 : hi + 1], signed_diff[(t + 1) % 2]
+    window = start[:, None]
+    yield 0, window, signed_diff[0]
+    for t in range(1, t_max + 1):
+        coined = g @ window
+        window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
+        window[0, :-2] = coined[0]
+        window[1, 2:] = coined[1]
+        window[2, 1:-1] = coined[2]
+        yield t, window, signed_diff[t % 2]
 
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
@@ -291,15 +282,11 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
         raise ValueError("t must be >= 0")
     for _, window, diff in _evolution_buffers(init, params, t):
         pass
-    return WalkerState(t, window.copy(), diff)
+    return WalkerState(t, window, diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
-    """Yield the WalkerState at every t = 0 .. t_max.
-
-    Each snapshot is a read-only view of the kernel's buffers, valid only
-    until the next step; ``state.copy()`` keeps one longer.
-    """
+    """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     for t, window, diff in _evolution_buffers(init, params, t_max):

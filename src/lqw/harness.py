@@ -96,12 +96,12 @@ def _localization_reference(init: InitialCondition, tau: int) -> float:
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[list[float], WalkerState]:
-    """One run of the kernel: P(X_t = 0) for t = 1..t_max and a copy of the final state."""
+    """One run of the kernel: P(X_t = 0) for t = 1..t_max and the final state."""
     origin = []
     for state in iter_evolution(init, params, t_max):
         if state.t:
             origin.append(float(state.probabilities()[state.t]))
-    return origin, state.copy()
+    return origin, state
 
 
 def _window_mean(origin: list[float]) -> float:

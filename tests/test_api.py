@@ -57,6 +57,13 @@ def test_parameters(name):
     assert tuple(inspect.signature(fn).parameters) == SIGNATURES[name]
 
 
+def test_walker_state_members():
+    state = lqw.evolve(lqw.StandardInit(1, 0), lqw.WalkParams(1), 2)
+    public = {name for name in dir(state) if not name.startswith("_")}
+    assert public == {
+        "t", "moving", "loop_diff", "amplitudes", "positions", "amplitude", "probabilities"}
+
+
 def test_cli_config_fields():
     # every default lives in the parser, so the config has none of its own
     fields = dataclasses.fields(lqw.cli.CliConfig)

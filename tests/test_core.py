@@ -201,13 +201,33 @@ class TestEvolve:
         final = evolve(init, WalkParams(1), 5)
         assert np.array_equal(states[-1].amplitudes, final.amplitudes)
 
-    def test_iter_evolution_snapshots_are_read_only_views(self):
-        # each snapshot equals evolve at its t while it is current
+    def test_kept_snapshots_stay_valid(self):
+        # every snapshot owns its data, so keeping them all changes none
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(3)
-        for state in iter_evolution(init, params, 8):
-            assert not state.amplitudes.flags.writeable
-            assert np.array_equal(state.amplitudes, evolve(init, params, state.t).amplitudes)
+        states = list(iter_evolution(init, params, 8))
+        assert [s.t for s in states] == list(range(9))
+        for state in states:
+            expected = evolve(init, params, state.t)
+            assert np.array_equal(state.moving, expected.moving)
+            assert np.array_equal(state.amplitudes, expected.amplitudes)
+            assert np.array_equal(state.probabilities(), expected.probabilities())
+            weight = np.sum(np.abs(state.moving) ** 2) + np.sum(np.abs(state.loop_diff) ** 2)
+            assert weight == pytest.approx(state.probabilities().sum(), abs=1e-14)
+            for array in (state.moving, state.loop_diff, state.amplitudes):
+                assert not array.flags.writeable
+
+    def test_evolve_holds_three_windows_at_most(self):
+        # the consumer's window, the coined rows and the next window
+        t = 4000
+        window = 3 * (2 * t + 1) * 16
+        tracemalloc.start()
+        try:
+            evolve(StandardInit(1, 0), WalkParams(1), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * window
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -333,6 +353,26 @@ class TestWalkerState:
             WalkerState(1, moving, np.zeros(1))
         with pytest.raises(ValueError, match="moving"):
             WalkerState(1, np.zeros((3, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "t", [3.0, np.float64(3), True, "3"], ids=["float", "float64", "bool", "str"])
+    def test_rejects_non_integer_t(self, t):
+        state = evolve(StandardInit(0.6, 0.8j), WalkParams(2), 3)
+        with pytest.raises(TypeError, match="t must be an integer"):
+            WalkerState(t, state.moving, state.loop_diff)
+
+    def test_accepts_numpy_integer_t(self):
+        state = evolve(StandardInit(0.6, 0.8j), WalkParams(2), 3)
+        rebuilt = WalkerState(np.int64(3), state.moving, state.loop_diff)
+        assert np.array_equal(rebuilt.amplitude(0), state.amplitude(0))
+
+    def test_caller_arrays_stay_writeable(self):
+        state = evolve(StandardInit(0.6, 0.8j), WalkParams(2), 3)
+        moving, loop_diff = np.array(state.moving), np.array(state.loop_diff)
+        rebuilt = WalkerState(3, moving, loop_diff)
+        assert not rebuilt.moving.flags.writeable
+        assert not rebuilt.loop_diff.flags.writeable
+        assert moving.flags.writeable and loop_diff.flags.writeable
 
     def test_rejects_empty_loop_diff(self):
         moving = np.zeros((3, 1), dtype=complex)
