@@ -157,7 +157,7 @@ class WeakLimitModel:
         return weak_limit_density(self.init, self.tau, x)
 
     def continuous_mass(self, hi: float | None = None) -> float:
-        """Integral of f from -Omega up to hi, by default over the whole support."""
+        """Integral of f from -Omega up to hi (default: all of it).  NaN raises DomainError."""
         return _density_integral(self.init, self.tau, 0, _density_edges(self.tau, hi))
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
@@ -341,7 +341,7 @@ def _density_edges(tau: int, hi: float | None = None) -> np.ndarray:
     if hi is None:
         return edges
     omega = math.sqrt(tau / (tau + 2.0))
-    u_hi = math.asin(min(max(hi / omega, -1.0), 1.0))
+    u_hi = math.asin(min(max(float(_check_not_nan(hi)) / omega, -1.0), 1.0))
     return np.append(edges[edges < u_hi], u_hi)
 
 

@@ -1,12 +1,13 @@
-"""Command-line front end: run experiments, write CSV and JSON reports.
+"""Command-line front end: run one harness experiment, write CSV and JSON reports.
 
-Subcommands map onto the harness experiments:
+Every subcommand is one :mod:`lqw.harness` experiment, which decides the table,
+metrics and verdicts; the CLI parses, dispatches, writes and sets the exit status:
 
-    simulate   distribution snapshot at a fixed step count
-    localize   origin-probability series against the theoretical limit
-    density    tabulated weak-limit density with its atom mass and support
-    variance   variance series with a power-law fit
-    verify     full simulation-vs-analytics cross-check battery
+    simulate   distribution_snapshot  distribution at a fixed step count
+    localize   localization_series    origin-probability series against the limit
+    density    density_table          weak-limit density with its atom mass and support
+    variance   variance_series        variance series with its ballistic power-law fit
+    verify     verification_suite     simulation-vs-analytics cross-check battery
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  Exit status: 0 all verdicts passed, 1 a
@@ -29,13 +30,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, harness
-from .core import StandardInit
+from . import __version__, harness
+from .core import StandardInit, _check_tau
 from .errors import ComplexParseError, LqwError, NormalizationError
 
 __all__ = ["CliConfig", "parse_complex", "format_complex", "run", "main"]
 
 SCHEMA_VERSION = 1
+
+# subcommand -> (harness experiment, size flag, default size, help).  The
+# experiment is looked up on the module at call time, never stored.
+_SUBCOMMANDS = {
+    "simulate": ("distribution_snapshot", "--steps", 50, "distribution after a number of steps"),
+    "localize": ("localization_series", "--steps", 1000, "origin probability vs its limit"),
+    "density": ("density_table", "--grid", 201, "weak-limit density, atom mass and support"),
+    "variance": ("variance_series", "--steps", 1000, "variance series with ballistic fit"),
+    "verify": ("verification_suite", "--steps", 200, "every simulation-vs-analytics check"),
+}
+_SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation points"}
 
 _TOKEN = re.compile(
     r"""(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
@@ -157,10 +169,9 @@ class CliConfig:
     subcommand: str
     tau: int
     init: StandardInit
-    steps: int | None
+    size: int  # --steps, or --grid for density
     out: Path
     fmt: str
-    grid: int | None
 
 
 class UsageError(LqwError):
@@ -254,57 +265,12 @@ def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[
     return paths
 
 
-def _density_report(config: CliConfig) -> harness.ExperimentReport:
-    init = config.init
-    model = analytics.WeakLimitModel(init, config.tau)
-    omega = model.omega
-    n = config.grid
-    # interior grid: the density diverges at +-Omega
-    xs = -omega + (np.arange(n) + 0.5) * (2.0 * omega / n)
-    rows = list(zip(map(float, xs), map(float, model.density(xs))))
-    body = model.continuous_mass()
-    report = harness.ExperimentReport(
-        experiment="weak_limit_density",
-        config={"tau": config.tau, "alpha": init.alpha, "beta": init.beta, "grid": n},
-        columns=("x", "density"),
-        rows=rows,
-        metrics={"p_hat": model.p_hat, "omega": omega, "continuous_mass": body,
-                 "spread_coefficient": analytics.spread_coefficient(init, config.tau)},
-    )
-    report.verdicts.append(harness.Verdict.judge(
-        "weak_limit_closure", abs(model.p_hat + body - 1.0), 1e-6))
-    return report
-
-
-def _variance_report(config: CliConfig) -> harness.ExperimentReport:
-    init = config.init
-    report = harness.variance_series(init, config.tau, config.steps)
-    c_fit, alpha_fit = harness.fit_power_law(report.rows)
-    c_theory = analytics.spread_coefficient(init, config.tau)
-    report.metrics.update(
-        {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory})
-    report.verdicts.append(harness.Verdict.judge(
-        "spread_exponent_offset", abs(alpha_fit - 2.0), 0.05))
-    report.verdicts.append(harness.Verdict.judge(
-        "spread_coefficient_relative_error", abs(c_fit - c_theory) / c_theory, 0.10))
-    return report
-
-
 def run(config: CliConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
-    init = config.init
-    if config.subcommand == "simulate":
-        report = harness.distribution_snapshot(init, config.tau, config.steps)
-    elif config.subcommand == "localize":
-        report = harness.localization_series(init, config.tau, config.steps)
-    elif config.subcommand == "density":
-        report = _density_report(config)
-    elif config.subcommand == "variance":
-        report = _variance_report(config)
-    elif config.subcommand == "verify":
-        report = harness.verification_suite(init, config.tau, config.steps)
-    else:
+    if config.subcommand not in _SUBCOMMANDS:
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
+    experiment = getattr(harness, _SUBCOMMANDS[config.subcommand][0])
+    report = experiment(config.init, config.tau, config.size)
 
     written = _write_outputs(report, config)
     for path in written:
@@ -330,37 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    defaults = {
-        "simulate": dict(steps=50, help="probability distribution after a fixed number of steps"),
-        "localize": dict(steps=1000, help="origin probability series vs the localization limit"),
-        "density": dict(help="tabulated weak-limit density, atom mass and support bound"),
-        "variance": dict(steps=1000, help="variance series with ballistic power-law fit"),
-        "verify": dict(steps=200, help="run every simulation-vs-analytics cross-check"),
-    }
-    for name, info in defaults.items():
-        p = sub.add_parser(name, help=info["help"])
+    for name, (_, flag, default, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--tau", type=int, required=True,
                        help="laziness factor (self-loops per vertex, >= 1)")
         p.add_argument("--alpha", default="1/sqrt(2)",
                        help="left-component amplitude, e.g. '1/sqrt(2)' or '0.5-0.5i'")
         p.add_argument("--beta", default="i/sqrt(2)",
                        help="right-component amplitude")
-        if name != "density":
-            p.add_argument("--steps", type=_positive_int, default=info["steps"],
-                           help=f"number of walk steps (default {info['steps']})")
+        p.add_argument(flag, type=_positive_int, default=default, dest="size",
+                       metavar=flag[2:].upper(), help=f"{_SIZE_HELP[flag]} (default %(default)s)")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        dest="fmt", help="which artifact files to write")
-        if name == "density":
-            p.add_argument("--grid", type=_positive_int, default=201,
-                           help="number of tabulation points (default %(default)s)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    if args.tau < 1:
-        raise UsageError(f"--tau must be >= 1 (got {args.tau}): the walk requires "
-                         "at least one self-loop per vertex")
+    try:
+        tau = _check_tau(args.tau)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--tau: {exc}") from exc
     try:
         alpha = parse_complex(args.alpha)
         beta = parse_complex(args.beta)
@@ -373,12 +329,11 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
 
     return CliConfig(
         subcommand=args.subcommand,
-        tau=args.tau,
+        tau=tau,
         init=init,
-        steps=getattr(args, "steps", None),
+        size=args.size,
         out=Path(args.out),
         fmt=args.fmt,
-        grid=getattr(args, "grid", None),
     )
 
 

@@ -1,10 +1,11 @@
 """Desk-scale experiments: simulation-vs-theory checks with tabular reports.
 
-Each experiment runs a deterministic simulation, compares it against the
-matching closed form from :mod:`lqw.analytics`, and returns an
-ExperimentReport carrying the raw table, scalar metrics and pass/fail
-verdicts (every verdict records the tolerance it was judged against).
-Serialization is left to the cli module.
+Each experiment (distribution_snapshot, localization_series, density_table,
+variance_series, empirical_vs_weak_limit, verification_suite) checks a
+simulation or a closed form against an independent route and returns an
+ExperimentReport: the raw table, scalar metrics and pass/fail verdicts, each
+with the tolerance it was judged against.  Every CLI subcommand runs one of
+them; serialization is left to the cli module.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "ExperimentReport",
     "localization_series",
     "distribution_snapshot",
+    "density_table",
     "variance_series",
     "fit_power_law",
     "empirical_vs_weak_limit",
@@ -45,6 +47,10 @@ _AIRY_PRIME_ZERO = 1.0187929716474710
 
 # Steps of the kernel walk that judges the closed-form final state (about 1 ms).
 _KERNEL_PROBE_STEPS = 256
+
+# Half-width of the window around the atom at x = 0 that the empirical CDF
+# comparison leaves out; Omega >= 1/sqrt(3) keeps it inside the support.
+_NEAR_ORIGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -122,20 +128,20 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
     origin, _ = _walk(init, WalkParams(tau), t_max)
 
     window = math.ceil(t_max / 10)
-    report = ExperimentReport(
+    metrics = {"reference": reference, "window": window}
+    verdicts = []
+    if window < t_max:
+        metrics["window_mean"] = _window_mean(origin)
+        verdicts.append(Verdict.judge(
+            "window_mean_deviation", abs(metrics["window_mean"] - reference), 1e-2))
+    return ExperimentReport(
         experiment="localization_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "origin_probability", "reference"),
         rows=[(t, p, reference) for t, p in enumerate(origin, start=1)],
-        metrics={"reference": reference, "window": window},
+        metrics=metrics,
+        verdicts=verdicts,
     )
-    if window < t_max:
-        window_mean = _window_mean(origin)
-        report.metrics["window_mean"] = window_mean
-        report.verdicts.append(
-            Verdict.judge("window_mean_deviation", abs(window_mean - reference), 1e-2)
-        )
-    return report
 
 
 def _argmax_peak(positions: np.ndarray, probs: np.ndarray, side: int) -> int:
@@ -187,8 +193,41 @@ def distribution_snapshot(init: InitialCondition, tau: int, t_max: int) -> Exper
     )
 
 
+def _closure_verdict(p_hat: float, body: float) -> Verdict:
+    """The atom and the density's mass make up the whole weak limit."""
+    return Verdict.judge("weak_limit_closure", abs(p_hat + body - 1.0), 1e-6)
+
+
+def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
+    """The weak-limit density f at the midpoints of grid equal cells of (-Omega, Omega).
+
+    The midpoints stay clear of the edges, where f diverges.  The verdict
+    checks that the atom P_hat and the quadrature of f add up to 1.
+    """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    model = analytics.WeakLimitModel(init, tau)
+    omega = model.omega
+    xs = -omega + (np.arange(grid) + 0.5) * (2.0 * omega / grid)
+    body = model.continuous_mass()
+    return ExperimentReport(
+        experiment="weak_limit_density",
+        config=_config_echo(init, tau, grid=grid),
+        columns=("x", "density"),
+        rows=list(zip(map(float, xs), map(float, model.density(xs)))),
+        metrics={"p_hat": model.p_hat, "omega": omega, "continuous_mass": body,
+                 "spread_coefficient": analytics.spread_coefficient(init, tau)},
+        verdicts=[_closure_verdict(model.p_hat, body)],
+    )
+
+
 def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
-    """sigma^2(t) for t = 0..t_max, computed exactly from the distribution."""
+    """sigma^2(t) for t = 0..t_max, computed exactly from the distribution.
+
+    For a StandardInit the tail fit (``fit_power_law``) is judged against
+    sigma^2 ~ c t^2, c the closed-form spread coefficient.  A GeneralInit gets
+    the bare series: no closed form covers it (its variance can be 0 at every t).
+    """
     if t_max < 10:
         raise ValueError("t_max must be >= 10")
     rows = []
@@ -198,11 +237,23 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
         mean = float(np.dot(ns, probs))
         second = float(np.dot(ns * ns, probs))
         rows.append((state.t, second - mean * mean))
+    metrics, verdicts = {}, []
+    if isinstance(init, StandardInit):
+        c_fit, alpha_fit = fit_power_law(rows)
+        c_theory = analytics.spread_coefficient(init, tau)
+        metrics = {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
+        verdicts = [
+            Verdict.judge("spread_exponent_offset", abs(alpha_fit - 2.0), 0.05),
+            Verdict.judge("spread_coefficient_relative_error",
+                          abs(c_fit - c_theory) / c_theory, 0.10),
+        ]
     return ExperimentReport(
         experiment="variance_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "variance"),
         rows=rows,
+        metrics=metrics,
+        verdicts=verdicts,
     )
 
 
@@ -226,16 +277,11 @@ def fit_power_law(series) -> tuple[float, float]:
     return float(np.exp(intercept)), float(slope)
 
 
-def empirical_vs_weak_limit(
-    init: InitialCondition,
-    tau: int,
-    t_max: int,
-    epsilon: float = 0.05,
-) -> ExperimentReport:
+def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """Distribution of X_t/t at t_max against the limiting law.
 
-    Compares empirical and limiting CDFs on |x| > epsilon (outside the
-    delta-atom's neighborhood) and the total mass inside |x| < epsilon
+    Compares empirical and limiting CDFs on |x| > 0.05 (outside the
+    delta-atom's neighborhood) and the total mass inside |x| <= 0.05
     against the atom plus the density's share.  The closed-form limiting
     CDF is itself checked against quadrature of the density on 33 points
     spanning [-Omega, Omega].
@@ -249,8 +295,6 @@ def empirical_vs_weak_limit(
     model = analytics.WeakLimitModel(init, tau)
     if t_max < 100:
         raise ValueError("t_max must be >= 100")
-    if not 0.0 < epsilon < model.omega:
-        raise ValueError(f"epsilon must lie in (0, Omega={model.omega})")
 
     params = WalkParams(tau)
     state = spectral._closed_form_state(init, params, t_max)
@@ -258,11 +302,11 @@ def empirical_vs_weak_limit(
     xs = state.positions / t_max
     emp_cdf = np.cumsum(probs)
 
-    outside = np.abs(xs) > epsilon
+    outside = np.abs(xs) > _NEAR_ORIGIN
     sup_distance = float(np.max(np.abs(emp_cdf[outside] - model.cdf(xs[outside]))))
 
     near_mass = float(np.sum(probs[~outside]))
-    near_theory = model.cdf(epsilon) - model.cdf(-epsilon)
+    near_theory = model.cdf(_NEAR_ORIGIN) - model.cdf(-_NEAR_ORIGIN)
 
     sweep = np.linspace(-model.omega, model.omega, 33)
     quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x)
@@ -277,7 +321,7 @@ def empirical_vs_weak_limit(
 
     return ExperimentReport(
         experiment="empirical_vs_weak_limit",
-        config=_config_echo(init, tau, steps=t_max, epsilon=epsilon),
+        config=_config_echo(init, tau, steps=t_max, epsilon=_NEAR_ORIGIN),
         columns=("x", "empirical_cdf"),
         rows=[(float(x), float(c)) for x, c in zip(xs, emp_cdf)],
         metrics={
@@ -335,10 +379,9 @@ def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentRe
     verdicts.append(Verdict.judge("theta_vs_quadrature", _theta_quadrature_error(tau), 1e-8))
     verdicts.append(Verdict.judge("f3_vs_projector_integral", _f3_projector_error(tau), 1e-8))
 
+    model = analytics.WeakLimitModel(init, tau)
     omega = analytics.peak_velocities(tau)[1]
-    verdicts.append(Verdict.judge(
-        "v_right_equals_support_bound",
-        abs(omega - analytics.WeakLimitModel(init, tau).omega), 0.0))
+    verdicts.append(Verdict.judge("v_right_equals_support_bound", abs(omega - model.omega), 0.0))
 
     taus = range(1, max(tau, 20) + 1)
     v_seq = [analytics.peak_velocities(t)[1] for t in taus]
@@ -347,9 +390,7 @@ def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentRe
         b < a for a, b in zip(p_seq, p_seq[1:]))
     verdicts.append(Verdict.judge("velocity_localization_monotonicity", 0.0 if mono_ok else 1.0, 0.0))
 
-    body = analytics.WeakLimitModel(init, tau).continuous_mass()
-    closure = analytics.total_localization(init, tau) + body
-    verdicts.append(Verdict.judge("weak_limit_closure", abs(closure - 1.0), 1e-6))
+    verdicts.append(_closure_verdict(model.p_hat, model.continuous_mass()))
 
     moments = analytics.limit_moment(init, tau, 2) - analytics.limit_moment(init, tau, 1) ** 2
     verdicts.append(Verdict.judge(

@@ -171,7 +171,7 @@ class TestCriterion7SpreadCoefficient:
 
 class TestCriterion8DistributionalConvergence:
     def test_weak_limit_at_t1000(self, symmetric_init):
-        run = empirical_vs_weak_limit(symmetric_init, 1, 1000, epsilon=0.05)
+        run = empirical_vs_weak_limit(symmetric_init, 1, 1000)
         sup = run.metrics["sup_distance"]
         mass_dev = abs(run.metrics["near_origin_mass"] - run.metrics["near_origin_mass_theory"])
         ok = sup <= 0.05 and mass_dev <= 0.05

@@ -360,6 +360,14 @@ class TestWeakLimitCdf:
         with pytest.raises(DomainError):
             model.cdf(np.array([0.1, np.nan]))
 
+    def test_continuous_mass_nan_rejected(self, skewed_init):
+        # asin(NaN) used to drop every panel and return 0.0
+        model = WeakLimitModel(skewed_init, 3)
+        with pytest.raises(DomainError):
+            model.continuous_mass(hi=float("nan"))
+        with pytest.raises(DomainError):
+            model.continuous_mass(hi=np.float64("nan"))
+
 
 class TestTotalLocalization:
     def test_symmetric_tau1(self, symmetric_init):

@@ -26,7 +26,8 @@ EXPORTS = [
     "weak_limit_density", "total_localization", "limit_moment", "spread_coefficient",
     # harness
     "Verdict", "ExperimentReport", "localization_series", "distribution_snapshot",
-    "variance_series", "fit_power_law", "empirical_vs_weak_limit", "verification_suite",
+    "density_table", "variance_series", "fit_power_law", "empirical_vs_weak_limit",
+    "verification_suite",
     # errors
     "LqwError", "NormalizationError", "DegenerateMomentumError", "GridTooSmallError",
     "DomainError", "UnsupportedInitialStateError", "QuadratureError",
@@ -36,8 +37,9 @@ EXPORTS = [
 SIGNATURES = {
     "localization_series": ("init", "tau", "t_max"),
     "distribution_snapshot": ("init", "tau", "t_max"),
+    "density_table": ("init", "tau", "grid"),
     "variance_series": ("init", "tau", "t_max"),
-    "empirical_vs_weak_limit": ("init", "tau", "t_max", "epsilon"),
+    "empirical_vs_weak_limit": ("init", "tau", "t_max"),
     "verification_suite": ("init", "tau", "t_max"),
     "limit_moment": ("init", "tau", "r"),
     "WeakLimitModel.continuous_mass": ("self", "hi"),
@@ -65,8 +67,8 @@ def test_walker_state_members():
 
 
 def test_cli_config_fields():
-    # every default lives in the parser, so the config has none of its own
+    # every default lives in the parser, so the config has none of its own;
+    # size is --steps, or --grid for density
     fields = dataclasses.fields(lqw.cli.CliConfig)
-    assert [f.name for f in fields] == [
-        "subcommand", "tau", "init", "steps", "out", "fmt", "grid"]
+    assert [f.name for f in fields] == ["subcommand", "tau", "init", "size", "out", "fmt"]
     assert all(f.default is dataclasses.MISSING for f in fields)

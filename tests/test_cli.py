@@ -235,6 +235,32 @@ class TestUsageErrors:
         assert "unrecognized arguments: --quad-nodes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # the library's own wording, from core._check_tau
+    @pytest.mark.parametrize("tau,wording", [
+        ("0", "tau must be >= 1 (got 0); closed forms divide by tau"),
+        (str(10**400), "tau is too large for a float (1329 bits)"),
+    ], ids=["zero", "beyond_float"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "localize", "density", "variance",
+                                            "verify"])
+    def test_bad_tau_rejected_before_any_experiment(self, subcommand, tau, wording, tmp_path,
+                                                    capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the experiment started")
+
+        for name in ("distribution_snapshot", "localization_series", "density_table",
+                     "variance_series", "verification_suite"):
+            monkeypatch.setattr(lqw.harness, name, never)
+        status = run_cli(subcommand, "--tau", tau, "--out", str(tmp_path))
+        assert status == 2
+        assert capsys.readouterr().err == f"error: --tau: {wording}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_rejects_an_unknown_subcommand(self, tmp_path):
+        config = lqw.cli.CliConfig("spread", 2, lqw.StandardInit(1, 0), 20, tmp_path, "both")
+        with pytest.raises(lqw.cli.UsageError, match="unknown subcommand 'spread'"):
+            lqw.cli.run(config)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_2(self, tmp_path):
         assert run_cli("simulate", "--tau", "1", "--bogus", "1") == 2
 
@@ -336,6 +362,27 @@ class TestDensity:
         payload = json.loads((tmp_path / "density.json").read_text())
         assert [v["name"] for v in payload["verdicts"]] == ["weak_limit_closure"]
         assert payload["verdicts"][0]["measured"] <= 1e-9
+
+
+class TestHarnessParity:
+    # the CLI only serializes: its metrics and verdicts are the experiment's own
+    @pytest.mark.parametrize("argv,experiment,size", [
+        (("density", "--tau", "5", "--grid", "101"), "density_table", 101),
+        (("variance", "--tau", "3", "--steps", "300"), "variance_series", 300),
+    ], ids=["density", "variance"])
+    @pytest.mark.parametrize("alpha,beta", [("1/sqrt(2)", "i/sqrt(2)"), ("0.6", "0.8i")],
+                             ids=["symmetric", "real_alpha"])
+    def test_json_matches_the_harness_report(self, argv, experiment, size, alpha, beta,
+                                            tmp_path):
+        assert run_cli(*argv, "--alpha", alpha, "--beta", beta, "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        init = lqw.StandardInit(parse_complex(alpha), parse_complex(beta))
+        report = getattr(lqw.harness, experiment)(init, int(argv[2]), size)
+        assert payload["metrics"] == {k: float(v) for k, v in report.metrics.items()}
+        assert payload["verdicts"] == [
+            {"name": v.name, "measured": v.measured, "tolerance": v.tolerance,
+             "passed": v.passed} for v in report.verdicts]
+        assert payload["verdicts"]
 
 
 class TestVariance:

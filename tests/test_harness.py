@@ -9,9 +9,12 @@ import lqw.harness
 import lqw.spectral
 from lqw import (
     DegenerateSeriesError,
+    GeneralInit,
     StandardInit,
+    UnsupportedInitialStateError,
     WalkerState,
     WalkParams,
+    density_table,
     distribution_snapshot,
     empirical_vs_weak_limit,
     evolve,
@@ -107,6 +110,54 @@ class TestVarianceSeries:
         t, var = report.rows[-1]
         c = spread_coefficient(symmetric_init, 1)
         assert var / t**2 == pytest.approx(c, abs=5e-3)
+
+    def test_standard_init_carries_the_fit_verdicts(self, skewed_init):
+        report = variance_series(skewed_init, 3, 400)
+        c_fit, alpha_fit = fit_power_law(report.rows)
+        c_theory = spread_coefficient(skewed_init, 3)
+        assert report.metrics == {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
+        assert [(v.name, v.tolerance) for v in report.verdicts] == [
+            ("spread_exponent_offset", 0.05), ("spread_coefficient_relative_error", 0.10)]
+        assert report.verdicts[0].measured == abs(alpha_fit - 2.0)
+        assert report.verdicts[1].measured == abs(c_fit - c_theory) / c_theory
+        assert report.passed
+
+    def test_general_init_gets_the_bare_series(self):
+        # the loop-difference sector stays at the origin: no power law to fit
+        init = GeneralInit((0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)))
+        report = variance_series(init, 2, 30)
+        assert [v for _, v in report.rows] == [0.0] * 31
+        assert report.metrics == {} and report.verdicts == []
+        assert report.passed
+
+
+class TestDensityTable:
+    def test_cell_midpoints_and_closure(self, skewed_init):
+        report = density_table(skewed_init, 5, 4)
+        omega = np.sqrt(5 / 7)
+        assert report.experiment == "weak_limit_density"
+        assert list(report.config) == ["tau", "alpha", "beta", "grid"]
+        assert [x for x, _ in report.rows] == pytest.approx(
+            [-0.75 * omega, -0.25 * omega, 0.25 * omega, 0.75 * omega], abs=1e-15)
+        assert [f for _, f in report.rows] == pytest.approx(
+            [lqw.weak_limit_density(skewed_init, 5, x) for x, _ in report.rows], rel=1e-14)
+        assert list(report.metrics) == ["p_hat", "omega", "continuous_mass",
+                                        "spread_coefficient"]
+        assert [(v.name, v.tolerance) for v in report.verdicts] == [("weak_limit_closure", 1e-6)]
+        assert report.passed
+
+    def test_grid_below_one_rejected(self, symmetric_init):
+        with pytest.raises(ValueError):
+            density_table(symmetric_init, 2, 0)
+
+    def test_general_init_rejected(self):
+        with pytest.raises(UnsupportedInitialStateError):
+            density_table(GeneralInit((0.6, 0.8, 0, 0)), 2, 11)
+
+    def test_closure_judged_as_in_the_verification_suite(self, skewed_init):
+        table = {v.name: v for v in density_table(skewed_init, 4, 11).verdicts}
+        suite = {v.name: v for v in verification_suite(skewed_init, 4, 20).verdicts}
+        assert table["weak_limit_closure"] == suite["weak_limit_closure"]
 
 
 class TestFitPowerLaw:
@@ -236,9 +287,7 @@ class TestEmpiricalVsWeakLimit:
         assert not verdict.passed and verdict.measured > 1e-11
         assert not report.passed
 
-    def test_epsilon_domain_checked(self, symmetric_init):
-        with pytest.raises(ValueError):
-            empirical_vs_weak_limit(symmetric_init, 1, 200, epsilon=0.9)
+    def test_too_few_steps_rejected(self, symmetric_init):
         with pytest.raises(ValueError):
             empirical_vs_weak_limit(symmetric_init, 1, 50)
 
@@ -298,6 +347,18 @@ class TestVerificationSuite:
         report = verification_suite(symmetric_init, 2, 128)
         assert "f3_vs_projector_integral" in [v.name for v in report.verdicts]
         assert len(calls) <= 5
+
+    def test_builds_one_weak_limit_model(self, symmetric_init, monkeypatch):
+        built = []
+
+        class Counted(lqw.analytics.WeakLimitModel):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(lqw.analytics, "WeakLimitModel", Counted)
+        assert verification_suite(symmetric_init, 2, 20).passed
+        assert len(built) == 1
 
     def test_short_run_skips_localization_window(self, symmetric_init):
         report = verification_suite(symmetric_init, 1, 32)
