@@ -22,10 +22,12 @@ by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
 * the loop differences ``d`` never move: they live at the origin only (zero
   for ``StandardInit``) and change sign every step.
 
-A step therefore costs O(t) at any ``tau``.  A ``WalkerState`` holds exactly
-this data, ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at
-the origin), and builds the full ``(2t+1, delta)`` amplitudes only when they
-are read.
+The coin is real, so each step is one real product on the float64 view of
+the complex window, and a step costs O(t) at any ``tau``.  A ``WalkerState``
+holds exactly this data, ``moving`` (left, right, u over the sites) and
+``loop_diff`` (d at the origin).  Its norm check is two dot products, which
+leaves one O(tau) term per state: the squared norm of d.  The probability
+vector and the full ``(2t+1, delta)`` amplitudes are built only when read.
 
 All operations are pure; states hold read-only views.
 """
@@ -133,9 +135,9 @@ class GeneralInit:
 InitialCondition = StandardInit | GeneralInit
 
 
-def _check_norm(probs: np.ndarray) -> None:
-    """Raise NormalizationError unless ``probs`` sums to 1 within ``_NORM_TOL``."""
-    total = float(np.sum(probs))
+def _check_norm(total: float) -> None:
+    """Raise NormalizationError unless the squared norm ``total`` is 1 within ``_NORM_TOL``."""
+    total = float(total)
     if not abs(total - 1.0) <= _NORM_TOL:  # also rejects NaN
         raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
 
@@ -149,9 +151,12 @@ class WalkerState:
     (shape ``(tau,)``) holds the loop differences d at the origin, orthogonal
     to the uniform loop mode.  Both are stored as read-only views.
 
-    ``amplitudes``, the full ``(2t+1, delta)`` array with row ``n + t`` the
-    coin state at position n, is built on first read; the norm check,
-    ``probabilities()`` and ``amplitude(n)`` never need it.
+    The norm is checked on construction from the squared norms of ``moving``
+    and ``loop_diff``.  ``probabilities()`` builds its vector on first call
+    and returns the same read-only array after that.  ``amplitudes``, the
+    full ``(2t+1, delta)`` array with row ``n + t`` the coin state at
+    position n, is built on first read; ``probabilities()`` and
+    ``amplitude(n)`` never need it.
     """
 
     t: int
@@ -172,14 +177,17 @@ class WalkerState:
         # read-only views: the arrays a caller passed in stay writable
         moving.setflags(write=False)
         loop_diff.setflags(write=False)
-        probs = np.sum(np.abs(moving) ** 2, axis=0)
-        # d is orthogonal to the uniform loop mode, so its weight just adds
-        probs[self.t] += np.sum(np.abs(loop_diff) ** 2)
-        _check_norm(probs)
-        probs.setflags(write=False)
+        _check_norm(np.vdot(moving, moving).real + np.vdot(loop_diff, loop_diff).real)
         object.__setattr__(self, "moving", moving)
         object.__setattr__(self, "loop_diff", loop_diff)
-        object.__setattr__(self, "_probs", probs)
+
+    @cached_property
+    def _probs(self) -> np.ndarray:
+        probs = np.sum(np.abs(self.moving) ** 2, axis=0)
+        # d is orthogonal to the uniform loop mode, so its weight just adds
+        probs[self.t] += np.sum(np.abs(self.loop_diff) ** 2)
+        probs.setflags(write=False)
+        return probs
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -268,7 +276,11 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
     window = start[:, None]
     yield 0, window, signed_diff[0]
     for t in range(1, t_max + 1):
-        coined = g @ window
+        # g is real: one real product on the float64 view coins the real and
+        # imaginary parts with the complex product's bits.  The one-column
+        # first step stays a complex matrix-vector product, whose rounding
+        # the dense reference walk shares.
+        coined = g @ window if t == 1 else (g @ window.view(np.float64)).view(np.complex128)
         window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
         window[0, :-2] = coined[0]
         window[1, 2:] = coined[1]

@@ -102,11 +102,18 @@ def _localization_reference(init: InitialCondition, tau: int) -> float:
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[list[float], WalkerState]:
-    """One run of the kernel: P(X_t = 0) for t = 1..t_max and the final state."""
+    """One run of the kernel: P(X_t = 0) for t = 1..t_max and the final state.
+
+    P(X_t = 0) is the origin column of ``moving`` plus |d|^2, the arithmetic
+    of ``WalkerState.probabilities()`` without its vector.
+    """
+    states = iter_evolution(init, params, t_max)
+    state = next(states)
+    # d only flips sign, so |d|^2 is the same at every step
+    loop_weight = np.sum(np.abs(state.loop_diff) ** 2)
     origin = []
-    for state in iter_evolution(init, params, t_max):
-        if state.t:
-            origin.append(float(state.probabilities()[state.t]))
+    for state in states:
+        origin.append(float(np.sum(np.abs(state.moving[:, state.t]) ** 2) + loop_weight))
     return origin, state
 
 
@@ -230,12 +237,15 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     """
     if t_max < 10:
         raise ValueError("t_max must be >= 10")
+    # the weights n and n^2 at every step are slices of these
+    ns = np.arange(-t_max, t_max + 1, dtype=float)
+    ns2 = ns * ns
     rows = []
     for state in iter_evolution(init, WalkParams(tau), t_max):
+        sites = slice(t_max - state.t, t_max + state.t + 1)
         probs = state.probabilities()
-        ns = state.positions
-        mean = float(np.dot(ns, probs))
-        second = float(np.dot(ns * ns, probs))
+        mean = float(np.dot(ns[sites], probs))
+        second = float(np.dot(ns2[sites], probs))
         rows.append((state.t, second - mean * mean))
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):

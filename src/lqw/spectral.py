@@ -296,7 +296,7 @@ def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.
     transform is exact up to roundoff.
     """
     amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1), _default_grid_size(t))
-    _check_norm(np.abs(amps) ** 2)
+    _check_norm(np.vdot(amps, amps).real)
     amps.setflags(write=False)
     return amps
 

@@ -18,6 +18,8 @@ from lqw import (
     iter_evolution,
 )
 
+from lqw.core import _moving_coin, _reduced_start
+
 from conftest import random_general, random_standard
 
 
@@ -39,6 +41,21 @@ def dense_states(init, params: WalkParams, t_max: int):
     for t in range(1, t_max + 1):
         amps = apply_step(amps, params)
         yield t, amps
+
+
+def complex_coin_walk(init, params: WalkParams, t_max: int):
+    """Yield (moving, loop_diff) for t = 0 .. t_max, coining with the complex product."""
+    start, diff = _reduced_start(init, params)
+    g = _moving_coin(params).astype(np.complex128)
+    window = start[:, None]
+    yield window, diff
+    for t in range(1, t_max + 1):
+        coined = g @ window
+        window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
+        window[0, :-2] = coined[0]
+        window[1, 2:] = coined[1]
+        window[2, 1:-1] = coined[2]
+        yield window, -diff if t % 2 else diff
 
 
 class TestWalkParams:
@@ -380,6 +397,50 @@ class TestWalkerState:
         with pytest.raises(ValueError, match="loop_diff"):
             WalkerState(0, moving, np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_rejects_non_finite_loop_diff(self, bad):
+        moving = np.zeros((3, 3), dtype=complex)
+        moving[0, 1] = 1.0  # norm 1 without the loop differences
+        loop_diff = np.zeros(2, dtype=complex)
+        loop_diff[1] = bad
+        with pytest.raises(NormalizationError):
+            WalkerState(1, moving, loop_diff)
+
+    @pytest.mark.parametrize("part", ["moving", "loop_diff"])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_rejects_norm_off_by_1e_9(self, part, offset):
+        params = WalkParams(3)
+        state = evolve(random_general(np.random.default_rng(11), params), params, 7)
+        arrays = {"moving": np.array(state.moving), "loop_diff": np.array(state.loop_diff)}
+        weight = np.vdot(arrays[part], arrays[part]).real
+        arrays[part] *= np.sqrt(1.0 + offset / weight)
+        with pytest.raises(NormalizationError):
+            WalkerState(7, arrays["moving"], arrays["loop_diff"])
+
+    def test_probabilities_built_once_and_read_only(self):
+        params = WalkParams(4)
+        state = evolve(random_general(np.random.default_rng(5), params), params, 9)
+        probs = state.probabilities()
+        assert probs is state.probabilities()
+        assert probs.shape == (19,)
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+
+    def test_construction_does_not_build_the_probabilities(self):
+        t = 200_000
+        moving = np.zeros((3, 2 * t + 1), dtype=complex)
+        moving[0, t - 3] = 0.6
+        moving[2, t + 5] = 0.8j
+        loop_diff = np.zeros(3, dtype=complex)
+        tracemalloc.start()
+        try:
+            state = WalkerState(t, moving, loop_diff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.probabilities().nbytes
+
 
 class TestReducedKernel:
     """The 3-component kernel against the dense delta-component reference."""
@@ -407,6 +468,17 @@ class TestReducedKernel:
                 assert np.max(np.abs(state.probabilities() - dense_probs)) < 1e-12
             for n in (-t, -1, 0, 1, t):
                 assert np.array_equal(state.amplitude(n), state.amplitudes[n + t])
+
+    @pytest.mark.parametrize("tau", [2, 10, 100])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_real_coin_product_matches_complex_product(self, tau, kind):
+        params = WalkParams(tau)
+        rng = np.random.default_rng(300 + tau)
+        init = random_standard(rng) if kind == "standard" else random_general(rng, params)
+        pairs = zip(iter_evolution(init, params, 64), complex_coin_walk(init, params, 64))
+        for state, (moving, loop_diff) in pairs:
+            assert np.array_equal(state.moving, moving)
+            assert np.array_equal(state.loop_diff, loop_diff)
 
     def test_loop_difference_start_stays_put(self):
         # no weight on the uniform loop mode: nothing moves, the loops flip sign

@@ -26,6 +26,8 @@ from lqw import (
     verification_suite,
 )
 
+from conftest import random_general
+
 
 def direct_vs_fourier(init, tau, t):
     """Max per-amplitude deviation between the kernel and the Fourier oracle."""
@@ -129,6 +131,46 @@ class TestVarianceSeries:
         assert [v for _, v in report.rows] == [0.0] * 31
         assert report.metrics == {} and report.verdicts == []
         assert report.passed
+
+
+class TestPerStepSeriesAreExact:
+    """The per-step series equal what each evolved state gives, bit for bit."""
+
+    T_MAX = 64
+
+    @staticmethod
+    def _walk(tau, kind):
+        params = WalkParams(tau)
+        if kind == "standard":
+            return params, StandardInit(0.6, 0.8j)
+        init = random_general(np.random.default_rng(40 + tau), params)
+        if tau >= 2:
+            assert np.max(np.abs(evolve(init, params, 0).loop_diff)) > 1e-3
+        return params, init
+
+    @pytest.mark.parametrize("tau", [1, 2, 10])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_origin_column_equals_evolved_probabilities(self, tau, kind):
+        params, init = self._walk(tau, kind)
+        report = localization_series(init, tau, self.T_MAX)
+        origin = np.array([p for _, p, _ in report.rows])
+        expected = np.array([evolve(init, params, t).probabilities()[t]
+                             for t in range(1, self.T_MAX + 1)])
+        assert np.array_equal(origin, expected)
+
+    @pytest.mark.parametrize("tau", [1, 2, 10])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_variance_rows_equal_moments_of_evolved_states(self, tau, kind):
+        params, init = self._walk(tau, kind)
+        report = variance_series(init, tau, self.T_MAX)
+        expected = []
+        for t in range(self.T_MAX + 1):
+            state = evolve(init, params, t)
+            probs, ns = state.probabilities(), state.positions
+            mean = float(np.dot(ns, probs))
+            second = float(np.dot(ns * ns, probs))
+            expected.append((t, second - mean * mean))
+        assert report.rows == expected
 
 
 class TestDensityTable:
