@@ -10,7 +10,10 @@ metrics and verdicts; the CLI parses, dispatches, writes and sets the exit statu
     verify     verification_suite     simulation-vs-analytics cross-check battery
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
-(restrictable with --format).  Exit status: 0 all verdicts passed, 1 a
+(restrictable with --format).  The CSV holds the report's table, formatted
+by column in blocks of ``_BLOCK_ROWS`` rows, so the writer holds one block of
+text and never the whole file.  Lines end in CRLF and a cell is quoted as
+``csv.QUOTE_MINIMAL`` quotes it.  Exit status: 0 all verdicts passed, 1 a
 tolerance was exceeded, 2 usage error (nothing is written; this includes
 an output that cannot be written).
 """
@@ -18,8 +21,6 @@ an output that cannot be written).
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import math
 import os
@@ -48,6 +49,11 @@ _SUBCOMMANDS = {
     "verify": ("verification_suite", "--steps", 200, "every simulation-vs-analytics check"),
 }
 _SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation points"}
+
+# Rows of the CSV formatted and written at a time; it bounds the writer's memory.
+_BLOCK_ROWS = 1024
+# A CSV cell holding one of these is quoted, as csv.QUOTE_MINIMAL does.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 _TOKEN = re.compile(
     r"""(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
@@ -202,15 +208,33 @@ def _json_value(value):
     return value
 
 
+def _quote(text: str) -> str:
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cell_text(value) -> str:
+    return _quote(str(_fmt_cell(value)))
+
+
+def _column_text(col):
+    """The CSV text of each cell of one column (a block of it)."""
+    # repr of a float is _fmt_cell's text; an array of any other kind, or a
+    # list, holds bools, text or numpy scalars and goes cell by cell
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return map(repr, col.tolist())
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return map(str, col.tolist())
+    return map(_cell_text, col)
+
+
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
-    writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(report.columns)
-    # the csv module writes str(cell), which is _fmt_cell's text for an exact
-    # float or int but not for a bool or a numpy scalar (np.float32(0.1))
-    if set(map(type, itertools.chain.from_iterable(report.rows))) <= {float, int}:
-        writer.writerows(report.rows)
-    else:
-        writer.writerows([_fmt_cell(v) for v in row] for row in report.rows)
+    fh.write(",".join(map(_quote, report.columns)) + "\r\n")
+    length = len(report.table[0]) if report.table else 0
+    for start in range(0, length, _BLOCK_ROWS):
+        block = [_column_text(col[start:start + _BLOCK_ROWS]) for col in report.table]
+        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _write_json(fh, report: harness.ExperimentReport) -> None:

@@ -4,8 +4,11 @@ Each experiment (distribution_snapshot, localization_series, density_table,
 variance_series, empirical_vs_weak_limit, verification_suite) checks a
 simulation or a closed form against an independent route and returns an
 ExperimentReport: the raw table, scalar metrics and pass/fail verdicts, each
-with the tolerance it was judged against.  Every CLI subcommand runs one of
-them; serialization is left to the cli module.
+with the tolerance it was judged against.  The table is held by column, one
+float64 or int64 array per numeric column straight from numpy, so a long
+table costs 8 bytes per cell and no Python object per row.  Every CLI
+subcommand runs one of the experiments; serialization is left to the cli
+module.
 """
 
 from __future__ import annotations
@@ -67,14 +70,31 @@ class Verdict:
 
 @dataclass
 class ExperimentReport:
-    """Config echo + table payload + verdicts for one experiment."""
+    """Config echo + table payload + verdicts for one experiment.
+
+    ``table`` holds one 1-D sequence per entry of ``columns``, all of one
+    length: a float64 or int64 array for a numeric column, a list for a text
+    or bool one.  ``rows`` is the same table as one tuple per row.
+    """
 
     experiment: str
     config: dict
     columns: tuple[str, ...]
-    rows: list[tuple]
+    table: tuple
     metrics: dict = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
+
+    def __post_init__(self):
+        if len(self.table) != len(self.columns):
+            raise ValueError(f"{len(self.table)} table columns for {len(self.columns)} names")
+        if len({len(col) for col in self.table}) > 1:
+            raise ValueError("table columns differ in length")
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table as one tuple per row; array cells become Python ints and floats."""
+        return list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in self.table)))
 
     @property
     def passed(self) -> bool:
@@ -101,7 +121,7 @@ def _localization_reference(init: InitialCondition, tau: int) -> float:
 
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
-) -> tuple[list[float], WalkerState]:
+) -> tuple[np.ndarray, WalkerState]:
     """One run of the kernel: P(X_t = 0) for t = 1..t_max and the final state.
 
     P(X_t = 0) is the origin column of ``moving`` plus |d|^2, the arithmetic
@@ -111,13 +131,13 @@ def _walk(
     state = next(states)
     # d only flips sign, so |d|^2 is the same at every step
     loop_weight = np.sum(np.abs(state.loop_diff) ** 2)
-    origin = []
+    origin = np.empty(t_max)
     for state in states:
-        origin.append(float(np.sum(np.abs(state.moving[:, state.t]) ** 2) + loop_weight))
+        origin[state.t - 1] = np.sum(np.abs(state.moving[:, state.t]) ** 2) + loop_weight
     return origin, state
 
 
-def _window_mean(origin: list[float]) -> float:
+def _window_mean(origin: np.ndarray) -> float:
     """Mean of the origin series over its last ceil(t_max/10) steps."""
     return float(np.mean(origin[-math.ceil(len(origin) / 10):]))
 
@@ -145,7 +165,7 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
         experiment="localization_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "origin_probability", "reference"),
-        rows=[(t, p, reference) for t, p in enumerate(origin, start=1)],
+        table=(np.arange(1, t_max + 1), origin, np.full(t_max, reference)),
         metrics=metrics,
         verdicts=verdicts,
     )
@@ -186,7 +206,7 @@ def distribution_snapshot(init: InitialCondition, tau: int, t_max: int) -> Exper
         experiment="distribution_snapshot",
         config=_config_echo(init, tau, steps=t_max),
         columns=("n", "probability"),
-        rows=[(int(n), float(p)) for n, p in zip(positions, probs)],
+        table=(positions, probs),
         metrics={
             "right_peak": right_peak,
             "left_peak": left_peak,
@@ -221,7 +241,7 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
         experiment="weak_limit_density",
         config=_config_echo(init, tau, grid=grid),
         columns=("x", "density"),
-        rows=list(zip(map(float, xs), map(float, model.density(xs)))),
+        table=(xs, model.density(xs)),
         metrics={"p_hat": model.p_hat, "omega": omega, "continuous_mass": body,
                  "spread_coefficient": analytics.spread_coefficient(init, tau)},
         verdicts=[_closure_verdict(model.p_hat, body)],
@@ -240,16 +260,17 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     # the weights n and n^2 at every step are slices of these
     ns = np.arange(-t_max, t_max + 1, dtype=float)
     ns2 = ns * ns
-    rows = []
+    ts = np.arange(t_max + 1)
+    variances = np.empty(t_max + 1)
     for state in iter_evolution(init, WalkParams(tau), t_max):
         sites = slice(t_max - state.t, t_max + state.t + 1)
         probs = state.probabilities()
         mean = float(np.dot(ns[sites], probs))
         second = float(np.dot(ns2[sites], probs))
-        rows.append((state.t, second - mean * mean))
+        variances[state.t] = second - mean * mean
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):
-        c_fit, alpha_fit = fit_power_law(rows)
+        c_fit, alpha_fit = fit_power_law(zip(ts.tolist(), variances.tolist()))
         c_theory = analytics.spread_coefficient(init, tau)
         metrics = {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
         verdicts = [
@@ -261,7 +282,7 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
         experiment="variance_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "variance"),
-        rows=rows,
+        table=(ts, variances),
         metrics=metrics,
         verdicts=verdicts,
     )
@@ -333,7 +354,7 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
         experiment="empirical_vs_weak_limit",
         config=_config_echo(init, tau, steps=t_max, epsilon=_NEAR_ORIGIN),
         columns=("x", "empirical_cdf"),
-        rows=[(float(x), float(c)) for x, c in zip(xs, emp_cdf)],
+        table=(xs, emp_cdf),
         metrics={
             "sup_distance": sup_distance,
             "near_origin_mass": near_mass,
@@ -416,7 +437,8 @@ def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentRe
         experiment="verification_suite",
         config=_config_echo(init, tau, steps=t_max),
         columns=("check", "measured", "tolerance", "passed"),
-        rows=[(v.name, v.measured, v.tolerance, v.passed) for v in verdicts],
+        table=([v.name for v in verdicts], np.array([v.measured for v in verdicts]),
+               np.array([v.tolerance for v in verdicts]), [v.passed for v in verdicts]),
         verdicts=verdicts,
     )
 

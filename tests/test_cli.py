@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,11 +169,41 @@ class TestCsvSerialization:
     def test_numpy_scalars_and_bools_are_formatted_per_cell(self, odd, text):
         report = lqw.ExperimentReport(
             experiment="mixed", config={}, columns=("n", "x"),
-            rows=[(1, 0.25), (2, odd), (3, 1e-300)])
+            table=([1, 2, 3], [0.25, odd, 1e-300]))
         fh = io.StringIO(newline="")
         lqw.cli._write_csv(fh, report)
         assert fh.getvalue() == f"n,x\r\n1,0.25\r\n2,{text}\r\n3,1e-300\r\n"
         assert fh.getvalue().encode() == cell_by_cell_csv(report)
+
+    def test_text_cells_are_quoted_as_the_csv_module_quotes_them(self):
+        report = lqw.ExperimentReport(
+            experiment="quoted", config={}, columns=("check", "measured"),
+            table=(["a,b", 'say "hi"', "x\r\ny", "plain_name"], np.array([0.5, 1e-3, 2.0, 3.0])))
+        fh = io.StringIO(newline="")
+        lqw.cli._write_csv(fh, report)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        writer.writerow(report.columns)
+        writer.writerows(report.rows)
+        assert fh.getvalue() == expected.getvalue()
+
+    def test_writer_memory_does_not_grow_with_the_table(self):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        def peak(length):
+            xs = np.linspace(-1.0, 1.0, length)
+            report = lqw.ExperimentReport(experiment="large", config={}, columns=("x", "density"),
+                                          table=(xs, np.sqrt(xs + 1.0)))
+            tracemalloc.start()
+            try:
+                lqw.cli._write_csv(Discard(), report)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400_001) < 1.5 * peak(40_001)
 
 
 class TestUsageErrors:
@@ -309,6 +340,32 @@ class TestUsageErrors:
         assert status == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("cannot format the cell"), OSError(28, "No space left on device"),
+    ], ids=["MemoryError", "OSError"])
+    def test_failure_in_the_middle_of_the_csv_leaves_nothing_behind(self, exc, tmp_path,
+                                                                    capsys, monkeypatch):
+        out = tmp_path / "out"
+        on_disk = []
+
+        class FailingCell:
+            def __str__(self):
+                on_disk.append(sum(p.stat().st_size for p in out.iterdir()))
+                raise exc
+
+        length = lqw.cli._BLOCK_ROWS + 10
+        names = ["plain_name"] * length
+        names[lqw.cli._BLOCK_ROWS + 5] = FailingCell()
+        report = lqw.ExperimentReport(
+            experiment="localization_series", config={}, columns=("t", "check"),
+            table=(np.arange(length), names))
+        monkeypatch.setattr(lqw.harness, "localization_series", lambda *args: report)
+        status = run_cli("localize", "--tau", "2", "--out", str(out))
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert on_disk and on_disk[0] > 0  # the first block was in the temp file
+        assert list(out.iterdir()) == []
 
 
 class TestLocalize:

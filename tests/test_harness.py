@@ -36,6 +36,38 @@ def direct_vs_fourier(init, tau, t):
     return np.max(np.abs(direct.amplitudes - propagate_fourier(init, params, t)))
 
 
+class TestReportTable:
+    @pytest.mark.parametrize("experiment,tau,size,numeric", [
+        (distribution_snapshot, 3, 40, ("int64", "float64")),
+        (localization_series, 2, 30, ("int64", "float64", "float64")),
+        (density_table, 5, 9, ("float64", "float64")),
+        (variance_series, 2, 20, ("int64", "float64")),
+        (empirical_vs_weak_limit, 1, 100, ("float64", "float64")),
+    ], ids=lambda arg: getattr(arg, "__name__", None))
+    def test_numeric_columns_are_arrays(self, experiment, tau, size, numeric, symmetric_init):
+        report = experiment(symmetric_init, tau, size)
+        assert all(isinstance(col, np.ndarray) for col in report.table)
+        assert tuple(col.dtype.name for col in report.table) == numeric
+        assert len(report.rows) == len(report.table[0])
+        assert {type(cell) for row in report.rows for cell in row} <= {int, float}
+        assert report.rows == list(zip(*(col.tolist() for col in report.table)))
+
+    def test_verification_table_keeps_text_and_bools_in_lists(self, symmetric_init):
+        report = verification_suite(symmetric_init, 2, 20)
+        names, measured, tolerance, passed = report.table
+        assert isinstance(names, list) and isinstance(passed, list)
+        assert measured.dtype == tolerance.dtype == np.float64
+        assert [tuple(map(type, row)) for row in report.rows] == (
+            [(str, float, float, bool)] * len(report.verdicts))
+
+    @pytest.mark.parametrize("table", [([1, 2],), ([1, 2], [0.5])],
+                             ids=["missing_column", "short_column"])
+    def test_misshapen_table_rejected(self, table):
+        with pytest.raises(ValueError):
+            lqw.harness.ExperimentReport(
+                experiment="bad", config={}, columns=("t", "value"), table=table)
+
+
 class TestLocalizationSeries:
     def test_degenerate_window_no_verdict(self):
         report = localization_series(StandardInit(1, 0), 1, 1)
