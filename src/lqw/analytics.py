@@ -242,20 +242,26 @@ def spread_coefficient(init: InitialCondition, tau: int) -> float:
     """Ballistic spread coefficient c with sigma^2 ~ c t^2.
 
     Closed form in tau, Re(conj(alpha) beta) and |beta|^2 - |alpha|^2; agrees
-    with the second central moment of the weak limit.
+    with the second central moment of the weak limit.  DomainError where it overflows.
     """
     tau = _check_tau(tau)
     _require_standard(init)
     root = math.sqrt(2.0 * tau + 4.0)
     re_ab = _re_ab(init)
     imbalance = abs(init.beta) ** 2 - abs(init.alpha) ** 2
-    return (
-        1.0
-        - (5.0 * tau + 8.0) * root / (2.0 * tau + 4.0) ** 2
-        + (2.0 * (tau * tau + 12.0 * tau + 16.0) * root / (tau * (2.0 * tau + 4.0) ** 2)
-           - 4.0 / tau) * re_ab
-        - ((1.0 - root / (tau + 2.0)) * imbalance) ** 2
-    )
+    try:
+        c = (
+            1.0
+            - (5.0 * tau + 8.0) * root / (2.0 * tau + 4.0) ** 2
+            + (2.0 * (tau * tau + 12.0 * tau + 16.0) * root / (tau * (2.0 * tau + 4.0) ** 2)
+               - 4.0 / tau) * re_ab
+            - ((1.0 - root / (tau + 2.0)) * imbalance) ** 2
+        )
+    except OverflowError:  # (2 tau + 4) ** 2 from tau ~ 6.7e153; inf / inf from ~1e124
+        c = math.nan
+    if not math.isfinite(c):
+        raise DomainError(f"the spread coefficient overflows at tau = {float(tau):.3g}")
+    return c
 
 
 def _f3_block(tau: int) -> np.ndarray:

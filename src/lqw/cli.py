@@ -13,9 +13,9 @@ Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  The CSV holds the report's table, formatted
 by column in blocks of ``_BLOCK_ROWS`` rows, so the writer holds one block of
 text and never the whole file.  Lines end in CRLF and a cell is quoted as
-``csv.QUOTE_MINIMAL`` quotes it.  Exit status: 0 all verdicts passed, 1 a
-tolerance was exceeded, 2 usage error (nothing is written; this includes
-an output that cannot be written).
+``csv.QUOTE_MINIMAL`` quotes it, a row's only cell too when it is empty.
+Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
+error (nothing is written; this includes an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -214,10 +214,6 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cell_text(value) -> str:
-    return _quote(str(_fmt_cell(value)))
-
-
 def _column_text(col):
     """The CSV text of each cell of one column (a block of it)."""
     # repr of a float is _fmt_cell's text; an array of any other kind, or a
@@ -226,15 +222,21 @@ def _column_text(col):
         return map(repr, col.tolist())
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return map(str, col.tolist())
-    return map(_cell_text, col)
+    return (_quote(str(_fmt_cell(value))) for value in col)
+
+
+def _csv_lines(block) -> str:
+    """CRLF-ended lines from each column's cell text; a lone empty cell is quoted, as in csv."""
+    lines = map(",".join, zip(*block))
+    return "\r\n".join(lines if len(block) != 1 else (s or '""' for s in lines)) + "\r\n"
 
 
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
-    fh.write(",".join(map(_quote, report.columns)) + "\r\n")
+    fh.write(_csv_lines([[_quote(name)] for name in report.columns]))
     length = len(report.table[0]) if report.table else 0
     for start in range(0, length, _BLOCK_ROWS):
-        block = [_column_text(col[start:start + _BLOCK_ROWS]) for col in report.table]
-        fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+        fh.write(_csv_lines([_column_text(col[start:start + _BLOCK_ROWS])
+                             for col in report.table]))
 
 
 def _write_json(fh, report: harness.ExperimentReport) -> None:

@@ -27,7 +27,8 @@ the complex window, and a step costs O(t) at any ``tau``.  A ``WalkerState``
 holds exactly this data, ``moving`` (left, right, u over the sites) and
 ``loop_diff`` (d at the origin).  Its norm check is two dot products, which
 leaves one O(tau) term per state: the squared norm of d.  The probability
-vector and the full ``(2t+1, delta)`` amplitudes are built only when read.
+vector and the full ``(2t+1, delta)`` amplitudes, the one way to read a
+site's coin state, are built only when read.
 
 All operations are pure; states hold read-only views.
 """
@@ -97,8 +98,8 @@ class StandardInit:
     beta: complex
 
     def __post_init__(self):
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN
+        n = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
+        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN, and inf where a product overflows
             raise NormalizationError(
                 f"|alpha|^2 + |beta|^2 = {n!r}, expected 1 within 1e-12"
             )
@@ -119,8 +120,8 @@ class GeneralInit:
     def __post_init__(self):
         amps = tuple(complex(a) for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        n = sum(abs(a) ** 2 for a in amps)
-        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN
+        n = sum(abs(a) * abs(a) for a in amps)
+        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN, and inf where a product overflows
             raise NormalizationError(f"coin vector norm^2 = {n!r}, expected 1 within 1e-12")
 
     def coin_vector(self, params: WalkParams) -> np.ndarray:
@@ -155,8 +156,7 @@ class WalkerState:
     and ``loop_diff``.  ``probabilities()`` builds its vector on first call
     and returns the same read-only array after that.  ``amplitudes``, the
     full ``(2t+1, delta)`` array with row ``n + t`` the coin state at
-    position n, is built on first read; ``probabilities()`` and
-    ``amplitude(n)`` never need it.
+    position n, |n| <= t, is built on first read; ``probabilities()`` never needs it.
     """
 
     t: int
@@ -192,31 +192,18 @@ class WalkerState:
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """The full ``(2t+1, delta)`` amplitudes, read-only."""
-        amps = self._expand(0, 2 * self.t + 1)
+        tau = self.loop_diff.shape[0]
+        amps = np.empty((2 * self.t + 1, tau + 2), dtype=np.complex128)
+        amps[:, :2] = self.moving[:2].T
+        amps[:, 2:] = (self.moving[2] / math.sqrt(tau))[:, None]
+        amps[self.t, 2:] += self.loop_diff
         amps.setflags(write=False)
         return amps
-
-    def _expand(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo .. hi-1 of the full amplitudes, built from the reduced data."""
-        tau = self.loop_diff.shape[0]
-        moving = self.moving[:, lo:hi]
-        rows = np.empty((hi - lo, tau + 2), dtype=np.complex128)
-        rows[:, :2] = moving[:2].T
-        rows[:, 2:] = (moving[2] / math.sqrt(tau))[:, None]
-        if lo <= self.t < hi:
-            rows[self.t - lo, 2:] += self.loop_diff
-        return rows
 
     @property
     def positions(self) -> np.ndarray:
         """Positions n = -t .. t matching the amplitude rows."""
         return np.arange(-self.t, self.t + 1)
-
-    def amplitude(self, n: int) -> np.ndarray:
-        """Coin state at position n (zero vector outside the light cone)."""
-        if abs(n) > self.t:
-            return np.zeros(self.loop_diff.shape[0] + 2, dtype=np.complex128)
-        return self._expand(n + self.t, n + self.t + 1)[0]
 
     def probabilities(self) -> np.ndarray:
         """P(X_t = n) for n = -t .. t as a read-only array aligned with ``positions``."""
@@ -255,7 +242,7 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
     coin = init.coin_vector(params)
     root_tau = math.sqrt(params.tau)
     u = coin[2:].sum() / root_tau
-    # the same u / sqrt(tau) that WalkerState._expand adds back
+    # the same u / sqrt(tau) that WalkerState.amplitudes adds back
     return np.array([coin[0], coin[1], u]), coin[2:] - u / root_tau
 
 

@@ -251,9 +251,9 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
 def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """sigma^2(t) for t = 0..t_max, computed exactly from the distribution.
 
-    For a StandardInit the tail fit (``fit_power_law``) is judged against
-    sigma^2 ~ c t^2, c the closed-form spread coefficient.  A GeneralInit gets
-    the bare series: no closed form covers it (its variance can be 0 at every t).
+    For a StandardInit, ``fit_power_law`` of the two table columns is judged
+    against sigma^2 ~ c t^2, c the closed-form spread coefficient.  A GeneralInit
+    gets the bare series: no closed form covers it (its variance can be 0 at every t).
     """
     if t_max < 10:
         raise ValueError("t_max must be >= 10")
@@ -270,7 +270,7 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
         variances[state.t] = second - mean * mean
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):
-        c_fit, alpha_fit = fit_power_law(zip(ts.tolist(), variances.tolist()))
+        c_fit, alpha_fit = fit_power_law(ts, variances)
         c_theory = analytics.spread_coefficient(init, tau)
         metrics = {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
         verdicts = [
@@ -288,16 +288,17 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     )
 
 
-def fit_power_law(series) -> tuple[float, float]:
-    """(c_fit, alpha_fit) of a c * t^alpha law, fit on the series tail.
+def fit_power_law(t, values) -> tuple[float, float]:
+    """(c_fit, alpha_fit) of a c * t^alpha law, fit on the tail of 1-D arrays t and values.
 
     Least squares of log(value) on log(t) over t in [t_max/2, t_max];
     earlier entries are transient and excluded.
     """
-    arr = np.asarray([(t, v) for t, v in series], dtype=float)
-    if arr.shape[0] < 10:
+    t, v = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != v.shape:
+        raise ValueError(f"t and values must be 1-D of one length; got {t.shape} and {v.shape}")
+    if t.size < 10:
         raise ValueError("series must have at least 10 entries")
-    t, v = arr[:, 0], arr[:, 1]
     mask = (t >= t.max() / 2) & (t > 0)
     t, v = t[mask], v[mask]
     if np.all(v == v[0]):

@@ -211,7 +211,7 @@ class TestLocalizationProbability:
 
         init = GeneralInit((0, 0, 1, 0))
         sim = evolve(init, WalkParams(2), 1200)
-        p_even = float(np.sum(np.abs(sim.amplitude(0)) ** 2))
+        p_even = float(np.sum(np.abs(sim.amplitudes[sim.t]) ** 2))
         assert abs(p_even - localization_probability_origin(init, 2, "even")) < 2e-2
 
     def test_large_tau_allocates_no_dense_matrix(self, symmetric_init):
@@ -452,6 +452,14 @@ class TestSpreadCoefficient:
     def test_general_init_rejected(self):
         with pytest.raises(UnsupportedInitialStateError):
             spread_coefficient(GeneralInit((0, 0, 1)), 1)
+
+    def test_overflowing_tau_raises_domain_error(self, symmetric_init):
+        # (2 tau + 4) ** 2 overflows from tau ~ 6.7e153 on, and the Re(conj(alpha) beta)
+        # term is inf / inf from tau ~ 1e124 on; a tau of 1e120 still has a value
+        assert np.isfinite(spread_coefficient(symmetric_init, 10**120))
+        for tau in (10**130, 10**154, 2**1023):
+            with pytest.raises(DomainError, match="overflows"):
+                spread_coefficient(symmetric_init, tau)
 
 
 class TestSupportVelocityLink:

@@ -39,6 +39,7 @@ SIGNATURES = {
     "distribution_snapshot": ("init", "tau", "t_max"),
     "density_table": ("init", "tau", "grid"),
     "variance_series": ("init", "tau", "t_max"),
+    "fit_power_law": ("t", "values"),
     "empirical_vs_weak_limit": ("init", "tau", "t_max"),
     "verification_suite": ("init", "tau", "t_max"),
     "limit_moment": ("init", "tau", "r"),
@@ -63,7 +64,7 @@ def test_walker_state_members():
     state = lqw.evolve(lqw.StandardInit(1, 0), lqw.WalkParams(1), 2)
     public = {name for name in dir(state) if not name.startswith("_")}
     assert public == {
-        "t", "moving", "loop_diff", "amplitudes", "positions", "amplitude", "probabilities"}
+        "t", "moving", "loop_diff", "amplitudes", "positions", "probabilities"}
 
 
 def test_cli_config_fields():

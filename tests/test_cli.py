@@ -187,6 +187,19 @@ class TestCsvSerialization:
         writer.writerows(report.rows)
         assert fh.getvalue() == expected.getvalue()
 
+    def test_one_column_tables_match_the_csv_module(self):
+        # an unquoted empty cell alone on its row would read as an empty line
+        for cells in (["", "a", "a,b"], []):
+            report = lqw.ExperimentReport(experiment="names", config={}, columns=("name",),
+                                          table=(cells,))
+            fh = io.StringIO(newline="")
+            lqw.cli._write_csv(fh, report)
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected, lineterminator="\r\n")
+            writer.writerow(report.columns)
+            writer.writerows(report.rows)
+            assert fh.getvalue().encode() == expected.getvalue().encode()
+
     def test_writer_memory_does_not_grow_with_the_table(self):
         class Discard:
             def write(self, text):
@@ -246,6 +259,16 @@ class TestUsageErrors:
                          "--out", str(tmp_path))
         assert status == 2
         assert "expected 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # |1e200|^2 overflows in the norm check, and (2 tau + 4)^2 in the spread coefficient
+    @pytest.mark.parametrize("argv", [("--tau", "5", "--alpha", "1e200", "--beta", "0"),
+                                      ("--tau", str(10**154))], ids=["alpha-1e200", "tau-1e154"])
+    def test_overflowing_input_exits_2_writes_nothing(self, argv, tmp_path, capsys):
+        status = run_cli("density", *argv, "--out", str(tmp_path))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     # a single localize step emits no convergence verdict

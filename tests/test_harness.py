@@ -147,7 +147,7 @@ class TestVarianceSeries:
 
     def test_standard_init_carries_the_fit_verdicts(self, skewed_init):
         report = variance_series(skewed_init, 3, 400)
-        c_fit, alpha_fit = fit_power_law(report.rows)
+        c_fit, alpha_fit = fit_power_law(*report.table)
         c_theory = spread_coefficient(skewed_init, 3)
         assert report.metrics == {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
         assert [(v.name, v.tolerance) for v in report.verdicts] == [
@@ -236,29 +236,36 @@ class TestDensityTable:
 
 class TestFitPowerLaw:
     def test_recovers_exact_power_law(self):
-        series = [(t, 0.5 * t**2) for t in range(1, 101)]
-        c_fit, alpha_fit = fit_power_law(series)
+        t = np.arange(1, 101)
+        c_fit, alpha_fit = fit_power_law(t, 0.5 * t**2)
         assert c_fit == pytest.approx(0.5, abs=1e-10)
         assert alpha_fit == pytest.approx(2.0, abs=1e-10)
 
     def test_recovers_other_exponents(self):
-        series = [(t, 3.0 * t**1.5) for t in range(1, 51)]
-        c_fit, alpha_fit = fit_power_law(series)
+        t = np.arange(1, 51)
+        c_fit, alpha_fit = fit_power_law(t, 3.0 * t**1.5)
         assert c_fit == pytest.approx(3.0, abs=1e-9)
         assert alpha_fit == pytest.approx(1.5, abs=1e-10)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            fit_power_law([(t, float(t)) for t in range(1, 9)])
+            fit_power_law(np.arange(1, 9), np.arange(1.0, 9.0))
 
     def test_degenerate_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):
-            fit_power_law([(t, 1.0) for t in range(1, 30)])
+            fit_power_law(np.arange(1, 30), np.ones(29))
 
     def test_simulated_walk_is_ballistic(self, symmetric_init):
         report = variance_series(symmetric_init, 1, 400)
-        _, alpha_fit = fit_power_law(report.rows)
+        _, alpha_fit = fit_power_law(*report.table)
         assert 1.95 <= alpha_fit <= 2.05
+
+    def test_two_dimensional_or_unequal_input_rejected(self):
+        t = np.arange(1, 21)
+        with pytest.raises(ValueError, match="1-D"):
+            fit_power_law(np.stack([t, t]), np.stack([t, t]) ** 2.0)
+        with pytest.raises(ValueError, match="1-D"):
+            fit_power_law(t, t[:-1] ** 2.0)
 
 
 class TestEmpiricalVsWeakLimit:

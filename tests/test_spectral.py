@@ -332,7 +332,8 @@ class TestLightConeTail:
             ks, psi = solve(*args)
             return ks, psi * np.exp(-1j * ks)[:, None]
 
-        edge = np.max(np.abs(evolve(symmetric_init, WalkParams(3), 5).amplitude(5)))
+        state = evolve(symmetric_init, WalkParams(3), 5)
+        edge = np.max(np.abs(state.amplitudes[5 + state.t]))
         monkeypatch.setattr(lqw.spectral, "momentum_grid_solution", shifted)
         tail = lqw.spectral._light_cone_tail(symmetric_init, WalkParams(3), 5)
         assert tail == pytest.approx(edge, abs=1e-12)
