@@ -4,9 +4,10 @@ Everything the long-time limit of the walk is known to satisfy in closed
 form lives here: the three momentum integrals Theta_1..Theta_3 of the
 omega = 0 spectral projector, the F_3 matrix they assemble, the limiting
 origin coin state and localization probability, the travelling-peak
-velocities, the weak-limit density f(x) on (-Omega, Omega) with its
-delta-atom mass P_hat and its cumulative distribution, rescaled moments, and
-the ballistic spread coefficient.
+velocities, the weak-limit density f(x), the support edge Omega, atom P_hat
+and CDF of ``WeakLimitModel``, rescaled moments, and the spread coefficient.
+Omega and s = sqrt(1 - Omega^2) are written once, in ``_support``; the right
+peak velocity equals Omega by theorem, and is written apart to check it.
 
 The omega = 0 eigenvector puts the same amplitude on every loop, so F_3 is a
 3 x 3 block on (left, right, one loop), and the limiting origin state costs
@@ -17,11 +18,11 @@ Konno, J. Math. Soc. Japan 57, 1179 (2005)), evaluated over arrays.  Moment
 evaluators and ``WeakLimitModel.continuous_mass`` integrate f numerically,
 which keeps them an independent check on the closed-form spread coefficient
 and CDF rather than a restatement of them.  The substitution x = Omega sin(u)
-removes the edge singularity and leaves the denominator
-cos^2 u + s^2 sin^2 u, s = sqrt(2 / (tau + 2)): written so, it does not cancel,
-and a composite Gauss-Legendre rule graded toward u = +-pi/2 resolves its
-near-poles of width s.  The rule depends on tau only through how often its end
-panels halve, so the quadrature stays near machine precision up to tau 10^12.
+removes the edge singularity and leaves the denominator cos^2 u + s^2 sin^2 u:
+written so, it does not cancel, and a composite Gauss-Legendre rule graded
+toward u = +-pi/2 resolves its near-poles of width s.  The rule depends on tau
+only through how often its end panels halve, so it stays near machine precision
+up to tau 10^12; where Omega rounds to 1 it raises DomainError.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "localization_probability_origin",
     "peak_velocities",
     "weak_limit_density",
-    "total_localization",
     "limit_moment",
     "spread_coefficient",
 ]
@@ -147,14 +147,14 @@ class WeakLimitModel:
 
     @property
     def omega(self) -> float:
-        return peak_velocities(self.tau)[1]
+        """The density's support edge, written apart from ``peak_velocities`` for verify to check."""
+        return _support(self.tau)[0]
 
     @property
     def p_hat(self) -> float:
-        return total_localization(self.init, self.tau)
-
-    def density(self, x: float | np.ndarray) -> float | np.ndarray:
-        return weak_limit_density(self.init, self.tau, x)
+        """Delta-atom mass P_hat = Theta_2 + 2 Theta_3 Re(conj(alpha) beta)."""
+        th = theta_constants(self.tau)
+        return th.theta2 + 2.0 * th.theta3 * _re_ab(self.init)[0]
 
     def continuous_mass(self, hi: float | None = None) -> float:
         """Integral of f from -Omega up to hi (default: all of it).  NaN raises DomainError."""
@@ -192,7 +192,7 @@ def weak_limit_density(
     """
     tau = _check_tau(tau)
     _require_standard(init)
-    omega = math.sqrt(tau / (tau + 2.0))
+    omega = _support(tau)[0]
     x = _check_not_nan(x)
     if np.any(np.abs(x) >= omega):
         raise DomainError(
@@ -200,14 +200,6 @@ def weak_limit_density(
     f = _density_numerator(init, tau, x) / (
         math.pi * (1.0 - x * x) * np.sqrt(2.0 * tau - 2.0 * (tau + 2.0) * x * x))
     return float(f) if f.ndim == 0 else f
-
-
-def total_localization(init: InitialCondition, tau: int) -> float:
-    """Delta-atom mass P_hat = Theta_2 + 2 Theta_3 Re(conj(alpha) beta)."""
-    tau = _check_tau(tau)
-    _require_standard(init)
-    th = theta_constants(tau)
-    return th.theta2 + 2.0 * th.theta3 * _re_ab(init)
 
 
 def limit_moment(init: InitialCondition, tau: int, r: int) -> float:
@@ -225,9 +217,7 @@ def limit_moment(init: InitialCondition, tau: int, r: int) -> float:
     if r == 0:
         return 1.0
     edges = _density_edges(tau)
-    split = np.empty(2 * edges.size - 1)
-    split[0::2] = edges
-    split[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    split = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])))
     coarse = _density_integral(init, tau, r, edges)
     fine = _density_integral(init, tau, r, split)
     if abs(fine - coarse) > 1e-8:
@@ -247,8 +237,7 @@ def spread_coefficient(init: InitialCondition, tau: int) -> float:
     tau = _check_tau(tau)
     _require_standard(init)
     root = math.sqrt(2.0 * tau + 4.0)
-    re_ab = _re_ab(init)
-    imbalance = abs(init.beta) ** 2 - abs(init.alpha) ** 2
+    re_ab, imbalance = _re_ab(init)
     try:
         c = (
             1.0
@@ -289,8 +278,14 @@ def _require_standard(init: InitialCondition) -> None:
         raise TypeError(f"expected an initial condition, got {type(init).__name__}")
 
 
-def _re_ab(init: StandardInit) -> float:
-    return (np.conj(init.alpha) * init.beta).real
+def _re_ab(init: StandardInit) -> tuple[float, float]:
+    """Re(conj(alpha) beta) and |beta|^2 - |alpha|^2: all the weak limit reads of the state."""
+    return (np.conj(init.alpha) * init.beta).real, abs(init.beta) ** 2 - abs(init.alpha) ** 2
+
+
+def _support(tau: int) -> tuple[float, float]:
+    """(Omega, s): the density lives on (-Omega, Omega), and s = sqrt(1 - Omega^2)."""
+    return math.sqrt(tau / (tau + 2.0)), math.sqrt(2.0 / (tau + 2.0))
 
 
 def _check_not_nan(x: float | np.ndarray) -> np.ndarray:
@@ -302,8 +297,7 @@ def _check_not_nan(x: float | np.ndarray) -> np.ndarray:
 
 def _density_coefficients(init: StandardInit, tau: int) -> tuple[float, float, float]:
     """(a, b, c) of the numerator a + b x + c x^2 of f."""
-    re_ab = _re_ab(init)
-    imbalance = abs(init.beta) ** 2 - abs(init.alpha) ** 2
+    re_ab, imbalance = _re_ab(init)
     return 1.0 + 2.0 * re_ab, 2.0 * imbalance, 1.0 - 2.0 * re_ab * (tau + 4.0) / tau
 
 
@@ -322,8 +316,7 @@ def _density_antiderivative(init: StandardInit, tau: int, u: float | np.ndarray)
     all continuous on [-pi/2, pi/2]; this returns a I0 + b Omega I1 + c Omega^2 I2.
     """
     a, b, c = _density_coefficients(init, tau)
-    omega = math.sqrt(tau / (tau + 2.0))
-    s = math.sqrt(2.0 / (tau + 2.0))
+    omega, s = _support(tau)
     sin_u, cos_u = np.sin(u), np.cos(u)
     return ((a + c) * np.arctan2(s * sin_u, cos_u)
             - b * np.arctan(omega * cos_u / s)) / s - c * u
@@ -331,8 +324,10 @@ def _density_antiderivative(init: StandardInit, tau: int, u: float | np.ndarray)
 
 @functools.lru_cache(maxsize=16)
 def _graded_density_edges(tau: int) -> np.ndarray:
-    edges = graded_edges(-0.5 * math.pi, 0.5 * math.pi, _PANELS,
-                         math.sqrt(2.0 / (tau + 2.0)) / 32.0)
+    omega, s = _support(tau)
+    if omega == 1.0:  # 1 - Omega^2 is 0: no panel of width s fits next to +-pi/2
+        raise DomainError(f"no density quadrature at tau = {float(tau):.3g}: Omega rounds to 1")
+    edges = graded_edges(-0.5 * math.pi, 0.5 * math.pi, _PANELS, s / 32.0)
     edges.setflags(write=False)
     return edges
 
@@ -346,8 +341,7 @@ def _density_edges(tau: int, hi: float | None = None) -> np.ndarray:
     edges = _graded_density_edges(tau)
     if hi is None:
         return edges
-    omega = math.sqrt(tau / (tau + 2.0))
-    u_hi = math.asin(min(max(float(_check_not_nan(hi)) / omega, -1.0), 1.0))
+    u_hi = math.asin(min(max(float(_check_not_nan(hi)) / _support(tau)[0], -1.0), 1.0))
     return np.append(edges[edges < u_hi], u_hi)
 
 
@@ -362,7 +356,7 @@ def _density_integral(init: StandardInit, tau: int, r: int, edges: np.ndarray) -
         return 0.0
     u, w = legendre_rule(_PANEL_NODES, edges[:-1], edges[1:])
     sin_u, cos_u = np.sin(u), np.cos(u)
-    x = math.sqrt(tau / (tau + 2.0)) * sin_u
+    x = _support(tau)[0] * sin_u
     smooth = _density_numerator(init, tau, x) / (
         math.pi * (cos_u * cos_u + (2.0 / (tau + 2.0)) * sin_u * sin_u)
         * math.sqrt(2.0 * (tau + 2.0))

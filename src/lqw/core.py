@@ -98,11 +98,9 @@ class StandardInit:
     beta: complex
 
     def __post_init__(self):
-        n = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)
-        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN, and inf where a product overflows
-            raise NormalizationError(
-                f"|alpha|^2 + |beta|^2 = {n!r}, expected 1 within 1e-12"
-            )
+        alpha, beta = _unit_norm((self.alpha, self.beta), "|alpha|^2 + |beta|^2")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def coin_vector(self, params: WalkParams) -> np.ndarray:
         v = np.zeros(params.delta, dtype=np.complex128)
@@ -118,11 +116,7 @@ class GeneralInit:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        n = sum(abs(a) * abs(a) for a in amps)
-        if not abs(n - 1.0) <= 1e-12:  # also rejects NaN, and inf where a product overflows
-            raise NormalizationError(f"coin vector norm^2 = {n!r}, expected 1 within 1e-12")
+        object.__setattr__(self, "amplitudes", _unit_norm(self.amplitudes, "coin vector norm^2"))
 
     def coin_vector(self, params: WalkParams) -> np.ndarray:
         if len(self.amplitudes) != params.delta:
@@ -134,6 +128,18 @@ class GeneralInit:
 
 
 InitialCondition = StandardInit | GeneralInit
+
+
+def _unit_norm(amplitudes, what: str) -> tuple[complex, ...]:
+    """The amplitudes as complex; NormalizationError unless their norm^2 is 1 within 1e-12."""
+    try:
+        amps = tuple(complex(a) for a in amplitudes)
+        n = sum(abs(a) * abs(a) for a in amps)
+    except OverflowError:  # a Python int past the float range
+        n = math.inf
+    if not abs(n - 1.0) <= 1e-12:  # also rejects NaN, and inf where a product overflows
+        raise NormalizationError(f"{what} = {n!r}, expected 1 within 1e-12")
+    return amps
 
 
 def _check_norm(total: float) -> None:

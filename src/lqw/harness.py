@@ -228,8 +228,8 @@ def _closure_verdict(p_hat: float, body: float) -> Verdict:
 def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
     """The weak-limit density f at the midpoints of grid equal cells of (-Omega, Omega).
 
-    The midpoints stay clear of the edges, where f diverges.  The verdict
-    checks that the atom P_hat and the quadrature of f add up to 1.
+    f is ``analytics.weak_limit_density``; the midpoints stay clear of the edges, where it
+    diverges.  The verdict checks that the atom P_hat and the quadrature of f add up to 1.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -241,7 +241,7 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
         experiment="weak_limit_density",
         config=_config_echo(init, tau, grid=grid),
         columns=("x", "density"),
-        table=(xs, model.density(xs)),
+        table=(xs, analytics.weak_limit_density(init, tau, xs)),
         metrics={"p_hat": model.p_hat, "omega": omega, "continuous_mass": body,
                  "spread_coefficient": analytics.spread_coefficient(init, tau)},
         verdicts=[_closure_verdict(model.p_hat, body)],

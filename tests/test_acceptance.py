@@ -29,7 +29,6 @@ from lqw import (
     propagate_fourier,
     spread_coefficient,
     theta_constants,
-    total_localization,
     variance_series,
 )
 
@@ -133,9 +132,8 @@ class TestCriterion6WeakLimitClosure:
             for _ in range(5):
                 init = random_standard(rng)
                 start = time.perf_counter()
-                closure = total_localization(init, tau) + WeakLimitModel(
-                    init, tau
-                ).continuous_mass()
+                model = WeakLimitModel(init, tau)
+                closure = model.p_hat + model.continuous_mass()
                 slowest = max(slowest, time.perf_counter() - start)
                 worst = max(worst, abs(closure - 1.0))
         ok = worst < 1e-6 and slowest < 1.0

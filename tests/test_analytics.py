@@ -23,7 +23,6 @@ from lqw import (
     peak_velocities,
     spread_coefficient,
     theta_constants,
-    total_localization,
     weak_limit_density,
 )
 
@@ -371,11 +370,11 @@ class TestWeakLimitCdf:
 
 class TestTotalLocalization:
     def test_symmetric_tau1(self, symmetric_init):
-        assert total_localization(symmetric_init, 1) == pytest.approx(np.sqrt(6) / 6, abs=1e-14)
+        assert WeakLimitModel(symmetric_init, 1).p_hat == pytest.approx(np.sqrt(6) / 6, abs=1e-14)
 
     def test_alpha_only_reduces_to_theta2(self):
         for tau in (1, 3, 12):
-            assert total_localization(StandardInit(1, 0), tau) == pytest.approx(
+            assert WeakLimitModel(StandardInit(1, 0), tau).p_hat == pytest.approx(
                 theta_constants(tau).theta2, abs=1e-15
             )
 
@@ -383,6 +382,17 @@ class TestTotalLocalization:
     def test_closure_at_any_tau(self, tau, cdf_init):
         model = WeakLimitModel(cdf_init, tau)
         assert abs(model.p_hat + model.continuous_mass() - 1.0) <= 1e-6
+
+    def test_quadrature_refuses_tau_where_omega_rounds_to_one(self, symmetric_init):
+        # from tau ~1.8e16 on, 1 - Omega^2 is 0 in float64 and the u-panels cannot
+        # place the near-poles of width s next to +-pi/2
+        model = WeakLimitModel(symmetric_init, 10**30)
+        with pytest.raises(DomainError, match="Omega rounds to 1"):
+            model.continuous_mass()
+        with pytest.raises(DomainError, match="Omega rounds to 1"):
+            limit_moment(symmetric_init, 10**30, 2)
+        assert model.cdf(0.0) > model.p_hat  # the closed forms stay defined
+        assert np.isfinite(weak_limit_density(symmetric_init, 10**30, 0.5))
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_closure_with_density(self, tau):
@@ -395,11 +405,11 @@ class TestTotalLocalization:
                 lambda x: weak_limit_density(init, tau, x),
                 -omega, omega, points=[0.0], limit=200,
             )
-            assert total_localization(init, tau) + body == pytest.approx(1.0, abs=1e-6)
+            assert WeakLimitModel(init, tau).p_hat + body == pytest.approx(1.0, abs=1e-6)
 
     def test_general_init_rejected(self):
         with pytest.raises(UnsupportedInitialStateError):
-            total_localization(GeneralInit((0, 0, 1)), 1)
+            WeakLimitModel(GeneralInit((0, 0, 1)), 1).p_hat
 
 
 class TestLimitMoment:
@@ -470,3 +480,9 @@ class TestSupportVelocityLink:
             model = WeakLimitModel(symmetric_init, tau)
             assert model.omega == peak_velocities(tau)[1]
             assert 0.0 < model.omega < 1.0
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 10, 100, 10**6, 10**12, np.int64(10)])
+    def test_two_definitions_agree_bit_for_bit(self, tau, symmetric_init):
+        # omega is the density's support edge and peak_velocities the dispersion
+        # side's velocity; they are written apart, and agree to the last bit
+        assert WeakLimitModel(symmetric_init, tau).omega == peak_velocities(tau)[1]

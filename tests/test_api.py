@@ -23,7 +23,7 @@ EXPORTS = [
     # analytics
     "ThetaConstants", "WeakLimitModel", "theta_constants", "f3_matrix",
     "limiting_origin_state", "localization_probability_origin", "peak_velocities",
-    "weak_limit_density", "total_localization", "limit_moment", "spread_coefficient",
+    "weak_limit_density", "limit_moment", "spread_coefficient",
     # harness
     "Verdict", "ExperimentReport", "localization_series", "distribution_snapshot",
     "density_table", "variance_series", "fit_power_law", "empirical_vs_weak_limit",
@@ -65,6 +65,13 @@ def test_walker_state_members():
     public = {name for name in dir(state) if not name.startswith("_")}
     assert public == {
         "t", "moving", "loop_diff", "amplitudes", "positions", "probabilities"}
+
+
+def test_weak_limit_model_members():
+    # one route per quantity: f(x) is weak_limit_density, P_hat is p_hat
+    model = lqw.WeakLimitModel(lqw.StandardInit(1, 0), 1)
+    public = {name for name in dir(model) if not name.startswith("_")}
+    assert public == {"init", "tau", "omega", "p_hat", "cdf", "continuous_mass"}
 
 
 def test_cli_config_fields():

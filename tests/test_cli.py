@@ -261,7 +261,8 @@ class TestUsageErrors:
         assert "expected 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # |1e200|^2 overflows in the norm check, and (2 tau + 4)^2 in the spread coefficient
+    # |1e200|^2 overflows in the norm check; at tau 1e154 the density quadrature refuses
+    # (Omega rounds to 1), before (2 tau + 4)^2 can overflow in the spread coefficient
     @pytest.mark.parametrize("argv", [("--tau", "5", "--alpha", "1e200", "--beta", "0"),
                                       ("--tau", str(10**154))], ids=["alpha-1e200", "tau-1e154"])
     def test_overflowing_input_exits_2_writes_nothing(self, argv, tmp_path, capsys):
@@ -442,6 +443,17 @@ class TestDensity:
         payload = json.loads((tmp_path / "density.json").read_text())
         assert [v["name"] for v in payload["verdicts"]] == ["weak_limit_closure"]
         assert payload["verdicts"][0]["measured"] <= 1e-9
+
+    def test_closure_passes_at_tau_1e16(self, tmp_path):
+        # the largest power of ten below the refusal: Omega < 1 in float64
+        assert run_cli("density", "--tau", str(10**16), "--out", str(tmp_path)) == 0
+
+    def test_omega_rounding_to_one_exits_2_writes_nothing(self, tmp_path, capsys):
+        status = run_cli("density", "--tau", str(10**30), "--out", str(tmp_path))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHarnessParity:

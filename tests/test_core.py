@@ -142,11 +142,15 @@ class TestInitialState:
             WalkerState(0, np.full((3, 1), np.nan), np.zeros(1))
 
     def test_rejects_overflowing_norm(self):
-        # |1e200|^2 overflows: a typed error, not an OverflowError
+        # |1e200|^2 overflows, and 10**400 has no float: typed errors, not OverflowError
         with pytest.raises(NormalizationError):
             StandardInit(1e200, 0)
         with pytest.raises(NormalizationError):
             GeneralInit((1e200, 0, 0))
+        with pytest.raises(NormalizationError, match="expected 1"):
+            StandardInit(10**400, 0)
+        with pytest.raises(NormalizationError, match="expected 1"):
+            GeneralInit((10**400, 0, 0))
 
     def test_general_wrong_length_rejected(self):
         init = GeneralInit((1, 0, 0))

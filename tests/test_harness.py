@@ -441,6 +441,19 @@ class TestVerificationSuite:
         assert verification_suite(symmetric_init, 2, 20).passed
         assert len(built) == 1
 
+    def test_support_bound_is_judged_against_the_peak_velocity(self, symmetric_init,
+                                                              monkeypatch):
+        # Omega and v_right are written apart, so a wrong velocity fails the verdict
+        def verdict():
+            report = verification_suite(symmetric_init, 10, 120)
+            return next(v for v in report.verdicts if v.name == "v_right_equals_support_bound")
+
+        assert verdict().measured == 0.0
+        exact = lqw.analytics.peak_velocities
+        monkeypatch.setattr(lqw.analytics, "peak_velocities",
+                            lambda tau: tuple(v * (1.0 + 1e-9) for v in exact(tau)))
+        assert not verdict().passed
+
     def test_short_run_skips_localization_window(self, symmetric_init):
         report = verification_suite(symmetric_init, 1, 32)
         assert report.passed
