@@ -17,12 +17,18 @@ eigenvectors; its pi-sector is a closed-form basis of loop differences, the
 same at every k.  The other three put the same amplitude on every loop; the
 omega = 0 one comes from ``_zero_phase_vector`` as (left, right, one loop)
 components over an array of k.  ``propagate_fourier`` avoids the eigenvectors
-and powers the full delta x delta U_k directly on a momentum grid, by
-repeated squaring in bounded blocks of k, and returns the full
-``(2t+1, delta)`` amplitude array: an independent oracle for the
-three-component kernel in :mod:`lqw.core`, whose states it never builds.
-The private ``_light_cone_tail`` reads the same transform just outside the
-light cone.  Only this module knows the oracle's grid and its aliasing.
+and powers the full delta x delta U_k directly on a momentum grid of M
+points, and returns the full ``(2t+1, delta)`` amplitude array: an
+independent oracle for the three-component kernel in :mod:`lqw.core`, whose
+states it never builds.  ``momentum_grid_solution`` has two routes, and a
+cost model fitted to timings of both picks one per call.  Stepping applies
+the dense G, which every k shares, to the (delta, M) block of states with
+one real matrix product per step and then scales rows 0 and 1 by e^{+-ik}:
+O(t M delta^2) time, 2 M delta 16 bytes.  Repeated squaring of the stacked
+U_k, in k-blocks of at most ~1 MiB, takes O(M delta^3 log t) time and wins
+for small delta and long walks.  The private ``_light_cone_tail`` reads the
+same transform just outside the light cone.  Only this module knows the
+oracle's grid and its aliasing.
 
 The private ``_closed_form_state`` builds the final ``WalkerState`` from the
 spectrum instead, in O(t log t).  On (left, right, u) U_k is 3 x 3 with
@@ -236,6 +242,36 @@ def _default_grid_size(t: int) -> int:
     return 1 << max(1, math.ceil(math.log2(2 * t + 2)))
 
 
+def _squarings(t: int, delta: int) -> int:
+    """How often the squaring route squares U_k: while the exponent left is > 1 and >= delta / 4."""
+    s = 0
+    while t >> s > 1 and 4 * (t >> s) >= delta:
+        s += 1
+    return s
+
+
+def _stepping_is_cheaper(t: int, delta: int, m: int) -> bool:
+    """Whether t shared-coin steps of the M-point grid are predicted to beat repeated squaring.
+
+    Seconds, fitted to single-thread timings of both routes for delta 3 to 202,
+    t 8 to 1500 and the default grids (M = 32 to 4096):
+
+        stepping  t (4.8e-6 + M delta (7.2e-10 + 9.8e-11 delta))
+        squaring  (s + p) 1.4e-5 + M (s (2.8e-7 + 2.6e-10 delta^3) + p (2.8e-7 + 2.8e-9 delta^2))
+
+    with s squarings and p matrix-vector products.  In those timings the routes
+    crossed at t / (delta log2 t) of about 15 at delta = 3, 5 at 12, 3 at 22
+    and 2 at 52; the bits of t move the crossing (a power of two squares
+    cheaply).
+    """
+    s = _squarings(t, delta)
+    p = (t & ((1 << s) - 1)).bit_count() + (t >> s)
+    stepping = t * (4.8e-6 + m * delta * (7.2e-10 + 9.8e-11 * delta))
+    squaring = (s + p) * 1.4e-5 + m * (s * (2.8e-7 + 2.6e-10 * delta**3)
+                                       + p * (2.8e-7 + 2.8e-9 * delta**2))
+    return stepping <= squaring
+
+
 def momentum_grid_solution(
     init: InitialCondition,
     params: WalkParams,
@@ -244,20 +280,30 @@ def momentum_grid_solution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Psi~(t, k_m) = U_{k_m}^t Psi~(0) on the uniform grid k_m = -pi + 2 pi m / M.
 
-    U_k^t is taken by binary powering of the delta x delta matrices
-    ``momentum_operator`` returns: while the remaining exponent e satisfies
-    ``e > 1 and 4 e >= delta``, the operators are squared (one delta^3 product
-    per grid point) and applied to the state whenever the low bit of e is set;
-    the last e < delta / 4 powers are plain matrix-vector steps, where one more
-    squaring would cost more than the ~e/2 products it saves (the measured
-    crossover).  The cost is O(M delta^3 log t), or O(t M delta^2) when
-    t < delta / 4, instead of O(t M delta^2) at every t.  The grid is worked
-    through in blocks of at most ~1 MiB of stacked operators, so the
-    (M, delta, delta) stack is never held at once.
+    Two routes, one chosen per call by a fitted cost model
+    (``_stepping_is_cheaper``):
 
-    No eigenbasis, closed form or symmetry reduction is used, so this path
-    stays an independent oracle for the kernel in :mod:`lqw.core` (and has no
-    k = 0 special case).
+    - **Stepping the shared coin.**  U_k = D_k G, and every k shares the
+      dense real Grover coin G.  Each of the t steps is one real BLAS product
+      of G with the float64 view of the (delta, M) block of states, then row
+      0 times e^{ik} and row 1 times e^{-ik}.  O(t M delta^2) time; two
+      (delta, M) blocks, 2 M delta 16 bytes, and no operator stack.
+    - **Repeated squaring.**  Binary powering of the delta x delta matrices
+      ``momentum_operator`` returns: while the remaining exponent e satisfies
+      ``e > 1 and 4 e >= delta``, the operators are squared (one delta^3
+      product per grid point) and applied to the state whenever the low bit
+      of e is set; the last e < delta / 4 powers are matrix-vector products,
+      where one more squaring would cost more than the ~e/2 products it
+      saves.  O(M delta^3 log t) time.  The grid is worked through in blocks of at
+      most ~1 MiB of stacked operators, so the (M, delta, delta) stack is
+      never held at once; the states take M delta 16 bytes.
+
+    Squaring wins only once t is well above delta log2 t (small delta, long
+    walks); see ``_stepping_is_cheaper``.
+
+    No eigenbasis, closed form or symmetry reduction is used, and G is applied
+    as the dense delta x delta matrix, so this path stays an independent
+    oracle for the kernel in :mod:`lqw.core` (and has no k = 0 special case).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -268,19 +314,32 @@ def momentum_grid_solution(
     d = params.delta
     ks = -np.pi + 2.0 * np.pi * np.arange(m) / m
     # Psi~(0, k) is k-independent for a walker starting at the origin.
-    psi = np.broadcast_to(init.coin_vector(params), (m, d)).copy()
+    psi0 = init.coin_vector(params)
+    if _stepping_is_cheaper(t, d, m):
+        g = grover_coin(params)
+        left, right = np.exp(1j * ks), np.exp(-1j * ks)
+        block = np.empty((d, m), dtype=np.complex128)
+        block[:] = psi0[:, None]
+        spare = np.empty_like(block)
+        for _ in range(t):
+            np.matmul(g, block.view(np.float64), out=spare.view(np.float64))
+            spare[0] *= left
+            spare[1] *= right
+            block, spare = spare, block
+        return ks, block.T
+
+    psi = np.broadcast_to(psi0, (m, d)).copy()
+    squarings = _squarings(t, d)
     # k-blocks of at most 1 MiB of stacked complex128 operators
     chunk = max(1, 2**20 // (16 * d * d))
     for lo in range(0, m, chunk):
         base = momentum_operator(params, ks[lo:lo + chunk])
         block = psi[lo:lo + chunk]
-        e = t
-        while e > 1 and 4 * e >= d:
-            if e & 1:
+        for bit in range(squarings):
+            if t >> bit & 1:
                 block = np.einsum("mij,mj->mi", base, block)
             base = base @ base
-            e >>= 1
-        for _ in range(e):
+        for _ in range(t >> squarings):
             block = np.einsum("mij,mj->mi", base, block)
         psi[lo:lo + chunk] = block
     return ks, psi

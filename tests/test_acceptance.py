@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion alongside the measured values.
 """
 
+import json
 import time
 
 import numpy as np
@@ -31,6 +32,7 @@ from lqw import (
     theta_constants,
     variance_series,
 )
+from lqw.cli import main
 
 from conftest import random_standard
 
@@ -97,6 +99,17 @@ class TestCriterion4OracleEquivalence:
                 fourier = propagate_fourier(symmetric_init, params, t)
                 worst = max(worst, float(np.max(np.abs(direct - fourier))))
         report(4, worst < 1e-10, f"max amplitude deviation {worst:.2e} over taus x steps")
+
+    def test_verify_battery_at_tau_100(self, tmp_path):
+        # delta 102: the oracle steps the shared coin; the whole battery, end to end
+        start = time.perf_counter()
+        status = main(["verify", "--tau", "100", "--steps", "200", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        verdicts = json.loads((tmp_path / "verify.json").read_text())["verdicts"]
+        failed = [v["name"] for v in verdicts if not v["passed"]]
+        ok = status == 0 and verdicts and not failed
+        report("4-tau100", ok,
+               f"exit {status}, {len(verdicts)} verdicts, failed {failed}, {elapsed:.1f}s")
 
 
 class TestCriterion5EigenSystem:

@@ -221,36 +221,65 @@ class TestEigenSystem:
         assert abs(np.vdot(vec, scaled)) == pytest.approx(1.0, abs=1e-12)
 
 
+def force_route(monkeypatch, stepping: bool) -> None:
+    """Send the oracle down one route, whatever its cost model would pick."""
+    monkeypatch.setattr(lqw.spectral, "_stepping_is_cheaper", lambda t, delta, m: stepping)
+
+
 class TestMomentumGridSolution:
-    # odd, even and power-of-two exponents; squaring stops once 4 e < delta,
-    # so at tau 100 (delta 102) t = 31 squares once and t = 200 three times
+    # odd, even and power-of-two exponents; on the squaring route squaring
+    # stops once 4 e < delta, so at tau 100 (delta 102) t = 31 squares once
+    # and t = 200 three times
     TIMES = (0, 1, 2, 3, 31, 63, 64, 65, 200)
 
     @pytest.mark.parametrize("tau", [1, 2, 5, 20, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
-    def test_matches_stepwise_reference(self, tau, kind):
+    def test_matches_stepwise_reference(self, tau, kind, monkeypatch):
         params = WalkParams(tau)
         rng = np.random.default_rng(tau)
         init = random_standard(rng) if kind == "standard" else random_general(rng, params)
-        for t in self.TIMES:
-            ks, psi = momentum_grid_solution(init, params, t)
-            # every k is powered on its own: 32 spread-out points keep the reference cheap
-            sub = slice(None, None, max(1, len(ks) // 32))
-            ref = stepwise_grid_solution(init, params, t, ks[sub])
-            assert np.max(np.abs(psi[sub] - ref)) < 1e-12
+        for stepping in (True, False):
+            force_route(monkeypatch, stepping)
+            for t in self.TIMES:
+                ks, psi = momentum_grid_solution(init, params, t)
+                # every k is powered on its own: 32 spread-out points keep the reference cheap
+                sub = slice(None, None, max(1, len(ks) // 32))
+                ref = stepwise_grid_solution(init, params, t, ks[sub])
+                assert np.max(np.abs(psi[sub] - ref)) < 1e-12, (stepping, t)
 
     @pytest.mark.parametrize("tau", [2, 100])
-    def test_explicit_odd_grid(self, tau):
+    def test_explicit_odd_grid(self, tau, monkeypatch):
         # 2t + 1 points: not the default power of two, not a whole number of k-blocks
         params = WalkParams(tau)
         init = random_general(np.random.default_rng(0), params)
-        ks, psi = momentum_grid_solution(init, params, 65, grid_size=131)
-        assert ks.shape == (131,)
-        assert np.max(np.abs(psi - stepwise_grid_solution(init, params, 65, ks))) < 1e-12
+        for stepping in (True, False):
+            force_route(monkeypatch, stepping)
+            ks, psi = momentum_grid_solution(init, params, 65, grid_size=131)
+            assert ks.shape == (131,)
+            assert np.max(np.abs(psi - stepwise_grid_solution(init, params, 65, ks))) < 1e-12
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
             momentum_grid_solution(StandardInit(1, 0), WalkParams(1), 10, grid_size=20)
+
+    def test_cost_model_at_the_verify_sizes(self):
+        # verify's walk at tau 10 and t 1000 stays on squaring; its walk at
+        # tau 20 and t 200, and the t = 64 light-cone grids, step
+        cheaper = lqw.spectral._stepping_is_cheaper
+        grid = lqw.spectral._default_grid_size
+        assert not cheaper(1000, 12, grid(1000))
+        assert cheaper(200, 22, grid(200))
+        for delta in (12, 22):
+            assert cheaper(64, delta, grid(64 + 4))
+        for t in (0, 1, 2, 31, 200):
+            assert cheaper(t, 102, grid(t))
+
+    def test_squaring_schedule(self):
+        # e = 200, 100, 50, then 25 with 4 * 25 < 102; e = 1000, 500, ..., 3 (4 * 3 >= 12), then 1
+        assert lqw.spectral._squarings(200, 102) == 3
+        assert lqw.spectral._squarings(1000, 12) == 9
+        assert lqw.spectral._squarings(1, 3) == 0
+        assert lqw.spectral._squarings(0, 3) == 0
 
 
 class TestPropagateFourier:
@@ -282,8 +311,10 @@ class TestPropagateFourier:
             amps = lqw.spectral._position_amplitudes(symmetric_init, params, 20, ns, grid_size)
             assert np.max(np.abs(amps - base)) < 1e-12
 
-    def test_memory_bounded_by_k_blocks(self, symmetric_init):
-        # the whole (512, 102, 102) operator stack alone would take 85 MB
+    def test_memory_bounded_by_k_blocks(self, symmetric_init, monkeypatch):
+        # on the squaring route: the whole (512, 102, 102) operator stack
+        # alone would take 85 MB
+        force_route(monkeypatch, False)
         tracemalloc.start()
         try:
             propagate_fourier(symmetric_init, WalkParams(100), 200)
@@ -291,6 +322,18 @@ class TestPropagateFourier:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_stepping_memory_is_a_few_state_blocks(self, symmetric_init, monkeypatch):
+        # two (102, 512) state blocks while stepping, then the state and its
+        # transform: no operator stack
+        force_route(monkeypatch, True)
+        tracemalloc.start()
+        try:
+            propagate_fourier(symmetric_init, WalkParams(100), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 512 * 102 * 16
 
     def test_default_grid_size(self):
         def points(t):
