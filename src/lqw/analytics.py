@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeneralInit, InitialCondition, StandardInit, WalkParams, _check_tau
+from .core import GeneralInit, InitialCondition, StandardInit, WalkParams, _check_int, _check_tau
 from .errors import DomainError, QuadratureError, UnsupportedInitialStateError
 from .quadrature import graded_edges, legendre_rule
 
@@ -88,34 +88,29 @@ def f3_matrix(tau: int) -> np.ndarray:
     return _f3_block(tau)[np.ix_(block_index, block_index)]
 
 
-def limiting_origin_state(
-    init: InitialCondition, tau: int, parity: str = "even"
-) -> np.ndarray:
-    """Long-time origin coin state [F_3 +- sum_{j>=4} F_j] psi(0), in O(delta).
+def limiting_origin_state(init: InitialCondition, tau: int) -> np.ndarray:
+    """Long-time origin coin state [F_3 + sum_{j>=4} F_j] psi(0) along even steps, in O(delta).
 
     F_3 acts through its block on (left, right, sum of loops); the pi-sector
-    projector sum_{j>=4} F_j is I - (1/tau) * ones on the loop block.
-    ``parity`` ("even" or "odd") selects the sign of the (-1)^t factor on the
-    pi-sector; for two-component initial states the pi-sector annihilates the
-    input and both parities coincide.
+    projector sum_{j>=4} F_j is I - (1/tau) * ones on the loop block.  Along
+    odd steps (-1)^t negates that loop-difference part, which is orthogonal to
+    the rest, so both parities share one probability; for two-component
+    initial states the part is zero and the two states coincide.
     """
     tau = _check_tau(tau)
-    sign = _parity_sign(parity)
     psi0 = init.coin_vector(WalkParams(tau))
     loops = psi0[2:]
     left, right, loop = _f3_block(tau) @ np.array([psi0[0], psi0[1], loops.sum()])
-    return np.concatenate(([left, right], loop + sign * (loops - loops.mean())))
+    return np.concatenate(([left, right], loop + (loops - loops.mean())))
 
 
-def localization_probability_origin(
-    init: InitialCondition, tau: int, parity: str = "even"
-) -> float:
-    """lim P(X_t = 0) along steps of the given parity.
+def localization_probability_origin(init: InitialCondition, tau: int) -> float:
+    """lim P(X_t = 0), the squared norm of ``limiting_origin_state``; the same along odd steps.
 
     For two-component initial states this is the initial-state-independent
     value 2 (tau + 4 - 2 sqrt(2 tau + 4)) / tau^2.
     """
-    phi = limiting_origin_state(init, tau, parity)
+    phi = limiting_origin_state(init, tau)
     return float(np.sum(np.abs(phi) ** 2))
 
 
@@ -212,8 +207,7 @@ def limit_moment(init: InitialCondition, tau: int, r: int) -> float:
     """
     tau = _check_tau(tau)
     _require_standard(init)
-    if r < 0:
-        raise ValueError("moment order must be >= 0")
+    r = _check_int("moment order", r, 0)
     if r == 0:
         return 1.0
     edges = _density_edges(tau)
@@ -258,14 +252,6 @@ def _f3_block(tau: int) -> np.ndarray:
     th = theta_constants(tau)
     t1, t2, t3 = th.theta1, th.theta2, th.theta3
     return np.array([[t2, t3, t1], [t3, t2, t1], [t1, t1, t1]])
-
-
-def _parity_sign(parity: str) -> float:
-    if parity == "even":
-        return 1.0
-    if parity == "odd":
-        return -1.0
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def _require_standard(init: InitialCondition) -> None:

@@ -70,6 +70,15 @@ def _check_tau(tau: int) -> int:
     return int(tau)
 
 
+def _check_int(name: str, value: int, minimum: int) -> int:
+    """Validate an integer argument (a size, a moment order) and return it as a plain int."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Laziness factor of the walk.  ``tau`` self-loops per vertex, tau >= 1."""

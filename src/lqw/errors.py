@@ -4,7 +4,6 @@ __all__ = [
     "LqwError",
     "NormalizationError",
     "DegenerateMomentumError",
-    "GridTooSmallError",
     "DomainError",
     "UnsupportedInitialStateError",
     "QuadratureError",
@@ -23,10 +22,6 @@ class NormalizationError(LqwError, ValueError):
 
 class DegenerateMomentumError(LqwError, ValueError):
     """Closed-form eigen-system requested at a degenerate momentum (k=0)."""
-
-
-class GridTooSmallError(LqwError, ValueError):
-    """Fourier grid has fewer points than the walk's support requires."""
 
 
 class DomainError(LqwError, ValueError):

@@ -24,6 +24,7 @@ from .core import (
     StandardInit,
     WalkerState,
     WalkParams,
+    _check_int,
     evolve,
     grover_coin,
     iter_evolution,
@@ -112,13 +113,6 @@ def _config_echo(init: InitialCondition, tau: int, **extra) -> dict:
     return cfg
 
 
-def _localization_reference(init: InitialCondition, tau: int) -> float:
-    # window means mix both parities, so compare against their average
-    even = analytics.localization_probability_origin(init, tau, "even")
-    odd = analytics.localization_probability_origin(init, tau, "odd")
-    return 0.5 * (even + odd)
-
-
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[np.ndarray, WalkerState]:
@@ -149,9 +143,9 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
     since the pointwise sequence keeps oscillating around the limit.  No
     verdict is emitted when the window covers the whole series.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    reference = _localization_reference(init, tau)
+    t_max = _check_int("t_max", t_max, 1)
+    # the odd-step limit has the same probability as the even one
+    reference = analytics.localization_probability_origin(init, tau)
     origin, _ = _walk(init, WalkParams(tau), t_max)
 
     window = math.ceil(t_max / 10)
@@ -187,8 +181,7 @@ def distribution_snapshot(init: InitialCondition, tau: int, t_max: int) -> Exper
     |a'_1| (v (1 - v^2) t / 8)^(1/3), which comes from the cubic term of the
     phase phi(k) = pi - theta(k) = v k - v (1 - v^2) k^3 / 24 + O(k^5).
     """
-    if t_max < 10:
-        raise ValueError("t_max must be >= 10")
+    t_max = _check_int("t_max", t_max, 10)
     state = evolve(init, WalkParams(tau), t_max)
     positions = state.positions
     probs = state.probabilities()
@@ -231,8 +224,7 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
     f is ``analytics.weak_limit_density``; the midpoints stay clear of the edges, where it
     diverges.  The verdict checks that the atom P_hat and the quadrature of f add up to 1.
     """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    grid = _check_int("grid", grid, 1)
     model = analytics.WeakLimitModel(init, tau)
     omega = model.omega
     xs = -omega + (np.arange(grid) + 0.5) * (2.0 * omega / grid)
@@ -255,8 +247,7 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     against sigma^2 ~ c t^2, c the closed-form spread coefficient.  A GeneralInit
     gets the bare series: no closed form covers it (its variance can be 0 at every t).
     """
-    if t_max < 10:
-        raise ValueError("t_max must be >= 10")
+    t_max = _check_int("t_max", t_max, 10)
     # the weights n and n^2 at every step are slices of these
     ns = np.arange(-t_max, t_max + 1, dtype=float)
     ns2 = ns * ns
@@ -299,6 +290,8 @@ def fit_power_law(t, values) -> tuple[float, float]:
         raise ValueError(f"t and values must be 1-D of one length; got {t.shape} and {v.shape}")
     if t.size < 10:
         raise ValueError("series must have at least 10 entries")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("t and values must be finite")
     mask = (t >= t.max() / 2) & (t > 0)
     t, v = t[mask], v[mask]
     if np.all(v == v[0]):
@@ -325,8 +318,7 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
     the two after min(t_max, 256) steps.
     """
     model = analytics.WeakLimitModel(init, tau)
-    if t_max < 100:
-        raise ValueError("t_max must be >= 100")
+    t_max = _check_int("t_max", t_max, 100)
 
     params = WalkParams(tau)
     state = spectral._closed_form_state(init, params, t_max)
@@ -374,8 +366,7 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
 
 def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentReport:
     """Cross-check battery: every closed form against an independent route."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    t_max = _check_int("t_max", t_max, 1)
     params = WalkParams(tau)
     verdicts: list[Verdict] = []
 
@@ -430,9 +421,9 @@ def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentRe
         abs(analytics.spread_coefficient(init, tau) - moments), 1e-6))
 
     if t_max >= 100:
+        reference = analytics.localization_probability_origin(init, tau)
         verdicts.append(Verdict.judge(
-            "localization_window_mean",
-            abs(_window_mean(origin) - _localization_reference(init, tau)), 1e-2))
+            "localization_window_mean", abs(_window_mean(origin) - reference), 1e-2))
 
     return ExperimentReport(
         experiment="verification_suite",

@@ -59,7 +59,7 @@ from .core import (
     _reduced_start,
     grover_coin,
 )
-from .errors import DegenerateMomentumError, GridTooSmallError
+from .errors import DegenerateMomentumError
 
 __all__ = [
     "EigenSystem",
@@ -238,8 +238,13 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
 
 
 def _default_grid_size(t: int) -> int:
-    """Smallest power of two with at least 2t + 2 points."""
-    return 1 << max(1, math.ceil(math.log2(2 * t + 2)))
+    """The oracle's one grid rule: the smallest power of two >= 2t + 10.
+
+    That holds the walk's 2t + 1 sites and the 4 empty sites beyond each edge
+    of the light cone without aliasing, so one grid serves both
+    ``propagate_fourier`` and ``_light_cone_tail``.
+    """
+    return 1 << (2 * t + 9).bit_length()
 
 
 def _squarings(t: int, delta: int) -> int:
@@ -273,12 +278,11 @@ def _stepping_is_cheaper(t: int, delta: int, m: int) -> bool:
 
 
 def momentum_grid_solution(
-    init: InitialCondition,
-    params: WalkParams,
-    t: int,
-    grid_size: int | None = None,
+    init: InitialCondition, params: WalkParams, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Psi~(t, k_m) = U_{k_m}^t Psi~(0) on the uniform grid k_m = -pi + 2 pi m / M.
+
+    M is ``_default_grid_size(t)``, the smallest power of two >= 2t + 10.
 
     Two routes, one chosen per call by a fitted cost model
     (``_stepping_is_cheaper``):
@@ -307,10 +311,7 @@ def momentum_grid_solution(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    m = _default_grid_size(t) if grid_size is None else int(grid_size)
-    if m < 2 * t + 1:
-        raise GridTooSmallError(f"grid_size {m} < 2t+1 = {2 * t + 1}: inverse transform would alias")
-
+    m = _default_grid_size(t)
     d = params.delta
     ks = -np.pi + 2.0 * np.pi * np.arange(m) / m
     # Psi~(0, k) is k-independent for a walker starting at the origin.
@@ -350,11 +351,11 @@ def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.
 
     Returns the read-only ``(2t+1, delta)`` array whose row ``n + t`` is the
     coin state at position n, the layout of ``WalkerState.amplitudes``; its
-    norm is checked like a ``WalkerState``'s.  The grid is the smallest power
-    of two with more points than the walk's 2t + 1 sites, so the inverse
-    transform is exact up to roundoff.
+    norm is checked like a ``WalkerState``'s.  The grid, the smallest power
+    of two >= 2t + 10, has more points than the walk's 2t + 1 sites, so the
+    inverse transform is exact up to roundoff.
     """
-    amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1), _default_grid_size(t))
+    amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1))
     _check_norm(np.vdot(amps, amps).real)
     amps.setflags(write=False)
     return amps
@@ -363,20 +364,18 @@ def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.
 def _light_cone_tail(init: InitialCondition, params: WalkParams, t: int) -> float:
     """Max |amplitude| on the 4 sites beyond each edge of the light cone after t steps.
 
-    The exact walk puts nothing there; the oracle runs on the grid of t + 4
-    steps, so those sites do not alias onto the support.
+    The exact walk puts nothing there; the oracle's grid of at least 2t + 10
+    points (``_default_grid_size``) holds those sites apart from the support.
     """
-    pad = 4
-    beyond = np.arange(t + 1, t + pad + 1)
-    amps = _position_amplitudes(init, params, t, np.concatenate((beyond, -beyond)),
-                                _default_grid_size(t + pad))
+    beyond = np.arange(t + 1, t + 5)
+    amps = _position_amplitudes(init, params, t, np.concatenate((beyond, -beyond)))
     return float(np.max(np.abs(amps)))
 
 
 def _position_amplitudes(
-    init: InitialCondition, params: WalkParams, t: int, ns: np.ndarray, grid_size: int
+    init: InitialCondition, params: WalkParams, t: int, ns: np.ndarray
 ) -> np.ndarray:
-    """Coin states at the positions ``ns`` after t steps, from the ``grid_size``-point oracle."""
-    ks, psi = momentum_grid_solution(init, params, t, grid_size)
+    """Coin states at the positions ``ns`` after t steps, from the oracle's grid."""
+    ks, psi = momentum_grid_solution(init, params, t)
     # Psi(t, n) = (-1)^n * IDFT[Psi~](n mod M) for the -pi-based grid.
     return np.fft.ifft(psi, axis=0)[np.mod(ns, ks.shape[0])] * ((-1.0) ** ns)[:, None]

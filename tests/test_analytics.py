@@ -143,35 +143,40 @@ class TestLimitingOriginState:
         assert np.allclose(phi, [th.theta2, th.theta3, th.theta1], atol=1e-15)
 
     def test_parity_independent_for_standard(self, symmetric_init):
-        even = limiting_origin_state(symmetric_init, 5, "even")
-        odd = limiting_origin_state(symmetric_init, 5, "odd")
-        assert np.array_equal(even, odd)
+        # a two-component state has no loop-difference part for odd steps to negate
+        phi = limiting_origin_state(symmetric_init, 5)
+        assert np.all(phi[2:] == phi[2])
 
     def test_loop_start_parities_differ(self):
         # general init on the first self-loop, tau=2: F_4 = |lambda_4><lambda_4|
         th = theta_constants(2)
         init = GeneralInit((0, 0, 1, 0))
-        even = limiting_origin_state(init, 2, "even")
-        odd = limiting_origin_state(init, 2, "odd")
+        even = limiting_origin_state(init, 2)
         expected_even = np.array([th.theta1, th.theta1, th.theta1 + 0.5, th.theta1 - 0.5])
         expected_odd = np.array([th.theta1, th.theta1, th.theta1 - 0.5, th.theta1 + 0.5])
         assert np.allclose(even, expected_even, atol=1e-14)
+        # the odd-step state negates the loop-difference part and keeps the probability
+        odd = (f3_matrix(2) - dense_loop_projector(2)) @ init.coin_vector(WalkParams(2))
         assert np.allclose(odd, expected_odd, atol=1e-14)
-
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
-            limiting_origin_state(StandardInit(1, 0), 1, "sideways")
+        assert abs(np.sum(odd**2) - localization_probability_origin(init, 2)) < 1e-14
 
     @pytest.mark.parametrize("tau", [1, 2, 3, 10, 400])
     @pytest.mark.parametrize("parity,sign", [("even", 1.0), ("odd", -1.0)])
     def test_matches_dense_projectors(self, tau, parity, sign, skewed_init):
-        # oracle: the dense (F_3 +- P_loop) @ psi0 that the O(delta) form replaces
+        # oracle: the dense (F_3 +- P_loop) @ psi0 that the O(delta) form replaces;
+        # the closed form is the even-step state, and the odd-step state negates its
+        # loop-difference part
+        params = WalkParams(tau)
         rng = np.random.default_rng(tau)
         dense = f3_matrix(tau) + sign * dense_loop_projector(tau)
-        for init in (skewed_init, random_general(rng, WalkParams(tau))):
-            psi0 = init.coin_vector(WalkParams(tau))
-            expected = dense @ psi0
-            assert np.max(np.abs(limiting_origin_state(init, tau, parity) - expected)) < 1e-15
+        for init in (skewed_init, *(random_general(rng, params) for _ in range(3))):
+            expected = dense @ init.coin_vector(params)
+            phi = limiting_origin_state(init, tau)
+            if parity == "odd":
+                phi = np.concatenate((phi[:2], 2.0 * phi[2:].mean() - phi[2:]))
+            assert np.max(np.abs(phi - expected)) < 1e-15
+            probability = np.sum(np.abs(expected) ** 2)
+            assert abs(probability - localization_probability_origin(init, tau)) < 1e-14
 
 
 class TestLocalizationProbability:
@@ -205,13 +210,14 @@ class TestLocalizationProbability:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_matches_simulated_limit_for_loop_start(self):
-        # parity-resolved limit for a general init, against a long direct run
+        # one limit for both parities of a general init, against a long direct run
         from lqw import evolve
 
         init = GeneralInit((0, 0, 1, 0))
-        sim = evolve(init, WalkParams(2), 1200)
-        p_even = float(np.sum(np.abs(sim.amplitudes[sim.t]) ** 2))
-        assert abs(p_even - localization_probability_origin(init, 2, "even")) < 2e-2
+        for t in (1200, 1201):
+            sim = evolve(init, WalkParams(2), t)
+            p_origin = float(np.sum(np.abs(sim.amplitudes[sim.t]) ** 2))
+            assert abs(p_origin - localization_probability_origin(init, 2)) < 2e-2, t
 
     def test_large_tau_allocates_no_dense_matrix(self, symmetric_init):
         # one delta x delta float matrix at tau 2000 would be 32 MB
@@ -439,6 +445,11 @@ class TestLimitMoment:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             limit_moment(StandardInit(1, 0), 1, -1)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, True, "2", None])
+    def test_non_integer_order_rejected(self, r):
+        with pytest.raises(TypeError, match="moment order must be an integer"):
+            limit_moment(StandardInit(1, 0), 3, r)
 
 
 class TestSpreadCoefficient:

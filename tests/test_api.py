@@ -29,9 +29,9 @@ EXPORTS = [
     "density_table", "variance_series", "fit_power_law", "empirical_vs_weak_limit",
     "verification_suite",
     # errors
-    "LqwError", "NormalizationError", "DegenerateMomentumError", "GridTooSmallError",
-    "DomainError", "UnsupportedInitialStateError", "QuadratureError",
-    "DegenerateSeriesError", "ComplexParseError",
+    "LqwError", "NormalizationError", "DegenerateMomentumError", "DomainError",
+    "UnsupportedInitialStateError", "QuadratureError", "DegenerateSeriesError",
+    "ComplexParseError",
 ]
 
 SIGNATURES = {
@@ -44,7 +44,9 @@ SIGNATURES = {
     "verification_suite": ("init", "tau", "t_max"),
     "limit_moment": ("init", "tau", "r"),
     "WeakLimitModel.continuous_mass": ("self", "hi"),
-    "momentum_grid_solution": ("init", "params", "t", "grid_size"),
+    "limiting_origin_state": ("init", "tau"),
+    "localization_probability_origin": ("init", "tau"),
+    "momentum_grid_solution": ("init", "params", "t"),
     "propagate_fourier": ("init", "params", "t"),
 }
 

@@ -68,6 +68,22 @@ class TestReportTable:
                 experiment="bad", config={}, columns=("t", "value"), table=table)
 
 
+class TestExperimentSizes:
+    def test_every_experiment_checks_its_size(self, symmetric_init):
+        for experiment, minimum in [
+            (localization_series, 1), (distribution_snapshot, 10), (density_table, 1),
+            (variance_series, 10), (empirical_vs_weak_limit, 100), (verification_suite, 1),
+        ]:
+            for size in (minimum + 0.5, float(minimum), True, str(minimum), None):
+                with pytest.raises(TypeError, match="must be an integer"):
+                    experiment(symmetric_init, 2, size)
+            with pytest.raises(ValueError, match=f"must be >= {minimum}"):
+                experiment(symmetric_init, 2, minimum - 1)
+            # a numpy integer is a size, and the config echoes it as a plain int
+            config = experiment(symmetric_init, 2, np.int64(minimum)).config
+            assert type(config.get("steps", config.get("grid"))) is int
+
+
 class TestLocalizationSeries:
     def test_degenerate_window_no_verdict(self):
         report = localization_series(StandardInit(1, 0), 1, 1)
@@ -254,6 +270,16 @@ class TestFitPowerLaw:
     def test_degenerate_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             fit_power_law(np.arange(1, 30), np.ones(29))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        t = np.arange(10.0)
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(t, [1.0] * 9 + [bad])
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(t, np.full(10, np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(np.append(t[:-1], bad), t**2)
 
     def test_simulated_walk_is_ballistic(self, symmetric_init):
         report = variance_series(symmetric_init, 1, 400)

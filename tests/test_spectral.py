@@ -8,7 +8,6 @@ import pytest
 import lqw.spectral
 from lqw import (
     DegenerateMomentumError,
-    GridTooSmallError,
     NormalizationError,
     StandardInit,
     WalkParams,
@@ -247,21 +246,6 @@ class TestMomentumGridSolution:
                 ref = stepwise_grid_solution(init, params, t, ks[sub])
                 assert np.max(np.abs(psi[sub] - ref)) < 1e-12, (stepping, t)
 
-    @pytest.mark.parametrize("tau", [2, 100])
-    def test_explicit_odd_grid(self, tau, monkeypatch):
-        # 2t + 1 points: not the default power of two, not a whole number of k-blocks
-        params = WalkParams(tau)
-        init = random_general(np.random.default_rng(0), params)
-        for stepping in (True, False):
-            force_route(monkeypatch, stepping)
-            ks, psi = momentum_grid_solution(init, params, 65, grid_size=131)
-            assert ks.shape == (131,)
-            assert np.max(np.abs(psi - stepwise_grid_solution(init, params, 65, ks))) < 1e-12
-
-    def test_grid_too_small(self):
-        with pytest.raises(GridTooSmallError):
-            momentum_grid_solution(StandardInit(1, 0), WalkParams(1), 10, grid_size=20)
-
     def test_cost_model_at_the_verify_sizes(self):
         # verify's walk at tau 10 and t 1000 stays on squaring; its walk at
         # tau 20 and t 200, and the t = 64 light-cone grids, step
@@ -270,7 +254,7 @@ class TestMomentumGridSolution:
         assert not cheaper(1000, 12, grid(1000))
         assert cheaper(200, 22, grid(200))
         for delta in (12, 22):
-            assert cheaper(64, delta, grid(64 + 4))
+            assert cheaper(64, delta, grid(64))
         for t in (0, 1, 2, 31, 200):
             assert cheaper(t, 102, grid(t))
 
@@ -302,14 +286,14 @@ class TestPropagateFourier:
         fourier = propagate_fourier(symmetric_init, params, 50)
         assert np.max(np.abs(direct.amplitudes - fourier)) < 1e-10
 
-    def test_grid_doubling_insensitive(self, symmetric_init):
-        # the default grid at t = 20 has 64 points; 41 is the fewest that do not alias
-        params = WalkParams(3)
-        base = propagate_fourier(symmetric_init, params, 20)
-        ns = np.arange(-20, 21)
-        for grid_size in (41, 128):
-            amps = lqw.spectral._position_amplitudes(symmetric_init, params, 20, ns, grid_size)
-            assert np.max(np.abs(amps - base)) < 1e-12
+    def test_matches_the_kernel_at_every_short_t(self):
+        # every grid from 16 to 256 points, among them those the old 2t + 2 rule halved
+        params = WalkParams(2)
+        init = random_general(np.random.default_rng(7), params)
+        for t in range(71):
+            direct = evolve(init, params, t)
+            assert np.max(np.abs(propagate_fourier(init, params, t) - direct.amplitudes)) < 1e-10
+            assert lqw.spectral._light_cone_tail(init, params, t) <= 1e-12
 
     def test_memory_bounded_by_k_blocks(self, symmetric_init, monkeypatch):
         # on the squaring route: the whole (512, 102, 102) operator stack
@@ -339,10 +323,19 @@ class TestPropagateFourier:
         def points(t):
             return momentum_grid_solution(StandardInit(1, 0), WalkParams(1), t)[0].shape[0]
 
-        assert points(0) == 2
-        assert points(3) == 8
+        assert points(0) == 16
+        assert points(3) == 16
+        assert points(4) == 32
         assert points(50) == 128
-        assert points(1000) >= 2001
+        assert points(59) == 128
+        assert points(60) == 256
+        # a power of two with room for 2t + 1 sites and 4 empty ones beyond each edge:
+        # every t below 2000, then both sides of each doubling up to t = 10^6
+        grid = lqw.spectral._default_grid_size
+        doublings = [(1 << j) - 5 + side for j in range(10, 20) for side in (0, 1)]
+        for t in (*range(2000), *doublings, 10**6):
+            m = grid(t)
+            assert m & (m - 1) == 0 and 2 * t + 10 <= m < 4 * t + 20, t
 
     def test_returns_read_only_checked_array(self, symmetric_init, monkeypatch):
         amps = propagate_fourier(symmetric_init, WalkParams(3), 7)
