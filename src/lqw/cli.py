@@ -11,8 +11,11 @@ metrics and verdicts; the CLI parses, dispatches, writes and sets the exit statu
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  The CSV holds the report's table, formatted
-by column in blocks of ``_BLOCK_ROWS`` rows, so the writer holds one block of
-text and never the whole file.  Lines end in CRLF and a cell is quoted as
+in blocks of ``_BLOCK_ROWS`` rows, so the writer holds one block of text and
+never the whole file.  A table of float64 and integer arrays only goes
+through :mod:`lqw._floatfmt`, which writes the text of ``repr`` for each
+float and of ``str`` for each int a whole block at a time; any other table
+goes cell by cell.  Lines end in CRLF and a cell is quoted as
 ``csv.QUOTE_MINIMAL`` quotes it, a row's only cell too when it is empty.
 Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
 error (nothing is written; this includes an output that cannot be written).
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__, _floatfmt, harness
 from .core import StandardInit, _check_tau
 from .errors import ComplexParseError, LqwError, NormalizationError
 
@@ -50,7 +53,10 @@ _SUBCOMMANDS = {
 }
 _SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation points"}
 
-# Rows of the CSV formatted and written at a time; it bounds the writer's memory.
+# Rows of the CSV formatted and written at a time; it bounds the writer's
+# memory.  A bulk block of two float columns peaks near 0.5 MB at 1024 rows;
+# at 2048 rows the `localize` write, not the walk, set the peak of the
+# `evolution` benchmark (1.82 MB against 1.62).
 _BLOCK_ROWS = 1024
 # A CSV cell holding one of these is quoted, as csv.QUOTE_MINIMAL does.
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -214,15 +220,9 @@ def _quote(text: str) -> str:
     return text
 
 
-def _column_text(col):
-    """The CSV text of each cell of one column (a block of it)."""
-    # repr of a float is _fmt_cell's text; an array of any other kind, or a
-    # list, holds bools, text or numpy scalars and goes cell by cell
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return map(repr, col.tolist())
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-        return map(str, col.tolist())
-    return (_quote(str(_fmt_cell(value))) for value in col)
+def _cell_lines(block) -> str:
+    """The CSV lines of a block formatted cell by cell, for a table with a text or bool column."""
+    return _csv_lines([(_quote(str(_fmt_cell(value))) for value in col) for col in block])
 
 
 def _csv_lines(block) -> str:
@@ -234,9 +234,11 @@ def _csv_lines(block) -> str:
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
     fh.write(_csv_lines([[_quote(name)] for name in report.columns]))
     length = len(report.table[0]) if report.table else 0
+    lines = _cell_lines
+    if length and all(map(_floatfmt.is_numeric, report.table)):
+        lines = _floatfmt.BlockFormatter(report.table, min(length, _BLOCK_ROWS))
     for start in range(0, length, _BLOCK_ROWS):
-        fh.write(_csv_lines([_column_text(col[start:start + _BLOCK_ROWS])
-                             for col in report.table]))
+        fh.write(lines([col[start:start + _BLOCK_ROWS] for col in report.table]))
 
 
 def _write_json(fh, report: harness.ExperimentReport) -> None:

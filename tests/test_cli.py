@@ -159,6 +159,36 @@ class TestCsvSerialization:
         # tables of plain floats and ints skip the per-cell path; verify has text and bools
         assert bool(cells) is (argv[0] == "verify")
 
+    @pytest.mark.parametrize("argv", [
+        ("density", "--tau", "10", "--grid", "200001"),  # an odd grid has a cell at x = 0
+        ("simulate", "--tau", "1", "--steps", "4000"),
+    ], ids=" ".join)
+    def test_large_numeric_tables_match_cell_by_cell_formatting(self, argv, tmp_path,
+                                                                 monkeypatch):
+        reports = []
+        write = lqw.cli._write_outputs
+
+        def captured(report, config):
+            reports.append(report)
+            return write(report, config)
+
+        monkeypatch.setattr(lqw.cli, "_write_outputs", captured)
+        run_cli(*argv, "--out", str(tmp_path))
+        assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cell_by_cell_csv(reports[0])
+
+    @pytest.mark.parametrize("length", [lqw.cli._BLOCK_ROWS - 1, lqw.cli._BLOCK_ROWS,
+                                        lqw.cli._BLOCK_ROWS + 1, 4095, 4096, 4097])
+    def test_numeric_tables_across_block_boundaries(self, length):
+        rng = np.random.default_rng(length)
+        report = lqw.ExperimentReport(
+            experiment="blocks", config={}, columns=("t", "x", "n"),
+            table=(np.arange(length) - length // 2,
+                   rng.integers(0, 2**64, length, dtype=np.uint64).view(np.float64),
+                   rng.integers(-2**63, 2**63, length)))
+        fh = io.StringIO(newline="")
+        lqw.cli._write_csv(fh, report)
+        assert fh.getvalue().encode() == cell_by_cell_csv(report)
+
     # the csv module writes str(cell): 'True' for True and '0.1' for
     # np.float32(0.1), so any cell that is not an exact float or int goes
     # through _fmt_cell
