@@ -14,16 +14,16 @@ rounded to odd, from one 126-bit g(k) ≈ 10^−k·2^r per k (Java's ``rop``).
 Java keeps two digits where c < 3; without that rule the same steps give
 ``repr`` for every subnormal.
 
-The text is built eight bytes at a time, each byte in a uint64 "word", the
-first in the low byte, NUL where a cell's text has no character.  A float
-takes seven words: its sign, 16 digits before the point (right-aligned), the
-point with up to three zeros of 0.000ddd and the first digit after them, 16
-more digits (left-aligned) and the exponent.  Positional for a decimal
-exponent E with −4 ≤ E < 16 (``123.0``, ``0.0001``), else ``d.ddde-05`` or
-``1e+16``, and ``0.0``, ``-0.0``, ``inf``, ``-inf``, ``nan``, as ``repr``
-writes them.  An integer takes four: its sign and 20 digits.  The words of a
-block, row by row, with the NULs deleted, are its CSV lines.  Only array
-arithmetic is used, never a numpy scalar that could overflow.
+The text is built in uint64 "words" of eight bytes, the first in the low
+byte, NUL where a cell has no character; a block's words, row by row, with
+the NULs deleted, are its CSV lines.  A cell takes four words, the last
+ending in its separator.  A float has its sign and the "0.000" of 0.000ddd
+in bytes 0-5, its digits with the point from byte 6 and its exponent in
+bytes 25-29: positional for a decimal exponent E with −4 ≤ E < 16, else
+``d.ddde-05`` or ``1e+16``, and ``0.0``, ``-0.0``, ``inf``, ``-inf``,
+``nan``, as ``repr`` writes them.  An int has its sign in byte 0 and its
+digits in bytes 4-23.  A formatter allocates its words and _WORK_ROWS work
+arrays once; every step writes into them, never into a numpy scalar.
 """
 
 from __future__ import annotations
@@ -36,75 +36,96 @@ _K_MIN, _K_MAX = -324, 292  # decimal exponents k of the g(k) table
 _M32 = (1 << 32) - 1
 _M52 = (1 << 52) - 1
 _M63 = (1 << 63) - 1
+_WORK_ROWS = 12  # uint64 values of work per number of a block
 
 
-def _flog2pow10(e: int) -> int:
-    """floor(e·log2 10), exact for |e| ≤ 1233 (Java's MathUtils)."""
-    return (e * 913124641741) >> 38
+def _field_tables() -> np.ndarray:
+    """Per exponent field, then again for c = 2^52: k, h + 2, the hidden bit of c·2^(h+2),
+    g0, g1, and A_lo, B, A_hi for the lower and for the upper end of R.
 
-
-def _g_table() -> tuple[np.ndarray, np.ndarray]:
-    """g(k) = floor(10^−k·2^(125 − floor(−k·log2 10))) + 1 in [2^125, 2^126), per k.
-
-    As g1 = g >> 63 and g0 = g mod 2^63, each indexed by k − _K_MIN.
+    g(k) = floor(10^−k·2^r) + 1 in [2^125, 2^126), r = 125 − floor(−k·log2 10), is
+    g1·2^63 + g0.  With cp = 4c·2^h, W(cp) = floor(g1·cp/2) + floor(g0·cp/2^64) =
+    hi·2^63 + lo (Java's rop before rounding) and low = g0·cp mod 2^64, an end of
+    R is W(cp ± 2^j) = W(cp) + A_hi·2^63 + A_lo + (low ≥ B), modulo 2^127.
     """
-    g = []
-    power = 10 ** -_K_MIN
-    for k in range(_K_MIN, 1):  # 10^−k, an integer, shifted to 126 bits
-        shift = 125 - _flog2pow10(-k)
-        g.append((power << shift if shift >= 0 else power >> -shift) + 1)
-        power //= 10
-    power = 10
-    for k in range(1, _K_MAX + 1):
-        g.append((1 << (125 - _flog2pow10(-k))) // power + 1)
-        power *= 10
-    return (np.array([v >> 63 for v in g], np.uint64),
-            np.array([v & _M63 for v in g], np.uint64))
-
-
-def _field_tables() -> list[np.ndarray]:
-    """k, h, g1(k), g0(k) and the spacing flag per exponent field, then again for c = 2^52."""
+    g, power = [], 10 ** -_K_MIN  # 10^|k|
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = 125 - ((-k * 913124641741) >> 38)  # Java's flog2pow10
+        g.append((power << max(r, 0) >> max(-r, 0) if k <= 0 else (1 << r) // power) + 1)
+        power = power // 10 if k < 0 else power * 10
     field = np.tile(np.arange(2048), 2)
     q = np.maximum(field, 1) - 1075
     # c = 2^52 above the least exponent: the lower neighbour is half as far
     irregular = (np.arange(4096) >= 2048) & (field > 1)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)  # 2..5
-    g1, g0 = _g_table()
-    return [k, h, g1[k - _K_MIN], g0[k - _K_MIN], irregular.astype(np.uint64)]
-
-
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The four ASCII digits of 0..9999 in the low half of a word, and their trailing zeros."""
-    digit = np.arange(48, 58, dtype=np.uint64)
-    digits = (digit[:, None, None, None] + (digit[:, None, None] << 8)
-              + (digit[:, None] << 16) + (digit << 24))
-    zeros = np.zeros((10, 10, 10, 10), np.intp)
-    zeros[..., 0] += 1
-    zeros[..., 0, 0] += 1
-    zeros[:, 0, 0, 0] += 1
-    zeros[0, 0, 0, 0] += 1
-    return digits.ravel(), zeros.ravel()
+    g1 = np.array([v >> 63 for v in g], np.uint64)[k - _K_MIN]
+    g0 = np.array([v & _M63 for v in g], np.uint64)[k - _K_MIN]
+    j = h + 1 - irregular  # the lower end is cp − 2^j, the upper cp + 2^(h+1)
+    lower = ((g1 << (j - 1)) & _M63) + (g0 >> (64 - j))
+    # g0·2^(h+1) mod 2^64 is never 0: the carry of low plus it is low ≥ its negative
+    return np.array([k.astype(np.uint64), h + 2, (field > 0).astype(np.uint64) << (h + 54),
+                     g0, g1, ~lower & _M63, ((g1 << h) & _M63) + (g0 >> (63 - h)),
+                     g0 << j, -(g0 << (h + 1)), -(g1 >> (64 - j)) - (lower >> 63) - 1,
+                     g1 >> (63 - h)])
 
 
 def _text_word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 in the low half of a word; in the high half the
+    place of the last digit that is not 0 (floats) or the count of digits (ints), −64
+    for 0, so that over a number's groups the greatest word holds its digit count."""
+    digit = np.arange(48, 58, dtype=np.uint64)
+    digits = (digit[:, None, None, None] + (digit[:, None, None] << 8)
+              + (digit[:, None] << 16) + (digit << 24)).ravel()
+    group = np.arange(10000)
+    last = 4 - sum(group % 10**z == 0 for z in (1, 2, 3))
+    count = 1 + sum(group >= 10**z for z in (1, 2, 3))
+    return tuple(digits + (np.where(group == 0, -64, n).astype(np.uint64) << 32)
+                 for n in (last, count))
+
+
+def _first(m) -> np.ndarray:
+    """Three words per count m, all ones in their first m bytes."""
+    return (1 << np.clip(8 * m - np.array([[0], [64], [128]]), 0, 64).astype(np.uint64)) - 1
+
+
+def _layout_table() -> np.ndarray:
+    """Per sign, E clipped to −5..16 and n significant digits: the masks of the digits
+    shown and of those before the point, the point, and the sign and "0.000" prefix."""
+    e, n = (a.ravel() for a in np.meshgrid(range(-5, 17), range(18), indexing="ij"))
+    wide, small = (e >= 0) & (e < 16), (e > -5) & (e < 0)
+    shown = np.where(wide, np.maximum(n, e + 2), n)
+    point = np.where(wide, e + 1, np.where((n > 1) & ~small, 1, 18))
+    dot = _first(np.minimum(point + 1, 18)) ^ _first(point)  # byte point, none for 18
+    masks = np.vstack([_first(shown), _first(np.minimum(point, shown)),
+                       dot & np.uint64(_text_word(b"." * 8))])
+    prefix = [b"-" * s + b"0.000"[:(1 - x) * (-5 < x < 0)] for s in range(2) for x in range(-5, 17)]
+    prefix = np.array([_text_word(p) << 8 * (6 - len(p)) for p in prefix], np.uint64)
+    return np.vstack([np.tile(masks, 2), np.repeat(prefix, 18)])
+
+
 _BY_FIELD = _field_tables()
+_TRAILING, _LEADING = _digit_tables()
+_LAYOUT = _layout_table()
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
-_DIGITS4, _ZEROS4 = _digit_tables()
-# masks that keep the first (last) m bytes of a word, at index m + 16, m clipped to 0..8
-_KEPT = [min(max(m, 0), 8) for m in range(-16, 25)]
-_KEEP_FIRST = np.array([(1 << 8 * m) - 1 for m in _KEPT], np.uint64)
-_KEEP_LAST = np.array([(1 << 64) - (1 << 64 - 8 * m) for m in _KEPT], np.uint64)
-# "e-05", "e+16", "e-324" for each decimal exponent E, at index E + 400
+# at index E + 400: "e-05", "e+16", "e-324" for E outside −4..15, ending in byte 5,
+# and (min(max(E, −5), 16) + 5)·18, E's part of a column of _LAYOUT
 _E = np.arange(-400, 400)
-_EXPONENT = (ord("e") | np.where(_E < 0, ord("-"), ord("+")).astype(np.uint64) << 8
-             | _DIGITS4[abs(_E)] >> np.where(abs(_E) < 100, 16, 8).astype(np.uint64) << 16)
-_MINUS = _text_word(b"-") << 56
-_POINT_ZEROS = _text_word(b".000")
-_INF, _NAN = _text_word(b"inf"), _text_word(b"nan")
+_BY_E = (np.clip(_E, -5, 16) + 5) * 18
+_SHIFT = np.where(abs(_E) < 100, 16, 8).astype(np.uint64)  # two digits or three
+_EXPONENT = ((ord("e") | np.where(_E < 0, ord("-"), ord("+")).astype(np.uint64) << 8
+              | (_TRAILING[abs(_E)] & _M32) >> _SHIFT << 16) << _SHIFT) * ((_E < -4) | (_E >= 16))
+# the place of each group of four digits among a number's, by the group's row: a float's
+# 16 digits and then its 17th; an int's last 16 digits and then its top four
+_FLOAT_PLACES = np.array([[0], [4], [8], [12], [13]], np.uint64) << 32
+_INT_PLACES = np.array([[12], [8], [4], [0], [16]], np.uint64) << 32
+# an int's sign and the last n of its 20 digits
+_INT_SHOWN = ~_first(24 - np.arange(21)) | np.array([[0xFF], [0], [0]], np.uint64)
+_INF, _MINUS_INF, _NAN = _text_word(b"inf"), _text_word(b"-inf"), _text_word(b"nan")
 
 
 def is_numeric(column) -> bool:
@@ -113,180 +134,159 @@ def is_numeric(column) -> bool:
         column.dtype == np.float64 or column.dtype.kind in "iu")
 
 
-def _digits16(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each v < 10^16 as two words of eight ASCII digits, and its four 4-digit groups."""
-    groups = np.empty((4, len(v)), np.uint64)
-    high = v // 10**8
-    for i, half in ((0, high), (2, v - high * 10**8)):
-        np.floor_divide(half, 10**4, out=groups[i])
-        np.subtract(half, groups[i] * 10**4, out=groups[i + 1])
-    digits = _DIGITS4[groups.view(np.int64)]
-    return digits[0] | (digits[1] << 32), digits[2] | (digits[3] << 32), groups
+def _shortest(w) -> None:
+    """The shortest round-trip f·10^k of each float in w[0], the nearest of those, f into
+    w[6] and k (int64) into w[1]; zeros, infinities and NaNs get numbers to replace."""
+    bits, i, bl, bh, g, t2, p, y = w[0], w[1], w[2], w[3], w[4:6], w[6:8], w[8:10], w[10:12]
+    np.bitwise_and(np.right_shift(bits, 52, out=bh), 0x7FF, out=bh)
+    np.equal(np.bitwise_and(bits, _M52, out=bl), 0, out=i)
+    np.add(np.left_shift(i, 11, out=i), bh, out=i)  # _BY_FIELD's column: the field, c = 2^52
+    index = i.view(np.int64)
+    _BY_FIELD[1:3].take(index, axis=1, out=g, mode="clip")
+    np.bitwise_or(np.left_shift(bl, g[0], out=bl), g[1], out=bl)  # cp = 4c·2^h < 2^60
+    _BY_FIELD[3:5].take(index, axis=1, out=g, mode="clip")
+    np.multiply(g, bl, out=y)  # the low words of g0·cp and g1·cp
+    np.right_shift(bl, 32, out=bh)
+    bl &= _M32
+    # p = floor(g·cp/2^64) from 32-bit halves: below 2^32 + 2^60 + 2^63 before the last shift
+    np.right_shift(g, 32, out=t2)
+    g &= _M32
+    np.right_shift(np.multiply(g, bl, out=p), 32, out=p)
+    p += np.multiply(g, bh, out=g)
+    p += np.multiply(t2, bl, out=g)
+    p >>= 32
+    p += np.multiply(t2, bh, out=t2)
+    lo, hi, low = y[1], p[1], y[0]
+    np.add(np.right_shift(lo, 1, out=lo), p[0], out=lo)
+    hi += np.right_shift(lo, 63, out=p[0])
+    lo &= _M63  # W(cp) = hi·2^63 + lo
+    ends, u = w[2:4], g  # the lower and the upper end of R, rounded to odd
+    np.add(_BY_FIELD[5:7].take(index, axis=1, out=u, mode="clip"), lo, out=u)
+    u += np.greater_equal(low, _BY_FIELD[7:9].take(index, axis=1, out=t2, mode="clip"), out=t2)
+    np.add(_BY_FIELD[9:11].take(index, axis=1, out=ends, mode="clip"), hi, out=ends)
+    ends += np.right_shift(u, 63, out=t2)
+    ends |= np.not_equal(np.bitwise_and(u, _M63, out=u), 0, out=u)
+    hi |= np.not_equal(lo, 0, out=lo)  # x/10^k in quarter units, rounded to odd
+    _BY_FIELD[0].take(index, out=i, mode="clip")
+
+    below, above, t, s, x = w[2], w[3], w[10], w[6], w[7]
+    np.bitwise_and(bits, 1, out=t)
+    below += t  # 4·d lies in R iff below <= 4·d <= above
+    above -= t
+    np.left_shift(np.right_shift(hi, 2, out=s), 2, out=t)
+    np.greater(below, t, out=x)  # s lies below R: s + 1
+    np.less_equal(np.add(t, 4, out=t), above, out=t)  # s + 1 lies in R, and is nearer or
+    np.right_shift(0xC8, np.bitwise_and(hi, 7, out=hi), out=hi)  # as near with s odd
+    x |= np.bitwise_and(hi, t, out=hi)
+    s += x
+    flag = w[4].view(np.bool_)[:len(bits)]  # the greatest multiple of ten not above R
+    np.greater_equal(np.multiply(np.floor_divide(above, 40, out=above), 40, out=t), below,
+                     out=flag)  # ... lies in R
+    np.copyto(s, np.multiply(above, 10, out=above), where=flag)
 
 
-def _mulhi(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
-    """floor(a·b / 2^64) from the 32-bit halves of a and b."""
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    mid = (lo_lo >> 32) + (hi_lo & _M32) + (lo_hi & _M32)
-    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+def _sixteen(v, g, words, table, places, count) -> None:
+    """Each v < 10^16 as two words of eight ASCII digits, the groups of four digits in g
+    and a fifth in g[4] looked up in table, and the number's digit count in count."""
+    np.floor_divide(v, 10**8, out=g[1])
+    np.subtract(v, np.multiply(g[1], 10**8, out=g[3]), out=g[3])
+    np.floor_divide(g[1:4:2], 10**4, out=g[0:4:2])
+    g[1:4:2] -= np.multiply(g[0:4:2], 10**4, out=words)
+    table.take(g.view(np.int64), out=g, mode="clip")
+    g += places
+    np.right_shift(np.maximum.reduce(g.view(np.int64), out=count), 32, out=count)
+    g[1:4:2] <<= 32
+    np.bitwise_or(np.bitwise_and(g[0:4:2], _M32, out=words), g[1:4:2], out=words)
 
 
-def _shortest(bits: np.ndarray, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest round-trip f·10^k of each finite nonzero float, the nearest of those.
+def _float_text(w, columns):
+    """The four words of ``repr`` of each float64, the separator to come."""
+    bits, e, t, f = w[0], w[1].view(np.int64), w[2], w[6]
+    n, g, d = t.view(np.int64), w[3:8], w[8:12]
+    np.concatenate(columns, out=bits.view(np.float64))
+    _shortest(w)
+    flag = w[3].view(np.bool_)[:len(bits)]
+    np.less(np.left_shift(bits, 1, out=t), 1 << 53, out=flag)  # zeros and subnormals
+    if flag.any():
+        tiny = np.flatnonzero(flag)
+        digits = np.searchsorted(_POW10[1:18], f[tiny], side="right") + 1
+        zero = t[tiny] == 0
+        f[tiny] = f[tiny] * _POW10[17 - digits] * ~zero
+        e[tiny] = np.where(zero, -15, e[tiny] + digits - 17)
+    e += 16
+    e -= np.less(f, 10**16, out=t).view(np.int64)  # E, the decimal exponent of the first digit
+    f *= np.add(np.multiply(t, 9, out=t), 1, out=t)  # 17 digits, the first at 10^16
+    np.floor_divide(f, 10, out=g[0])
+    np.subtract(f, np.multiply(g[0], 10, out=g[4]), out=g[4])  # the 17th digit
+    _sixteen(g[0], g, d[:2], _TRAILING, _FLOAT_PLACES, n)
+    np.right_shift(np.bitwise_and(g[4], _M32, out=d[2]), 24, out=d[2])
 
-    Zeros, infinities and NaNs come out as numbers that the caller replaces.
-    """
-    c = bits & _M52
-    k, h, g1, g0, irregular = (np.take(table, field + (c == 0) * 2048) for table in _BY_FIELD)
-    c |= (field != 0).astype(np.uint64) << 52
-
-    # Java's rop for cp = 4c·2^h: W = floor(g1·cp/2) + floor(g0·cp/2^64)
-    # = hi·2^63 + lo, and vb is hi with a sticky bit for lo != 0
-    cp = c << (h + 2)
-    cp_hi, cp_lo = cp >> 32, cp & _M32
-    z = ((g1 * cp) >> 1) + _mulhi(g0 >> 32, g0 & _M32, cp_hi, cp_lo)
-    hi = _mulhi(g1 >> 32, g1 & _M32, cp_hi, cp_lo) + (z >> 63)
-    lo = z & _M63
-    del z, cp_hi, cp_lo  # few block-sized arrays alive at once keep a block small
-    vb = hi | (lo != 0)
-    # the same for cp ± 2^j: W ± (g1·2^(j−1) + floor(g0·2^j/2^64) + carry)
-    low = g0 * cp  # the low 64 bits of g0·cp
-    del cp
-    j = h + 1
-    up = lo + ((g1 << h) & _M63) + (g0 >> (64 - j)) + ((low + (g0 << j)) < low)
-    vbr = (hi + (g1 >> (63 - h)) + (up >> 63)) | ((up & _M63) != 0)
-    del up
-    j -= irregular
-    down = ((g1 << (j - 1)) & _M63) + (g0 >> (64 - j)) + (low < (g0 << j))
-    down_lo = down & _M63
-    vbl = ((hi - (g1 >> (64 - j)) - (down >> 63) - (lo < down_lo))
-           | (((lo - down_lo) & _M63) != 0))
-    del g1, g0, h, j, irregular, hi, lo, low, down, down_lo
-
-    # 4·d lies in R iff vbl + odd <= 4·d <= vbr − odd
-    odd = c & 1
-    vbl += odd
-    vbr -= odd
-    s = vb >> 2
-    s10 = s // 10 * 10  # the multiples of ten around x are s10 and s10 + 10
-    lo10, hi10 = vbl <= s10 << 2, (s10 << 2) + 40 <= vbr
-    four = s << 2
-    lo1, hi1 = vbl <= four, four + 4 <= vbr
-    # both of s and s + 1 in R: the nearer, s on a tie when s is even
-    four += 2
-    nearer = (vb < four) | ((vb == four) & ((s & 1) == 0))
-    take_s = (lo1 & ~hi1) | (nearer & (lo1 == hi1))
-    return np.where(lo10 != hi10, s10 + hi10.view(np.uint8) * 10, s + ~take_s), k
-
-
-def _float_words(columns):
-    """Yield the seven text words of ``repr`` of each float64, column after column."""
-    bits = np.concatenate(columns).view(np.uint64)
-    field = ((bits >> 52) & 0x7FF).view(np.int64)
-    f, k = _shortest(bits, field)
-    nd = 16 + (f >= 10**16)  # digits of f: 16 or 17 for a normal float
-    tiny = np.flatnonzero(field == 0)
-    if len(tiny):  # subnormals and zeros
-        zero = tiny[(bits[tiny] << 1) == 0]
-        f[zero], k[zero] = 0, 0
-        nd[tiny] = np.searchsorted(_POW10[1:18], f[tiny], side="right") + 1
-    f *= _POW10[17 - nd]  # the digits, the first at 10^16
-    exp = k + nd - 1  # decimal exponent of the first digit
-    del k, nd
-    small = (exp < 0) & (exp >= -4)  # 0.000ddd
-    wide = (exp >= 0) & (exp < 16)  # ddd.ddd
-    sci = ~(small | wide)  # d.ddde-05
-
-    special = np.flatnonzero(field == 0x7FF)
-    nan = (bits[special] & _M52) != 0
-
-    def finish(word, value=0):  # inf, -inf and nan have their own text
-        word[special] = value
-        return word
-
-    # each word is made just before it is yielded, and what only it needed is
-    # dropped
-    minus = (bits >> 63) * _MINUS
-    minus[special] *= ~nan
-    yield minus
-    del minus
-
-    whole = exp * wide  # digits before the point, less one
-    unit = _POW10[16 - whole]
-    before = f // unit
-    after = np.where(small, f, (f - before * unit) * _POW10[whole + 1])
-    del f, unit
-    before *= ~small  # 0.000ddd has a zero before the point
-    high, low, _ = _digits16(before)
-    del before
-    yield finish(high & _KEEP_LAST[whole + 9])
-    yield finish(low & _KEEP_LAST[whole + 17])
-    del high, low, whole
-
-    first = after // 10**16  # the first of the 17 digits after the point
-    after -= first * 10**16
-    high, low, groups = _digits16(after)
-    del after
-    # digits after the point, to the last that is not zero
-    zeros, run = _ZEROS4[groups[3]], groups[3] == 0
-    for group in groups[2::-1]:
-        zeros += run * _ZEROS4[group]
-        run &= group == 0
-    digits = np.where(run, first != 0, 17 - zeros)
-    digits += wide & (digits == 0)  # ddd.0
-    del groups, zeros, run
-    kept = np.where(small, -1 - exp, 0) + (~sci | (digits > 0))  # the point and its zeros
-    point = (_POINT_ZEROS & _KEEP_FIRST[kept + 16]) | (((first + 0x30) << 56) * (digits > 0))
-    yield finish(point, np.where(nan, _NAN, _INF))
-    del point, kept, first
-    yield finish(high & _KEEP_FIRST[digits + 15])
-    yield finish(low & _KEEP_FIRST[digits + 7])
-    yield finish(_EXPONENT[exp + 400] * sci)
+    x, mask, two = w[3].view(np.int64), w[4:7], w[2:8:5]
+    _BY_E.take(np.add(e, 400, out=e), out=x, mode="clip")
+    x += np.maximum(n, 0, out=n)
+    x += np.multiply(np.right_shift(bits, 63, out=t), 396, out=t).view(np.int64)
+    d[:3] &= _LAYOUT[0:3].take(x, axis=1, out=mask, mode="clip")  # the digits shown
+    np.bitwise_and(_LAYOUT[3:6].take(x, axis=1, out=mask, mode="clip"), d[:3], out=mask)
+    d[:3] ^= mask  # those before the point stay, those after it move a byte up
+    np.right_shift(d[:2], 56, out=two)
+    d[:3] <<= 8
+    d[1:3] |= two
+    d[:3] |= mask
+    d[:3] |= _LAYOUT[6:9].take(x, axis=1, out=mask, mode="clip")  # the point
+    np.right_shift(d[:2], 16, out=two)  # and all move to byte 6, after the prefix
+    d[:3] <<= 48
+    d[1:3] |= two
+    d[0] |= _LAYOUT[9].take(x, out=x.view(np.uint64), mode="clip")
+    _EXPONENT.take(e, out=d[3], mode="clip")
+    if np.greater_equal(np.left_shift(bits, 1, out=t), 0x7FF << 53, out=flag).any():
+        special = np.flatnonzero(flag)  # inf, -inf and nan have their own text
+        d[:, special] = 0
+        d[0, special] = np.where(t[special] > 0x7FF << 53, _NAN,
+                                 np.where(bits[special] >> 63 != 0, _MINUS_INF, _INF))
+    return d
 
 
-def _int_words(columns):
-    """Yield the four text words of ``str`` of each integer, column after column."""
-    negative = np.concatenate([col < 0 for col in columns])
-    m = np.concatenate([col.astype(np.int64).view(np.uint64) if col.dtype.kind == "i"
-                        else col.astype(np.uint64) for col in columns])
-    m = np.where(negative, ~m + 1, m)  # the magnitude, 2^63 for the least int64 too
-    nd = np.searchsorted(_POW10[1:], m, side="right") + 1
-    top = m // 10**16
-    high, low, _ = _digits16(m - top * 10**16)
-    yield negative * _MINUS
-    yield (_DIGITS4[top.view(np.int64)] | (high << 32)) & _KEEP_LAST[nd + 4]
-    yield ((high >> 32) | (low << 32)) & _KEEP_LAST[nd + 12]
-    yield (low >> 32) & (_KEEP_LAST[nd + 16] >> 32)
+def _int_text(w, columns):
+    """The four words of ``str`` of each integer, the separator to come."""
+    m, minus, t, nd, g, d = w[0], w[1], w[2], w[2].view(np.int64), w[3:8], w[8:12]
+    np.concatenate(columns, out=m, casting="unsafe")
+    np.right_shift(m, 63, out=minus)
+    for start, col in zip(range(0, len(m), len(columns[0])), columns):
+        if col.dtype == np.uint64:  # its top bit is no minus
+            minus[start:start + len(col)] = 0
+    m ^= np.negative(minus, out=t)
+    m += minus  # the magnitude, 2^63 for the least int64 too
+    m -= np.multiply(np.floor_divide(m, 10**16, out=g[4]), 10**16, out=t)
+    _sixteen(m, g, d[1:3], _LEADING, _INT_PLACES, nd)
+    np.left_shift(g[4], 32, out=d[0])
+    d[0] |= np.multiply(minus, ord("-"), out=minus)
+    d[:3] &= _INT_SHOWN.take(np.maximum(nd, 1, out=nd), axis=1, out=g[:3], mode="clip")
+    d[3] = 0
+    return d
 
 
 class BlockFormatter:
-    """The CSV lines of blocks of numeric columns, at most ``rows`` rows each.
-
-    Made for the columns of one table; each call takes one block of them and
-    fills the same word buffer, so the memory held is one block's.
-    """
+    """The CSV lines of blocks of at most ``rows`` rows of these numeric columns; each
+    call fills the same work arrays and words, allocated here."""
 
     def __init__(self, columns, rows: int):
         floats = [col.dtype.kind == "f" for col in columns]
-        widths = np.array([7 if is_float else 4 for is_float in floats])
-        starts = np.cumsum(widths) - widths
-        # a cell's separator, in the bytes after the text of its last word
-        ends = np.array([_text_word(b"," if i < len(columns) - 1 else b"\r\n")
-                         << (40 if is_float else 32) for i, is_float in enumerate(floats)],
-                        np.uint64)
-        self._kinds = []
-        for is_float, words in ((True, _float_words), (False, _int_words)):
-            chosen = [i for i, kind in enumerate(floats) if kind is is_float]
-            if chosen:
-                self._kinds.append((chosen, words, starts[chosen], ends[chosen, None]))
-        self._words = np.empty((widths.sum(), rows), np.uint64)
+        ends = np.array([_text_word(b",") << 56] * (len(columns) - 1)
+                        + [_text_word(b"\r\n") << 48], np.uint64)[:, None]
+        self._kinds = [(chosen, ends[chosen], text) for chosen, text in (
+            ([i for i, kind in enumerate(floats) if kind], _float_text),
+            ([i for i, kind in enumerate(floats) if not kind], _int_text)) if chosen]
+        most = max(len(chosen) for chosen, _, _ in self._kinds)
+        self._work = np.empty(_WORK_ROWS * most * rows, np.uint64)
+        self._text = bytearray(32 * len(columns) * rows)
+        self._cells = np.frombuffer(self._text, np.uint64).reshape(rows, len(columns), 4)
 
     def __call__(self, block) -> str:
         rows = len(block[0])
-        words = self._words[:, :rows]
-        for chosen, make, starts, ends in self._kinds:
-            for offset, word in enumerate(make([block[i] for i in chosen])):
-                words[starts + offset] = word.reshape(len(chosen), rows)
-            words[starts + offset] |= ends  # after the last word of each cell
-        text = words.T.astype("<u8", copy=False).tobytes()
-        return text.translate(None, b"\0").decode("ascii")
+        self._cells[rows:] = 0
+        for chosen, ends, text in self._kinds:
+            work = self._work[:_WORK_ROWS * len(chosen) * rows].reshape(_WORK_ROWS, -1)
+            words = text(work, [block[i] for i in chosen])
+            words[3].reshape(len(chosen), rows)[:] |= ends
+            self._cells[:rows, chosen] = words.reshape(4, len(chosen), rows).transpose(2, 1, 0)
+        return self._text.translate(None, b"\0").decode("ascii")

@@ -11,7 +11,7 @@ peak velocity equals Omega by theorem, and is written apart to check it.
 
 The omega = 0 eigenvector puts the same amplitude on every loop, so F_3 is a
 3 x 3 block on (left, right, one loop), and the limiting origin state costs
-O(delta); only ``f3_matrix`` expands the block to delta x delta.
+O(delta); nothing expands the block to delta x delta.
 
 The weak-limit CDF is the elementary antiderivative of f (weak-limit theorem:
 Konno, J. Math. Soc. Japan 57, 1179 (2005)), evaluated over arrays.  Moment
@@ -46,7 +46,6 @@ __all__ = [
     "ThetaConstants",
     "WeakLimitModel",
     "theta_constants",
-    "f3_matrix",
     "limiting_origin_state",
     "localization_probability_origin",
     "peak_velocities",
@@ -74,18 +73,6 @@ def theta_constants(tau: int) -> ThetaConstants:
         theta2=root / (2.0 * tau + 4.0),
         theta3=2.0 / tau - (tau + 4.0) * root / (2.0 * tau * (tau + 2.0)),
     )
-
-
-def f3_matrix(tau: int) -> np.ndarray:
-    """Time-averaged projector on the omega = 0 eigenvector, as a real matrix.
-
-    Block pattern: Theta_2 on the first two diagonal entries, Theta_3 on
-    their off-diagonal pair, Theta_1 everywhere else.
-    """
-    tau = _check_tau(tau)
-    # coin component -> row of the (left, right, one loop) block
-    block_index = np.minimum(np.arange(tau + 2), 2)
-    return _f3_block(tau)[np.ix_(block_index, block_index)]
 
 
 def limiting_origin_state(init: InitialCondition, tau: int) -> np.ndarray:

@@ -11,12 +11,13 @@ metrics and verdicts; the CLI parses, dispatches, writes and sets the exit statu
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  The CSV holds the report's table, formatted
-in blocks of ``_BLOCK_ROWS`` rows, so the writer holds one block of text and
-never the whole file.  A table of float64 and integer arrays only goes
-through :mod:`lqw._floatfmt`, which writes the text of ``repr`` for each
-float and of ``str`` for each int a whole block at a time; any other table
-goes cell by cell.  Lines end in CRLF and a cell is quoted as
-``csv.QUOTE_MINIMAL`` quotes it, a row's only cell too when it is empty.
+in equal blocks of at most ``_BLOCK_ROWS`` rows, so the writer holds one
+block of text and never the whole file.  A table of ``_BULK_ROWS`` rows or
+more of float64 and integer arrays only goes through :mod:`lqw._floatfmt`,
+which writes the text of ``repr`` for each float and of ``str`` for each
+int a whole block at a time; any other table goes cell by cell.  Lines end
+in CRLF and a cell is quoted as ``csv.QUOTE_MINIMAL`` quotes it, a row's
+only cell too when it is empty.
 Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
 error (nothing is written; this includes an output that cannot be written).
 """
@@ -54,10 +55,14 @@ _SUBCOMMANDS = {
 _SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation points"}
 
 # Rows of the CSV formatted and written at a time; it bounds the writer's
-# memory.  A bulk block of two float columns peaks near 0.5 MB at 1024 rows;
-# at 2048 rows the `localize` write, not the walk, set the peak of the
-# `evolution` benchmark (1.82 MB against 1.62).
-_BLOCK_ROWS = 1024
+# memory.  A bulk block holds 96 bytes of work per float and about 90 bytes of
+# words and text per cell: two float columns peak near 0.45 MB at 1280 rows
+# and 0.72 MB at 2048, where the `localize` write (0.77 MB), not the walk,
+# would set the peak of the `evolution` benchmark.
+_BLOCK_ROWS = 1280
+# A numeric table shorter than this goes cell by cell: the bulk path costs
+# about 0.2 ms a block whatever its rows, a row cell by cell 2.5-4 µs.
+_BULK_ROWS = 64
 # A CSV cell holding one of these is quoted, as csv.QUOTE_MINIMAL does.
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
@@ -234,11 +239,13 @@ def _csv_lines(block) -> str:
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
     fh.write(_csv_lines([[_quote(name)] for name in report.columns]))
     length = len(report.table[0]) if report.table else 0
-    lines = _cell_lines
-    if length and all(map(_floatfmt.is_numeric, report.table)):
-        lines = _floatfmt.BlockFormatter(report.table, min(length, _BLOCK_ROWS))
-    for start in range(0, length, _BLOCK_ROWS):
-        fh.write(lines([col[start:start + _BLOCK_ROWS] for col in report.table]))
+    lines, rows = _cell_lines, _BLOCK_ROWS
+    if length >= _BULK_ROWS and all(map(_floatfmt.is_numeric, report.table)):
+        blocks = -(-length // _BLOCK_ROWS)
+        rows = -(-length // blocks)  # equal blocks, the last a little shorter
+        lines = _floatfmt.BlockFormatter(report.table, rows)
+    for start in range(0, length, rows):
+        fh.write(lines([col[start:start + rows] for col in report.table]))
 
 
 def _write_json(fh, report: harness.ExperimentReport) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lqw.analytics
 from lqw import GeneralInit, StandardInit, WalkParams
 
 
@@ -22,6 +23,16 @@ def random_standard(rng: np.random.Generator) -> StandardInit:
     beta = complex(raw[2], raw[3])
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     return StandardInit(alpha / norm, beta / norm)
+
+
+def dense_f3(tau: int) -> np.ndarray:
+    """The time-averaged projector F_3 as a dense delta x delta matrix, from its 3 x 3 block.
+
+    Block pattern: Theta_2 on the first two diagonal entries, Theta_3 on their
+    off-diagonal pair, Theta_1 everywhere else.
+    """
+    block_index = np.minimum(np.arange(tau + 2), 2)  # coin component -> row of the block
+    return lqw.analytics._f3_block(tau)[np.ix_(block_index, block_index)]
 
 
 def random_general(rng: np.random.Generator, params: WalkParams) -> GeneralInit:

@@ -18,7 +18,6 @@ from lqw import (
     eigen_system,
     empirical_vs_weak_limit,
     evolve,
-    f3_matrix,
     fit_power_law,
     grover_coin,
     iter_evolution,
@@ -34,7 +33,7 @@ from lqw import (
 )
 from lqw.cli import main
 
-from conftest import random_standard
+from conftest import dense_f3, random_standard
 
 SWEEP_TAUS = [1, 2, 5, 10, 20]
 
@@ -249,7 +248,7 @@ class TestCriterion9PropertySuites:
                 ))
                 v = u * np.sqrt((1 + np.cos(k)) / (tau + 4 + tau * np.cos(k)))
                 acc += np.outer(v, v.conj())
-            worst = max(worst, float(np.max(np.abs(acc / m - f3_matrix(tau)))))
+            worst = max(worst, float(np.max(np.abs(acc / m - dense_f3(tau)))))
         report("9-f3", worst < 1e-8, f"max entrywise deviation {worst:.2e}")
 
     def test_velocity_equals_support_bound(self, symmetric_init):

@@ -16,7 +16,6 @@ from lqw import (
     WalkParams,
     WeakLimitModel,
     eigen_system,
-    f3_matrix,
     limit_moment,
     limiting_origin_state,
     localization_probability_origin,
@@ -26,7 +25,7 @@ from lqw import (
     weak_limit_density,
 )
 
-from conftest import random_general, random_standard
+from conftest import dense_f3, random_general, random_standard
 
 TAUS = [1, 2, 5, 10, 20]
 
@@ -101,11 +100,11 @@ class TestF3Matrix:
             [th.theta3, th.theta2, th.theta1],
             [th.theta1, th.theta1, th.theta1],
         ])
-        assert np.array_equal(f3_matrix(1), expected)
+        assert np.array_equal(dense_f3(1), expected)
 
     @pytest.mark.parametrize("tau", [1, 3, 7])
     def test_symmetric(self, tau):
-        f3 = f3_matrix(tau)
+        f3 = dense_f3(tau)
         assert np.array_equal(f3, f3.T)
 
     @pytest.mark.parametrize("tau", [1, 2, 5])
@@ -120,7 +119,7 @@ class TestF3Matrix:
             u = np.concatenate(([kappa1(k), kappa2(k)], np.ones(tau)))
             v = u * np.sqrt(true_n3(tau, k))
             acc += np.outer(v, v.conj())
-        assert np.max(np.abs(acc / m - f3_matrix(tau))) < 1e-8
+        assert np.max(np.abs(acc / m - dense_f3(tau))) < 1e-8
 
     @pytest.mark.parametrize("tau", [2, 5])
     def test_loop_sector_projector(self, tau):
@@ -156,7 +155,7 @@ class TestLimitingOriginState:
         expected_odd = np.array([th.theta1, th.theta1, th.theta1 - 0.5, th.theta1 + 0.5])
         assert np.allclose(even, expected_even, atol=1e-14)
         # the odd-step state negates the loop-difference part and keeps the probability
-        odd = (f3_matrix(2) - dense_loop_projector(2)) @ init.coin_vector(WalkParams(2))
+        odd = (dense_f3(2) - dense_loop_projector(2)) @ init.coin_vector(WalkParams(2))
         assert np.allclose(odd, expected_odd, atol=1e-14)
         assert abs(np.sum(odd**2) - localization_probability_origin(init, 2)) < 1e-14
 
@@ -168,7 +167,7 @@ class TestLimitingOriginState:
         # loop-difference part
         params = WalkParams(tau)
         rng = np.random.default_rng(tau)
-        dense = f3_matrix(tau) + sign * dense_loop_projector(tau)
+        dense = dense_f3(tau) + sign * dense_loop_projector(tau)
         for init in (skewed_init, *(random_general(rng, params) for _ in range(3))):
             expected = dense @ init.coin_vector(params)
             phi = limiting_origin_state(init, tau)

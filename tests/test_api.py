@@ -21,7 +21,7 @@ EXPORTS = [
     "EigenSystem", "momentum_operator", "eigen_system", "momentum_grid_solution",
     "propagate_fourier",
     # analytics
-    "ThetaConstants", "WeakLimitModel", "theta_constants", "f3_matrix",
+    "ThetaConstants", "WeakLimitModel", "theta_constants",
     "limiting_origin_state", "localization_probability_origin", "peak_velocities",
     "weak_limit_density", "limit_moment", "spread_coefficient",
     # harness

@@ -176,8 +176,9 @@ class TestCsvSerialization:
         run_cli(*argv, "--out", str(tmp_path))
         assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cell_by_cell_csv(reports[0])
 
-    @pytest.mark.parametrize("length", [lqw.cli._BLOCK_ROWS - 1, lqw.cli._BLOCK_ROWS,
-                                        lqw.cli._BLOCK_ROWS + 1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("length", [1023, 1024, 1025, lqw.cli._BLOCK_ROWS - 1,
+                                        lqw.cli._BLOCK_ROWS, lqw.cli._BLOCK_ROWS + 1,
+                                        4095, 4096, 4097])
     def test_numeric_tables_across_block_boundaries(self, length):
         rng = np.random.default_rng(length)
         report = lqw.ExperimentReport(
@@ -247,6 +248,75 @@ class TestCsvSerialization:
                 tracemalloc.stop()
 
         assert peak(400_001) < 1.5 * peak(40_001)
+
+    @pytest.mark.parametrize("length", [lqw.cli._BULK_ROWS - 1, lqw.cli._BULK_ROWS,
+                                        lqw.cli._BULK_ROWS + 1])
+    def test_short_numeric_tables_go_cell_by_cell(self, length, monkeypatch):
+        cells, fmt_cell = [], lqw.cli._fmt_cell
+
+        def counted(value):
+            cells.append(value)
+            return fmt_cell(value)
+
+        rng = np.random.default_rng(length)
+        report = lqw.ExperimentReport(
+            experiment="short", config={}, columns=("n", "x"),
+            table=(np.arange(length) - length // 2, rng.standard_normal(length) * 1e-3))
+        fh = io.StringIO(newline="")
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
+        lqw.cli._write_csv(fh, report)
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", fmt_cell)
+        assert fh.getvalue().encode() == cell_by_cell_csv(report)
+        assert bool(cells) is (length < lqw.cli._BULK_ROWS)
+
+    # A two-float table like density's and an (int, float, float) one like
+    # localize's; the bulk writer holds one block, so its peak stays under
+    # these bounds at any length (it measures about 0.46 and 0.39 MB).
+    @pytest.mark.parametrize("shape,length,bound", [("density", 40_001, 500_000),
+                                                    ("localize", 2000, 530_000)])
+    def test_writer_peak_has_a_fixed_bound(self, shape, length, bound):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        xs = np.linspace(-1.0, 1.0, length)
+        t = np.arange(1, length + 1)
+        table = {"density": (xs, np.sqrt(xs + 1.0)),
+                 "localize": (t, 1.0 / np.sqrt(t + 0.5), np.full(length, 0.123456789))}[shape]
+        report = lqw.ExperimentReport(experiment=shape, config={},
+                                      columns=("a", "b", "c")[:len(table)], table=table)
+        tracemalloc.start()
+        try:
+            lqw.cli._write_csv(Discard(), report)
+            assert tracemalloc.get_traced_memory()[1] < bound
+        finally:
+            tracemalloc.stop()
+
+    def test_a_second_block_allocates_no_block_sized_array(self):
+        # every step of a block writes into the formatter's work arrays: making each
+        # kind's words allocates less than one uint64 column of the block, and the
+        # call no more than that besides the deletion of the NULs and the text
+        n = 16384  # above numpy's ufunc buffer, 8192 values, which a smaller block may fill
+        xs = np.linspace(-1.0, 1.0, n)
+        block = [np.arange(n) - n // 2, xs, np.sqrt(xs + 1.0)]
+        formatter = lqw._floatfmt.BlockFormatter(block, n)
+        formatter(block)
+        tracemalloc.start()
+        try:
+            for chosen, _, words in formatter._kinds:
+                rows = lqw._floatfmt._WORK_ROWS
+                work = formatter._work[:rows * len(chosen) * n].reshape(rows, -1)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                words(work, [block[i] for i in chosen])
+                assert tracemalloc.get_traced_memory()[1] - before < 8 * n
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = formatter(block)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < len(formatter._text) + len(text) + 8 * n
+        finally:
+            tracemalloc.stop()
 
 
 class TestUsageErrors:
