@@ -1,4 +1,5 @@
-"""CSV text of numeric columns in bulk: ``repr`` of every float64, ``str`` of every int.
+"""CSV text of numeric columns in bulk: ``repr`` of every float64, ``str`` of every int
+within ±2^53.
 
 The shortest decimal that reads back as the same float64 is found with the
 Schubfach method (R. Giulietti, "The Schubfach way to render doubles", 2020),
@@ -21,9 +22,11 @@ ending in its separator.  A float has its sign and the "0.000" of 0.000ddd
 in bytes 0-5, its digits with the point from byte 6 and its exponent in
 bytes 25-29: positional for a decimal exponent E with −4 ≤ E < 16, else
 ``d.ddde-05`` or ``1e+16``, and ``0.0``, ``-0.0``, ``inf``, ``-inf``,
-``nan``, as ``repr`` writes them.  An int has its sign in byte 0 and its
-digits in bytes 4-23.  A formatter allocates its words and _WORK_ROWS work
-arrays once; every step writes into them, never into a numpy scalar.
+``nan``, as ``repr`` writes them.  An int within ±2^53 is exact as a float64,
+and ``repr`` of it is its ``str`` and ".0": it goes through the same steps,
+and only its layout differs, its E + 1 digits shown and no point.  A
+formatter allocates its words and _WORK_ROWS work arrays once; every step
+writes into them, never into a numpy scalar.
 """
 
 from __future__ import annotations
@@ -74,18 +77,16 @@ def _text_word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The four ASCII digits of 0..9999 in the low half of a word; in the high half the
-    place of the last digit that is not 0 (floats) or the count of digits (ints), −64
-    for 0, so that over a number's groups the greatest word holds its digit count."""
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of 0..9999 in the low half of a word, and in the high half
+    the place of the last digit that is not 0, −64 for 0, so that over a number's groups
+    the greatest word holds its count of significant digits."""
     digit = np.arange(48, 58, dtype=np.uint64)
     digits = (digit[:, None, None, None] + (digit[:, None, None] << 8)
               + (digit[:, None] << 16) + (digit << 24)).ravel()
     group = np.arange(10000)
     last = 4 - sum(group % 10**z == 0 for z in (1, 2, 3))
-    count = 1 + sum(group >= 10**z for z in (1, 2, 3))
-    return tuple(digits + (np.where(group == 0, -64, n).astype(np.uint64) << 32)
-                 for n in (last, count))
+    return digits + (np.where(group == 0, -64, last).astype(np.uint64) << 32)
 
 
 def _first(m) -> np.ndarray:
@@ -94,22 +95,25 @@ def _first(m) -> np.ndarray:
 
 
 def _layout_table() -> np.ndarray:
-    """Per sign, E clipped to −5..16 and n significant digits: the masks of the digits
-    shown and of those before the point, the point, and the sign and "0.000" prefix."""
-    e, n = (a.ravel() for a in np.meshgrid(range(-5, 17), range(18), indexing="ij"))
-    wide, small = (e >= 0) & (e < 16), (e > -5) & (e < 0)
-    shown = np.where(wide, np.maximum(n, e + 2), n)
-    point = np.where(wide, e + 1, np.where((n > 1) & ~small, 1, 18))
+    """Per kind (float, int), sign, E clipped to −5..16 and n significant digits: the masks
+    of the digits shown and of those before the point, the point, and the sign and "0.000"
+    prefix.  An int shows its E + 1 digits and no point."""
+    integer, _, e, n = (a.ravel() for a in np.meshgrid(
+        range(2), range(2), range(-5, 17), range(18), indexing="ij"))
+    wide, small = (e >= 0) & (e < 16) & ~integer, (e > -5) & (e < 0)
+    shown = np.where(integer, e + 1, np.where(wide, np.maximum(n, e + 2), n))
+    point = np.where(wide, e + 1, np.where((n > 1) & ~small & ~integer, 1, 18))
     dot = _first(np.minimum(point + 1, 18)) ^ _first(point)  # byte point, none for 18
     masks = np.vstack([_first(shown), _first(np.minimum(point, shown)),
                        dot & np.uint64(_text_word(b"." * 8))])
-    prefix = [b"-" * s + b"0.000"[:(1 - x) * (-5 < x < 0)] for s in range(2) for x in range(-5, 17)]
+    prefix = [b"-" * s + b"0.000"[:(1 - x) * (-5 < x < 0 and not i)]
+              for i in range(2) for s in range(2) for x in range(-5, 17)]
     prefix = np.array([_text_word(p) << 8 * (6 - len(p)) for p in prefix], np.uint64)
-    return np.vstack([np.tile(masks, 2), np.repeat(prefix, 18)])
+    return np.vstack([masks, np.repeat(prefix, 18)])
 
 
 _BY_FIELD = _field_tables()
-_TRAILING, _LEADING = _digit_tables()
+_TRAILING = _digit_table()
 _LAYOUT = _layout_table()
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 # at index E + 400: "e-05", "e+16", "e-324" for E outside −4..15, ending in byte 5,
@@ -119,19 +123,18 @@ _BY_E = (np.clip(_E, -5, 16) + 5) * 18
 _SHIFT = np.where(abs(_E) < 100, 16, 8).astype(np.uint64)  # two digits or three
 _EXPONENT = ((ord("e") | np.where(_E < 0, ord("-"), ord("+")).astype(np.uint64) << 8
               | (_TRAILING[abs(_E)] & _M32) >> _SHIFT << 16) << _SHIFT) * ((_E < -4) | (_E >= 16))
-# the place of each group of four digits among a number's, by the group's row: a float's
-# 16 digits and then its 17th; an int's last 16 digits and then its top four
-_FLOAT_PLACES = np.array([[0], [4], [8], [12], [13]], np.uint64) << 32
-_INT_PLACES = np.array([[12], [8], [4], [0], [16]], np.uint64) << 32
-# an int's sign and the last n of its 20 digits
-_INT_SHOWN = ~_first(24 - np.arange(21)) | np.array([[0xFF], [0], [0]], np.uint64)
+# the place of each group of four digits among a number's 17, by the group's row: its
+# first 16 digits and then its 17th
+_PLACES = np.array([[0], [4], [8], [12], [13]], np.uint64) << 32
 _INF, _MINUS_INF, _NAN = _text_word(b"inf"), _text_word(b"-inf"), _text_word(b"nan")
 
 
 def is_numeric(column) -> bool:
-    """True for a column this module formats: a float64 or integer array."""
-    return isinstance(column, np.ndarray) and (
-        column.dtype == np.float64 or column.dtype.kind in "iu")
+    """True for a column this module formats: a float64 array, or an integer array whose
+    values all lie within ±2^53, where each is exact as a float64."""
+    return isinstance(column, np.ndarray) and (column.dtype == np.float64 or (
+        column.dtype.kind in "iu" and -2**53 <= column.min(initial=0)
+        and column.max(initial=0) <= 2**53))
 
 
 def _shortest(w) -> None:
@@ -185,25 +188,26 @@ def _shortest(w) -> None:
     np.copyto(s, np.multiply(above, 10, out=above), where=flag)
 
 
-def _sixteen(v, g, words, table, places, count) -> None:
+def _sixteen(v, g, words, count) -> None:
     """Each v < 10^16 as two words of eight ASCII digits, the groups of four digits in g
-    and a fifth in g[4] looked up in table, and the number's digit count in count."""
+    and a fifth in g[4] looked up in _TRAILING, and the number's digit count in count."""
     np.floor_divide(v, 10**8, out=g[1])
     np.subtract(v, np.multiply(g[1], 10**8, out=g[3]), out=g[3])
     np.floor_divide(g[1:4:2], 10**4, out=g[0:4:2])
     g[1:4:2] -= np.multiply(g[0:4:2], 10**4, out=words)
-    table.take(g.view(np.int64), out=g, mode="clip")
-    g += places
+    _TRAILING.take(g.view(np.int64), out=g, mode="clip")
+    g += _PLACES
     np.right_shift(np.maximum.reduce(g.view(np.int64), out=count), 32, out=count)
     g[1:4:2] <<= 32
     np.bitwise_or(np.bitwise_and(g[0:4:2], _M32, out=words), g[1:4:2], out=words)
 
 
-def _float_text(w, columns):
-    """The four words of ``repr`` of each float64, the separator to come."""
+def _float_text(w, columns, ints):
+    """The four words of ``repr`` of each float64, and of ``str`` of each value of the
+    first ``ints`` columns, ints within ±2^53, the separator to come."""
     bits, e, t, f = w[0], w[1].view(np.int64), w[2], w[6]
     n, g, d = t.view(np.int64), w[3:8], w[8:12]
-    np.concatenate(columns, out=bits.view(np.float64))
+    np.concatenate(columns, out=bits.view(np.float64))  # casts an int column exactly
     _shortest(w)
     flag = w[3].view(np.bool_)[:len(bits)]
     np.less(np.left_shift(bits, 1, out=t), 1 << 53, out=flag)  # zeros and subnormals
@@ -218,13 +222,14 @@ def _float_text(w, columns):
     f *= np.add(np.multiply(t, 9, out=t), 1, out=t)  # 17 digits, the first at 10^16
     np.floor_divide(f, 10, out=g[0])
     np.subtract(f, np.multiply(g[0], 10, out=g[4]), out=g[4])  # the 17th digit
-    _sixteen(g[0], g, d[:2], _TRAILING, _FLOAT_PLACES, n)
+    _sixteen(g[0], g, d[:2], n)
     np.right_shift(np.bitwise_and(g[4], _M32, out=d[2]), 24, out=d[2])
 
     x, mask, two = w[3].view(np.int64), w[4:7], w[2:8:5]
     _BY_E.take(np.add(e, 400, out=e), out=x, mode="clip")
     x += np.maximum(n, 0, out=n)
     x += np.multiply(np.right_shift(bits, 63, out=t), 396, out=t).view(np.int64)
+    x[:ints * len(columns[0])] += 792  # an int's layout
     d[:3] &= _LAYOUT[0:3].take(x, axis=1, out=mask, mode="clip")  # the digits shown
     np.bitwise_and(_LAYOUT[3:6].take(x, axis=1, out=mask, mode="clip"), d[:3], out=mask)
     d[:3] ^= mask  # those before the point stay, those after it move a byte up
@@ -246,47 +251,26 @@ def _float_text(w, columns):
     return d
 
 
-def _int_text(w, columns):
-    """The four words of ``str`` of each integer, the separator to come."""
-    m, minus, t, nd, g, d = w[0], w[1], w[2], w[2].view(np.int64), w[3:8], w[8:12]
-    np.concatenate(columns, out=m, casting="unsafe")
-    np.right_shift(m, 63, out=minus)
-    for start, col in zip(range(0, len(m), len(columns[0])), columns):
-        if col.dtype == np.uint64:  # its top bit is no minus
-            minus[start:start + len(col)] = 0
-    m ^= np.negative(minus, out=t)
-    m += minus  # the magnitude, 2^63 for the least int64 too
-    m -= np.multiply(np.floor_divide(m, 10**16, out=g[4]), 10**16, out=t)
-    _sixteen(m, g, d[1:3], _LEADING, _INT_PLACES, nd)
-    np.left_shift(g[4], 32, out=d[0])
-    d[0] |= np.multiply(minus, ord("-"), out=minus)
-    d[:3] &= _INT_SHOWN.take(np.maximum(nd, 1, out=nd), axis=1, out=g[:3], mode="clip")
-    d[3] = 0
-    return d
-
-
 class BlockFormatter:
     """The CSV lines of blocks of at most ``rows`` rows of these numeric columns; each
     call fills the same work arrays and words, allocated here."""
 
     def __init__(self, columns, rows: int):
-        floats = [col.dtype.kind == "f" for col in columns]
+        # the int columns first, so that their values lead the work arrays
+        self._order = sorted(range(len(columns)), key=lambda i: columns[i].dtype.kind == "f")
+        self._ints = sum(col.dtype.kind != "f" for col in columns)
         ends = np.array([_text_word(b",") << 56] * (len(columns) - 1)
-                        + [_text_word(b"\r\n") << 48], np.uint64)[:, None]
-        self._kinds = [(chosen, ends[chosen], text) for chosen, text in (
-            ([i for i, kind in enumerate(floats) if kind], _float_text),
-            ([i for i, kind in enumerate(floats) if not kind], _int_text)) if chosen]
-        most = max(len(chosen) for chosen, _, _ in self._kinds)
-        self._work = np.empty(_WORK_ROWS * most * rows, np.uint64)
+                        + [_text_word(b"\r\n") << 48], np.uint64)
+        self._ends = ends[self._order, None]
+        self._work = np.empty(_WORK_ROWS * len(columns) * rows, np.uint64)
         self._text = bytearray(32 * len(columns) * rows)
         self._cells = np.frombuffer(self._text, np.uint64).reshape(rows, len(columns), 4)
 
     def __call__(self, block) -> str:
-        rows = len(block[0])
+        rows, count = len(block[0]), len(block)
         self._cells[rows:] = 0
-        for chosen, ends, text in self._kinds:
-            work = self._work[:_WORK_ROWS * len(chosen) * rows].reshape(_WORK_ROWS, -1)
-            words = text(work, [block[i] for i in chosen])
-            words[3].reshape(len(chosen), rows)[:] |= ends
-            self._cells[:rows, chosen] = words.reshape(4, len(chosen), rows).transpose(2, 1, 0)
+        work = self._work[:_WORK_ROWS * count * rows].reshape(_WORK_ROWS, -1)
+        words = _float_text(work, [block[i] for i in self._order], self._ints)
+        words[3].reshape(count, rows)[:] |= self._ends
+        self._cells[:rows, self._order] = words.reshape(4, count, rows).transpose(2, 1, 0)
         return self._text.translate(None, b"\0").decode("ascii")

@@ -13,9 +13,10 @@ Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  The CSV holds the report's table, formatted
 in equal blocks of at most ``_BLOCK_ROWS`` rows, so the writer holds one
 block of text and never the whole file.  A table of ``_BULK_ROWS`` rows or
-more of float64 and integer arrays only goes through :mod:`lqw._floatfmt`,
-which writes the text of ``repr`` for each float and of ``str`` for each
-int a whole block at a time; any other table goes cell by cell.  Lines end
+more of float64 arrays and integer arrays within ±2^53 only goes through
+:mod:`lqw._floatfmt`, which writes the text of ``repr`` for each float and
+of ``str`` for each int, all columns of a block in one pass; any other
+table goes cell by cell.  Lines end
 in CRLF and a cell is quoted as ``csv.QUOTE_MINIMAL`` quotes it, a row's
 only cell too when it is empty.
 Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
@@ -55,10 +56,11 @@ _SUBCOMMANDS = {
 _SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation points"}
 
 # Rows of the CSV formatted and written at a time; it bounds the writer's
-# memory.  A bulk block holds 96 bytes of work per float and about 90 bytes of
-# words and text per cell: two float columns peak near 0.45 MB at 1280 rows
-# and 0.72 MB at 2048, where the `localize` write (0.77 MB), not the walk,
-# would set the peak of the `evolution` benchmark.
+# memory.  A bulk block holds 96 bytes of work per number of every column and
+# about 90 bytes of words and text per cell: two columns peak near 0.45 MB at
+# 1280 rows and 0.72 MB at 2048, and `localize`'s three near 0.62 MB at 1280;
+# a 2000-row `localize` block (0.96 MB), not the walk, would set the peak of
+# the `evolution` benchmark.
 _BLOCK_ROWS = 1280
 # A numeric table shorter than this goes cell by cell: the bulk path costs
 # about 0.2 ms a block whatever its rows, a row cell by cell 2.5-4 µs.
@@ -120,13 +122,10 @@ def parse_complex(text: str) -> complex:
 
 
 def _eval_term(text: str, term: list[tuple[str, str, int]]) -> tuple[float, bool]:
-    sign = 1.0
-    idx = 0
-    while idx < len(term) and term[idx][0] == "sign":
-        if term[idx][1] == "-":
-            sign = -sign
-        idx += 1
-    factors = term[idx:]
+    # a sign after a value starts a new term, so only a term's first token is one
+    sign, factors = 1.0, term
+    if term and term[0][0] == "sign":
+        sign, factors = (-1.0 if term[0][1] == "-" else 1.0), term[1:]
     if not factors:
         at = term[-1][2] if term else 0
         raise ComplexParseError(text, at, "a value after the sign")
@@ -142,8 +141,6 @@ def _eval_term(text: str, term: list[tuple[str, str, int]]) -> tuple[float, bool
             dividing = True
             expect_factor = True
             continue
-        if kind == "sign":
-            raise ComplexParseError(text, at, "a single sign per term")
         if kind == "number":
             factor = float(tok)
         elif kind == "sqrt":

@@ -86,7 +86,7 @@ class WalkParams:
     tau: int
 
     def __post_init__(self):
-        _check_tau(self.tau)
+        object.__setattr__(self, "tau", _check_tau(self.tau))
 
     @property
     def delta(self) -> int:
@@ -179,10 +179,7 @@ class WalkerState:
     loop_diff: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool):
-            raise TypeError(f"t must be an integer, got {type(self.t).__name__}")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        object.__setattr__(self, "t", _check_int("t", self.t, 0))
         moving = np.asarray(self.moving, dtype=np.complex128).view()
         loop_diff = np.asarray(self.loop_diff, dtype=np.complex128).view()
         if moving.shape != (3, 2 * self.t + 1):
@@ -292,8 +289,7 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _check_int("t", t, 0)
     for _, window, diff in _evolution_buffers(init, params, t):
         pass
     return WalkerState(t, window, diff)
@@ -301,7 +297,6 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    t_max = _check_int("t_max", t_max, 0)
     for t, window, diff in _evolution_buffers(init, params, t_max):
         yield WalkerState(t, window, diff)

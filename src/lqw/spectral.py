@@ -54,6 +54,7 @@ from .core import (
     InitialCondition,
     WalkerState,
     WalkParams,
+    _check_int,
     _check_norm,
     _moving_coin,
     _reduced_start,
@@ -195,8 +196,7 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
     exactly.  The loop differences are (-1)^t d, as in the kernel.  O(t log t)
     time, O(t) memory.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _check_int("t", t, 0)
     start, diff = _reduced_start(init, params)
     m = 2 * t + 1
     ks = (2.0 * np.pi / m) * (np.arange(m) + 0.5)
@@ -309,8 +309,7 @@ def momentum_grid_solution(
     as the dense delta x delta matrix, so this path stays an independent
     oracle for the kernel in :mod:`lqw.core` (and has no k = 0 special case).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _check_int("t", t, 0)
     m = _default_grid_size(t)
     d = params.delta
     ks = -np.pi + 2.0 * np.pi * np.arange(m) / m

@@ -48,7 +48,8 @@ class TestParseComplex:
         assert parse_complex(text) == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "text", ["", "   ", "1+", "widget", "1+2", "i+1", "1+2i+3i", "1/", "/2", "1/i", "ii", "sqrt(-2)"]
+        "text", ["", "   ", "1+", "widget", "1+2", "i+1", "1+2i+3i", "1/", "/2", "1/i", "ii", "sqrt(-2)",
+                 "--1", "1+-2i", "+-i"]
     )
     def test_rejected_literals(self, text):
         with pytest.raises(ComplexParseError):
@@ -176,19 +177,43 @@ class TestCsvSerialization:
         run_cli(*argv, "--out", str(tmp_path))
         assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cell_by_cell_csv(reports[0])
 
-    @pytest.mark.parametrize("length", [1023, 1024, 1025, lqw.cli._BLOCK_ROWS - 1,
-                                        lqw.cli._BLOCK_ROWS, lqw.cli._BLOCK_ROWS + 1,
-                                        4095, 4096, 4097])
-    def test_numeric_tables_across_block_boundaries(self, length):
+    @staticmethod
+    def blocks_report(length, limit):
         rng = np.random.default_rng(length)
-        report = lqw.ExperimentReport(
+        return lqw.ExperimentReport(
             experiment="blocks", config={}, columns=("t", "x", "n"),
             table=(np.arange(length) - length // 2,
                    rng.integers(0, 2**64, length, dtype=np.uint64).view(np.float64),
-                   rng.integers(-2**63, 2**63, length)))
+                   rng.integers(-limit, limit, length, endpoint=limit == 2**53)))
+
+    @staticmethod
+    def cells_formatted(report, monkeypatch) -> list:
+        """The cells ``_write_csv`` passes to ``_fmt_cell``; its bytes match cell by cell."""
+        cells, fmt_cell = [], lqw.cli._fmt_cell
+
+        def counted(value):
+            cells.append(value)
+            return fmt_cell(value)
+
         fh = io.StringIO(newline="")
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
         lqw.cli._write_csv(fh, report)
+        monkeypatch.setattr(lqw.cli, "_fmt_cell", fmt_cell)
         assert fh.getvalue().encode() == cell_by_cell_csv(report)
+        return cells
+
+    @pytest.mark.parametrize("length", [1023, 1024, 1025, lqw.cli._BLOCK_ROWS - 1,
+                                        lqw.cli._BLOCK_ROWS, lqw.cli._BLOCK_ROWS + 1,
+                                        4095, 4096, 4097])
+    def test_numeric_tables_across_block_boundaries(self, length, monkeypatch):
+        report = self.blocks_report(length, 2**53)
+        assert self.cells_formatted(report, monkeypatch) == []
+
+    @pytest.mark.parametrize("length", [lqw.cli._BULK_ROWS, lqw.cli._BLOCK_ROWS + 1])
+    def test_full_range_int_columns_go_cell_by_cell(self, length, monkeypatch):
+        # an int beyond ±2^53 is not exact as a float64: the bulk path takes none
+        report = self.blocks_report(length, 2**63)
+        assert len(self.cells_formatted(report, monkeypatch)) == 3 * length
 
     # the csv module writes str(cell): 'True' for True and '0.1' for
     # np.float32(0.1), so any cell that is not an exact float or int goes
@@ -252,26 +277,15 @@ class TestCsvSerialization:
     @pytest.mark.parametrize("length", [lqw.cli._BULK_ROWS - 1, lqw.cli._BULK_ROWS,
                                         lqw.cli._BULK_ROWS + 1])
     def test_short_numeric_tables_go_cell_by_cell(self, length, monkeypatch):
-        cells, fmt_cell = [], lqw.cli._fmt_cell
-
-        def counted(value):
-            cells.append(value)
-            return fmt_cell(value)
-
         rng = np.random.default_rng(length)
         report = lqw.ExperimentReport(
             experiment="short", config={}, columns=("n", "x"),
             table=(np.arange(length) - length // 2, rng.standard_normal(length) * 1e-3))
-        fh = io.StringIO(newline="")
-        monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
-        lqw.cli._write_csv(fh, report)
-        monkeypatch.setattr(lqw.cli, "_fmt_cell", fmt_cell)
-        assert fh.getvalue().encode() == cell_by_cell_csv(report)
-        assert bool(cells) is (length < lqw.cli._BULK_ROWS)
+        assert bool(self.cells_formatted(report, monkeypatch)) is (length < lqw.cli._BULK_ROWS)
 
     # A two-float table like density's and an (int, float, float) one like
     # localize's; the bulk writer holds one block, so its peak stays under
-    # these bounds at any length (it measures about 0.46 and 0.39 MB).
+    # these bounds at any length (it measures about 0.45 and 0.48 MB).
     @pytest.mark.parametrize("shape,length,bound", [("density", 40_001, 500_000),
                                                     ("localize", 2000, 530_000)])
     def test_writer_peak_has_a_fixed_bound(self, shape, length, bound):
@@ -293,23 +307,22 @@ class TestCsvSerialization:
             tracemalloc.stop()
 
     def test_a_second_block_allocates_no_block_sized_array(self):
-        # every step of a block writes into the formatter's work arrays: making each
-        # kind's words allocates less than one uint64 column of the block, and the
-        # call no more than that besides the deletion of the NULs and the text
+        # every step of a block writes into the formatter's work arrays: making the
+        # words of all its columns allocates less than one uint64 column of the block,
+        # and the call no more than that besides the deletion of the NULs and the text
         n = 16384  # above numpy's ufunc buffer, 8192 values, which a smaller block may fill
         xs = np.linspace(-1.0, 1.0, n)
-        block = [np.arange(n) - n // 2, xs, np.sqrt(xs + 1.0)]
+        block = [xs, np.arange(n) - n // 2, np.sqrt(xs + 1.0)]
         formatter = lqw._floatfmt.BlockFormatter(block, n)
         formatter(block)
+        ordered = [block[i] for i in formatter._order]
+        work = formatter._work.reshape(lqw._floatfmt._WORK_ROWS, -1)
         tracemalloc.start()
         try:
-            for chosen, _, words in formatter._kinds:
-                rows = lqw._floatfmt._WORK_ROWS
-                work = formatter._work[:rows * len(chosen) * n].reshape(rows, -1)
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                words(work, [block[i] for i in chosen])
-                assert tracemalloc.get_traced_memory()[1] - before < 8 * n
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lqw._floatfmt._float_text(work, ordered, formatter._ints)
+            assert tracemalloc.get_traced_memory()[1] - before < 8 * n
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             text = formatter(block)

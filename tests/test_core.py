@@ -16,9 +16,12 @@ from lqw import (
     evolve,
     grover_coin,
     iter_evolution,
+    momentum_grid_solution,
+    propagate_fourier,
 )
 
 from lqw.core import _moving_coin, _reduced_start
+from lqw.spectral import _closed_form_state
 
 from conftest import random_general, random_standard
 
@@ -507,3 +510,35 @@ class TestReducedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _rebuilt_state(init, params, t):
+    state = evolve(init, params, 3)
+    return WalkerState(t, state.moving, state.loop_diff)
+
+
+WALKS = {
+    "evolve": evolve,
+    "iter_evolution": lambda init, params, t: list(iter_evolution(init, params, t))[-1],
+    "WalkerState": _rebuilt_state,
+    "closed_form_state": _closed_form_state,
+    "momentum_grid_solution": momentum_grid_solution,
+    "propagate_fourier": propagate_fourier,
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_every_walk_checks_its_step_count(walk):
+    init, params = StandardInit(0.6, 0.8j), WalkParams(2)
+    result = WALKS[walk](init, params, np.int64(3))
+    if isinstance(result, WalkerState):
+        assert type(result.t) is int and result.t == 3
+    for t in (3.0, True, None):
+        with pytest.raises(TypeError):
+            WALKS[walk](init, params, t)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        WALKS[walk](init, params, -1)
+
+
+def test_walk_params_stores_a_plain_int():
+    assert type(WalkParams(np.int64(3)).tau) is int

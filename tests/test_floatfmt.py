@@ -1,11 +1,16 @@
 """Bulk CSV number text: the bytes of ``repr`` for every float64, of ``str`` for every int."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lqw._floatfmt import BlockFormatter
+import lqw.cli
+from lqw._floatfmt import BlockFormatter, is_numeric
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 
 
 def cells(values: np.ndarray) -> list[str]:
@@ -15,6 +20,15 @@ def cells(values: np.ndarray) -> list[str]:
         block = values[start:start + 8192]
         lines += BlockFormatter([block], len(block))([block]).split("\r\n")[:-1]
     return lines
+
+
+def written_lines(*columns) -> list[str]:
+    """The data lines ``cli._write_csv`` writes for these columns, in bulk or cell by cell."""
+    report = lqw.ExperimentReport(experiment="ints", config={},
+                                  columns=tuple("abcd"[:len(columns)]), table=columns)
+    fh = io.StringIO(newline="")
+    lqw.cli._write_csv(fh, report)
+    return fh.getvalue().split("\r\n")[1:-1]
 
 
 def assert_repr(values) -> None:
@@ -82,8 +96,7 @@ def test_short_decimals_at_every_scale():
     assert_repr([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())])
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
-                                   np.uint8, np.uint16, np.uint32, np.uint64])
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
 def test_integer_columns_match_str(dtype):
     info = np.iinfo(dtype)
     rng = np.random.default_rng(3)
@@ -91,7 +104,7 @@ def test_integer_columns_match_str(dtype):
         np.array([info.min, info.min + 1, info.max - 1, info.max, 0, 1, 9, 10, 99, 100],
                  dtype),
         rng.integers(info.min, info.max, 1000, dtype=dtype, endpoint=True)])
-    assert cells(values) == [str(v) for v in values.tolist()]
+    assert written_lines(values) == [str(v) for v in values.tolist()]
 
 
 def test_int64_extremes_and_every_digit_count():
@@ -99,18 +112,58 @@ def test_int64_extremes_and_every_digit_count():
     values = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]
                       + powers + [-p for p in powers] + [p - 1 for p in powers]
                       + [1 - p for p in powers], np.int64)
-    assert cells(values) == [str(v) for v in values.tolist()]
+    assert written_lines(values) == [str(v) for v in values.tolist()]
 
 
 def test_mixed_columns_make_csv_lines():
     ints = np.array([-3, 0, 2**62], np.int64)
     unsigned = np.array([2**64 - 1, 0, 7], np.uint64)
     floats = np.array([float("nan"), -0.0, 1e-7])
+    lines = written_lines(floats, ints, unsigned, floats[::-1].copy())
+    assert lines == [f"{a!r},{b},{c},{d!r}" for a, b, c, d in
+                     zip(floats.tolist(), ints.tolist(), unsigned.tolist(), floats[::-1].tolist())]
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+def test_integers_within_2_to_the_53_match_str(dtype):
+    info = np.iinfo(dtype)
+    low, high = max(info.min, -2**53), min(info.max, 2**53)
+    edges = [0, 1, -1, 2**53 - 1, 1 - 2**53, 2**53, -2**53] + [
+        s * (10**e + d) for e in range(16) for d in (-1, 0) for s in (1, -1)]
+    rng = np.random.default_rng(11)
+    values = np.concatenate([np.array([v for v in edges if low <= v <= high], dtype),
+                             rng.integers(low, high, 1000, dtype=dtype, endpoint=True)])
+    assert is_numeric(values)
+    assert cells(values) == [str(v) for v in values.tolist()]
+
+
+def test_int_and_float_columns_in_one_block():
+    ints = np.array([-3, 0, 2**53, -2**53, 10**15], np.int64)
+    unsigned = np.array([2**53, 0, 7, 1, 10**15 - 1], np.uint64)
+    floats = np.array([float("nan"), -0.0, 1e-7, 1e16, 123.0])
     block = [floats, ints, unsigned, floats[::-1].copy()]
     text = BlockFormatter(block, 8)(block)
     assert text == "".join(f"{a!r},{b},{c},{d!r}\r\n" for a, b, c, d in
                            zip(floats.tolist(), ints.tolist(), unsigned.tolist(),
                                floats[::-1].tolist()))
+
+
+@pytest.mark.parametrize("edge", [2**53, -2**53])
+def test_ints_beyond_2_to_the_53_go_cell_by_cell(edge, monkeypatch):
+    cells_formatted, fmt_cell = [], lqw.cli._fmt_cell
+
+    def counted(value):
+        cells_formatted.append(value)
+        return fmt_cell(value)
+
+    monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
+    for beyond in (False, True):
+        values = np.arange(lqw.cli._BULK_ROWS)
+        values[0] = edge + beyond * (1 if edge > 0 else -1)
+        cells_formatted.clear()
+        assert is_numeric(values) is not beyond
+        assert written_lines(values) == [str(v) for v in values.tolist()]
+        assert bool(cells_formatted) is beyond
 
 
 def test_one_formatter_serves_blocks_of_any_length_up_to_its_rows():
