@@ -23,7 +23,10 @@ by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
   for ``StandardInit``) and change sign every step.
 
 The coin is real, so each step is one real product on the float64 view of
-the complex window, and a step costs O(t) at any ``tau``.  A ``WalkerState``
+the complex window, written into one work array per walk, and a step costs
+O(t) at any ``tau``.  ``iter_evolution`` gives every state a new window of
+its own; ``evolve`` keeps only the last, so it steps in one reused buffer
+and allocates nothing per step.  A ``WalkerState``
 holds exactly this data, ``moving`` (left, right, u over the sites) and
 ``loop_diff`` (d at the origin).  Its norm check is two dot products, which
 leaves one O(tau) term per state: the squared norm of d.  The probability
@@ -195,7 +198,9 @@ class WalkerState:
 
     @cached_property
     def _probs(self) -> np.ndarray:
-        probs = np.sum(np.abs(self.moving) ** 2, axis=0)
+        squares = np.abs(self.moving) ** 2
+        probs = squares[0] + squares[1]
+        probs += squares[2]  # np.sum's order over the rows, in two adds
         # d is orthogonal to the uniform loop mode, so its weight just adds
         probs[self.t] += np.sum(np.abs(self.loop_diff) ** 2)
         probs.setflags(write=False)
@@ -258,29 +263,46 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
     return np.array([coin[0], coin[1], u]), coin[2:] - u / root_tau
 
 
-def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
+def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *, reuse=False):
     """The position-space kernel: one application of U = S (I x G) per step.
 
     Evolves the moving sector (left, right, u) under ``_moving_coin``; the
     loop differences d at the origin only change sign.  Yields
-    ``(t, window, d_t)`` for t = 0 .. t_max, where ``window`` is a new
-    ``(3, 2t+1)`` array that the kernel never writes again: one row per
-    component, so each shift is a contiguous copy.  Internal only, never
-    exposed.
+    ``(t, window, d_t)`` for t = 0 .. t_max, where ``window`` is the
+    ``(3, 2t+1)`` state: one row per component, so each shift is a
+    contiguous copy.  Every coin product is written into one work array of
+    6(2t_max + 1) floats.  Each window is a new array that the kernel never
+    writes again, unless ``reuse``: then step t is written into the first
+    2t+1 columns of one zeroed (3, 2t_max + 1) buffer, so a window is
+    overwritten at the next step and the walk allocates nothing per step.
+    The coin product has left the buffer before the shift writes it, and the
+    cells the shift leaves unwritten at step t ([0, 2t-1:], [1, :2], [2, 0],
+    [2, 2t]) were never written at an earlier step, so they stay zero.
+    Internal only, never exposed.
     """
     start, diff = _reduced_start(init, params)
     signed_diff = (diff, -diff)
 
     g = _moving_coin(params)
+    width = 2 * t_max + 1
+    work = np.empty(6 * width)
+    if reuse:
+        buffer = np.zeros((3, width), dtype=np.complex128)
     window = start[:, None]
+    # The one-column first step stays a complex matrix-vector product, whose
+    # rounding the dense reference walk shares.
+    first = g @ window
     yield 0, window, signed_diff[0]
     for t in range(1, t_max + 1):
         # g is real: one real product on the float64 view coins the real and
-        # imaginary parts with the complex product's bits.  The one-column
-        # first step stays a complex matrix-vector product, whose rounding
-        # the dense reference walk shares.
-        coined = g @ window if t == 1 else (g @ window.view(np.float64)).view(np.complex128)
-        window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
+        # imaginary parts with the complex product's bits.
+        coined = first if t == 1 else np.matmul(
+            g, window.view(np.float64), out=work[:6 * (2 * t - 1)].reshape(3, -1)
+        ).view(np.complex128)
+        if reuse:
+            window = buffer[:, :2 * t + 1]
+        else:
+            window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
         window[0, :-2] = coined[0]
         window[1, 2:] = coined[1]
         window[2, 1:-1] = coined[2]
@@ -290,7 +312,7 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int):
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
-    for _, window, diff in _evolution_buffers(init, params, t):
+    for _, window, diff in _evolution_buffers(init, params, t, reuse=True):
         pass
     return WalkerState(t, window, diff)
 

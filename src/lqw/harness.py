@@ -125,10 +125,10 @@ def _walk(
     state = next(states)
     # d only flips sign, so |d|^2 is the same at every step
     loop_weight = np.sum(np.abs(state.loop_diff) ** 2)
-    origin = np.empty(t_max)
+    columns = np.empty((t_max, 3), dtype=np.complex128)
     for state in states:
-        origin[state.t - 1] = np.sum(np.abs(state.moving[:, state.t]) ** 2) + loop_weight
-    return origin, state
+        columns[state.t - 1] = state.moving[:, state.t]
+    return np.sum(np.abs(columns) ** 2, axis=1) + loop_weight, state
 
 
 def _window_mean(origin: np.ndarray) -> float:

@@ -354,6 +354,7 @@ def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.
     of two >= 2t + 10, has more points than the walk's 2t + 1 sites, so the
     inverse transform is exact up to roundoff.
     """
+    t = _check_int("t", t, 0)
     amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1))
     _check_norm(np.vdot(amps, amps).real)
     amps.setflags(write=False)
@@ -366,6 +367,7 @@ def _light_cone_tail(init: InitialCondition, params: WalkParams, t: int) -> floa
     The exact walk puts nothing there; the oracle's grid of at least 2t + 10
     points (``_default_grid_size``) holds those sites apart from the support.
     """
+    t = _check_int("t", t, 0)
     beyond = np.arange(t + 1, t + 5)
     amps = _position_amplitudes(init, params, t, np.concatenate((beyond, -beyond)))
     return float(np.max(np.abs(amps)))

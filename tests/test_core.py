@@ -20,8 +20,8 @@ from lqw import (
     propagate_fourier,
 )
 
-from lqw.core import _moving_coin, _reduced_start
-from lqw.spectral import _closed_form_state
+from lqw.core import _evolution_buffers, _moving_coin, _reduced_start
+from lqw.spectral import _closed_form_state, _light_cone_tail
 
 from conftest import random_general, random_standard
 
@@ -250,7 +250,7 @@ class TestEvolve:
                 assert not array.flags.writeable
 
     def test_evolve_holds_three_windows_at_most(self):
-        # the consumer's window, the coined rows and the next window
+        # the reused (3, 2t+1) buffer and the work array of the coin product: two windows
         t = 4000
         window = 3 * (2 * t + 1) * 16
         tracemalloc.start()
@@ -259,11 +259,57 @@ class TestEvolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * window
+        assert peak < 2.5 * window
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             evolve(StandardInit(1, 0), WalkParams(1), -1)
+
+    def test_reused_buffers_allocate_nothing_per_step(self):
+        # evolve's walk allocates its buffer up front: 100 later steps, each with a
+        # 96 KB window, raise the traced peak by no more than their small array views
+        steps = _evolution_buffers(StandardInit(0.6, 0.8j), WalkParams(3), 1100, reuse=True)
+        for t, *_ in steps:
+            if t == 1000:
+                break
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t, *_ in steps:
+                if t == 1100:
+                    break
+            assert tracemalloc.get_traced_memory()[1] - before < 4096
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("tau", [1, 2, 10, 100])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_reused_buffers_match_new_windows(self, tau, kind):
+        # at tau 1 the light-cone tails turn subnormal from about t 645
+        params = WalkParams(tau)
+        rng = np.random.default_rng(500 + tau)
+        init = random_standard(rng) if kind == "standard" else random_general(rng, params)
+        ts = (0, 1, 2, 3, 255, 256, 701)
+        fresh = {t: state for t, state in enumerate(iter_evolution(init, params, max(ts)))
+                 if t in ts}
+        reference = {t: walk for t, walk in enumerate(complex_coin_walk(init, params, max(ts)))
+                     if t in ts}
+        for t in ts:
+            state = evolve(init, params, t)
+            for other in (fresh[t], WalkerState(t, *reference[t])):
+                assert np.array_equal(state.moving, other.moving)
+                assert np.array_equal(state.loop_diff, other.loop_diff)
+
+    def test_evolve_result_survives_later_walks(self):
+        init, params = StandardInit(0.6, 0.8j), WalkParams(2)
+        state = evolve(init, params, 300)
+        moving, loop_diff = state.moving.copy(), state.loop_diff.copy()
+        evolve(init, params, 300)
+        states = iter_evolution(init, params, 300)
+        for _ in range(150):
+            next(states)
+        assert np.array_equal(state.moving, moving)
+        assert np.array_equal(state.loop_diff, loop_diff)
 
 
 class TestPositionDistribution:
@@ -524,6 +570,7 @@ WALKS = {
     "closed_form_state": _closed_form_state,
     "momentum_grid_solution": momentum_grid_solution,
     "propagate_fourier": propagate_fourier,
+    "light_cone_tail": _light_cone_tail,
 }
 
 
@@ -534,7 +581,7 @@ def test_every_walk_checks_its_step_count(walk):
     if isinstance(result, WalkerState):
         assert type(result.t) is int and result.t == 3
     for t in (3.0, True, None):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="t(_max)? must be an integer"):
             WALKS[walk](init, params, t)
     with pytest.raises(ValueError, match="must be >= 0"):
         WALKS[walk](init, params, -1)

@@ -353,9 +353,9 @@ class TestEmpiricalVsWeakLimit:
             walks.append(t)
             return evolve_(init, params, t)
 
-        def spied_buffers(init, params, t_max):
+        def spied_buffers(init, params, t_max, **kwargs):
             walks.append(t_max)
-            return buffers(init, params, t_max)
+            return buffers(init, params, t_max, **kwargs)
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -430,9 +430,9 @@ class TestVerificationSuite:
         kernel = lqw.core._evolution_buffers
         walks = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             walks.append(args)
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
         report = verification_suite(symmetric_init, 2, 128)
