@@ -26,9 +26,12 @@ The coin is real, so each step is one real product on the float64 view of
 the complex window, written into one work array per walk, and a step costs
 O(t) at any ``tau``.  ``iter_evolution`` gives every state a new window of
 its own; ``evolve`` keeps only the last, so it steps in one reused buffer
-and allocates nothing per step.  A ``WalkerState``
-holds exactly this data, ``moving`` (left, right, u over the sites) and
-``loop_diff`` (d at the origin).  Its norm check is two dot products, which
+and allocates nothing per step.  Of the experiments, ``localization_series``
+and the ``verification_suite`` walk build one ``WalkerState`` per step
+through ``iter_evolution``; ``variance_series`` reads the reused buffer
+itself and builds none.  A ``WalkerState`` holds exactly this data,
+``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
+origin).  Its norm check is two dot products, which
 leaves one O(tau) term per state: the squared norm of d.  The probability
 vector and the full ``(2t+1, delta)`` amplitudes, the one way to read a
 site's coin state, are built only when read.

@@ -9,6 +9,13 @@ float64 or int64 array per numeric column straight from numpy, so a long
 table costs 8 bytes per cell and no Python object per row.  Every CLI
 subcommand runs one of the experiments; serialization is left to the cli
 module.
+
+The kernel walks are shared: localization_series and verification_suite
+iterate ``WalkerState`` snapshots (``_walk``), one per step, each with its
+norm check; variance_series reads every step from the kernel's reused
+buffer and builds no state, checking each step's norm from its
+probabilities; distribution_snapshot and the kernel probe of
+empirical_vs_weak_limit build one final state with ``evolve``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics, spectral
+from . import analytics, core, spectral
 from .core import (
     InitialCondition,
     StandardInit,
@@ -240,6 +247,37 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
     )
 
 
+def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.ndarray:
+    """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffer.
+
+    P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
+    row into one work row: |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
+    the origin.  Contiguous rows keep every ufunc call off numpy's buffer.
+    The norm of every step is checked from that row's sum.
+    """
+    # the weights n and n^2 at every step are slices of these
+    ns = np.arange(-t_max, t_max + 1, dtype=float)
+    ns2 = ns * ns
+    variances = np.empty(t_max + 1)
+    probs = np.empty(2 * t_max + 1)
+    square = np.empty(2 * t_max + 1)
+    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
+        if t == 0:
+            # d only flips sign, so |d|^2 is the same at every step
+            loop_weight = np.sum(np.abs(diff) ** 2)
+        q, r = probs[:2 * t + 1], square[:2 * t + 1]
+        np.square(np.abs(window[0], out=q), out=q)
+        for row in window[1:]:
+            q += np.square(np.abs(row, out=r), out=r)
+        q[t] += loop_weight
+        core._check_norm(np.sum(q))
+        sites = slice(t_max - t, t_max + t + 1)
+        mean = float(np.dot(ns[sites], q))
+        second = float(np.dot(ns2[sites], q))
+        variances[t] = second - mean * mean
+    return variances
+
+
 def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """sigma^2(t) for t = 0..t_max, computed exactly from the distribution.
 
@@ -248,17 +286,8 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     gets the bare series: no closed form covers it (its variance can be 0 at every t).
     """
     t_max = _check_int("t_max", t_max, 10)
-    # the weights n and n^2 at every step are slices of these
-    ns = np.arange(-t_max, t_max + 1, dtype=float)
-    ns2 = ns * ns
     ts = np.arange(t_max + 1)
-    variances = np.empty(t_max + 1)
-    for state in iter_evolution(init, WalkParams(tau), t_max):
-        sites = slice(t_max - state.t, t_max + state.t + 1)
-        probs = state.probabilities()
-        mean = float(np.dot(ns[sites], probs))
-        second = float(np.dot(ns2[sites], probs))
-        variances[state.t] = second - mean * mean
+    variances = _variances(init, WalkParams(tau), t_max)
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):
         c_fit, alpha_fit = fit_power_law(ts, variances)

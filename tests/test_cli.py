@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lqw
-from lqw import ComplexParseError
+from lqw import ComplexParseError, _floatfmt
 from lqw.cli import format_complex, main, parse_complex
 
 
@@ -313,15 +313,15 @@ class TestCsvSerialization:
         n = 16384  # above numpy's ufunc buffer, 8192 values, which a smaller block may fill
         xs = np.linspace(-1.0, 1.0, n)
         block = [xs, np.arange(n) - n // 2, np.sqrt(xs + 1.0)]
-        formatter = lqw._floatfmt.BlockFormatter(block, n)
+        formatter = _floatfmt.BlockFormatter(block, n)
         formatter(block)
         ordered = [block[i] for i in formatter._order]
-        work = formatter._work.reshape(lqw._floatfmt._WORK_ROWS, -1)
+        work = formatter._work.reshape(_floatfmt._WORK_ROWS, -1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            lqw._floatfmt._float_text(work, ordered, formatter._ints)
+            _floatfmt._float_text(work, ordered, formatter._ints)
             assert tracemalloc.get_traced_memory()[1] - before < 8 * n
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()

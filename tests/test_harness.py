@@ -1,5 +1,7 @@
 """Experiment drivers: series, snapshots, fits, and the cross-check suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ import lqw.spectral
 from lqw import (
     DegenerateSeriesError,
     GeneralInit,
+    NormalizationError,
     StandardInit,
     UnsupportedInitialStateError,
     WalkerState,
@@ -172,6 +175,45 @@ class TestVarianceSeries:
         assert report.verdicts[1].measured == abs(c_fit - c_theory) / c_theory
         assert report.passed
 
+    def test_walks_the_reused_kernel_buffer_once(self, symmetric_init, monkeypatch):
+        # the moments come straight from the kernel's window: no WalkerState per step
+        kernel = lqw.core._evolution_buffers
+        walks, states = [], []
+
+        def counted(*args, **kwargs):
+            walks.append(kwargs)
+            return kernel(*args, **kwargs)
+
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("variance_series called iter_evolution")
+
+        post_init = WalkerState.__post_init__
+
+        def constructed(self):
+            states.append(self.t)
+            post_init(self)
+
+        monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
+        monkeypatch.setattr(lqw.core, "iter_evolution", no_iteration)
+        monkeypatch.setattr(lqw.harness, "iter_evolution", no_iteration)
+        monkeypatch.setattr(WalkerState, "__post_init__", constructed)
+        assert variance_series(symmetric_init, 10, 200).passed
+        assert walks == [{"reuse": True}]
+        assert states == []
+
+    def test_peak_memory_holds_no_window_per_step(self, symmetric_init):
+        # the (3, 2t+1) buffer, the coin's work array and a few (2t+1)-float rows:
+        # about 0.55 MB at t 2000; a WalkerState per step, or one ufunc call on
+        # the 2-D window, reads above 0.7 MB
+        variance_series(symmetric_init, 10, 50)
+        tracemalloc.start()
+        try:
+            variance_series(symmetric_init, 10, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 650_000
+
     def test_general_init_gets_the_bare_series(self):
         # the loop-difference sector stays at the origin: no power law to fit
         init = GeneralInit((0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)))
@@ -219,6 +261,44 @@ class TestPerStepSeriesAreExact:
             second = float(np.dot(ns * ns, probs))
             expected.append((t, second - mean * mean))
         assert report.rows == expected
+
+    # Past 8192 values a ufunc call on a (3, 2t+1) array may go through numpy's
+    # buffer; variance_series works row by row, so its bits must not change there.
+    @pytest.mark.parametrize("tau", [1, 10])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_variance_equals_moments_of_iterated_states_at_full_size(self, tau, kind):
+        params, init = self._walk(tau, kind)
+        t_max = 1400
+        ns = np.arange(-t_max, t_max + 1, dtype=float)
+        ns2 = ns * ns
+        expected = np.empty(t_max + 1)
+        for state in lqw.core.iter_evolution(init, params, t_max):
+            sites = slice(t_max - state.t, t_max + state.t + 1)
+            probs = state.probabilities()
+            mean = float(np.dot(ns[sites], probs))
+            second = float(np.dot(ns2[sites], probs))
+            expected[state.t] = second - mean * mean
+        assert np.array_equal(variance_series(init, tau, t_max).table[1], expected)
+
+
+class TestPerStepNormCheck:
+    """A walk that leaks norm is stopped within a few steps of the leak, on every route."""
+
+    @pytest.mark.parametrize("series", [localization_series, variance_series])
+    def test_a_non_unitary_coin_is_caught_early(self, series, symmetric_init, monkeypatch):
+        coin, kernel = lqw.core._moving_coin, lqw.core._evolution_buffers
+        steps = []
+
+        def counted(*args, **kwargs):
+            for step in kernel(*args, **kwargs):
+                steps.append(step[0])
+                yield step
+
+        monkeypatch.setattr(lqw.core, "_moving_coin", lambda params: coin(params) * (1 + 1e-6))
+        monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
+        with pytest.raises(NormalizationError):
+            series(symmetric_init, 10, 2000)
+        assert 0 < len(steps) < 300
 
 
 class TestDensityTable:
