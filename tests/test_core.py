@@ -282,6 +282,20 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_coin_product_is_the_window_before_the_shift(self, reuse):
+        params = WalkParams(3)
+        init = random_general(np.random.default_rng(7), params)
+        for t, window, _, coined in _evolution_buffers(init, params, 40, reuse=reuse):
+            if t == 0:
+                assert np.array_equal(coined, window)
+                continue
+            assert coined.shape == (3, 2 * t - 1)
+            assert t == 1 or coined.flags.c_contiguous
+            assert np.array_equal(coined[0], window[0, :-2])
+            assert np.array_equal(coined[1], window[1, 2:])
+            assert np.array_equal(coined[2], window[2, 1:-1])
+
     @pytest.mark.parametrize("tau", [1, 2, 10, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_reused_buffers_match_new_windows(self, tau, kind):

@@ -280,11 +280,30 @@ class TestPerStepSeriesAreExact:
             expected[state.t] = second - mean * mean
         assert np.array_equal(variance_series(init, tau, t_max).table[1], expected)
 
+    # The verify walk reads the reused buffer; at tau 1 the light-cone tails
+    # turn subnormal from about t 645.
+    @pytest.mark.parametrize("tau", [1, 10])
+    @pytest.mark.parametrize("kind", ["standard", "general"])
+    def test_verify_walk_equals_iterated_states_at_full_size(self, tau, kind):
+        params, init = self._walk(tau, kind)
+        t_max = 1400
+        states = lqw.core.iter_evolution(init, params, t_max)
+        next(states)
+        expected = np.empty(t_max)
+        for state in states:
+            expected[state.t - 1] = state.probabilities()[state.t]
+        origin, final = lqw.harness._walk(init, params, t_max)
+        assert np.array_equal(origin, expected)
+        assert final.t == t_max
+        assert np.array_equal(final.moving, state.moving)
+        assert np.array_equal(final.loop_diff, state.loop_diff)
+
 
 class TestPerStepNormCheck:
     """A walk that leaks norm is stopped within a few steps of the leak, on every route."""
 
-    @pytest.mark.parametrize("series", [localization_series, variance_series])
+    @pytest.mark.parametrize("series", [localization_series, variance_series,
+                                        verification_suite])
     def test_a_non_unitary_coin_is_caught_early(self, series, symmetric_init, monkeypatch):
         coin, kernel = lqw.core._moving_coin, lqw.core._evolution_buffers
         steps = []
@@ -506,18 +525,32 @@ class TestVerificationSuite:
         assert verification_suite(symmetric_init, 100, 200).passed
 
     def test_walks_the_kernel_once(self, symmetric_init, monkeypatch):
-        # norm, direct-vs-Fourier and the localization window share one walk
+        # norm, direct-vs-Fourier and the localization window share one walk of
+        # the kernel's reused buffer, which builds one WalkerState, at its last step
         kernel = lqw.core._evolution_buffers
-        walks = []
+        walks, states = [], []
 
         def counted(*args, **kwargs):
-            walks.append(args)
+            walks.append(kwargs)
             return kernel(*args, **kwargs)
 
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("verification_suite called iter_evolution")
+
+        post_init = WalkerState.__post_init__
+
+        def constructed(self):
+            states.append(self.t)
+            post_init(self)
+
         monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
+        monkeypatch.setattr(lqw.core, "iter_evolution", no_iteration)
+        monkeypatch.setattr(lqw.harness, "iter_evolution", no_iteration)
+        monkeypatch.setattr(WalkerState, "__post_init__", constructed)
         report = verification_suite(symmetric_init, 2, 128)
         assert "localization_window_mean" in [v.name for v in report.verdicts]
-        assert len(walks) == 1
+        assert walks == [{"reuse": True}]
+        assert states == [128]
 
     def test_eigen_system_only_for_the_residual_check(self, symmetric_init, monkeypatch):
         # the F3 projector integral uses the three-component omega = 0 vector;
