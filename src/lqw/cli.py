@@ -10,15 +10,14 @@ metrics and verdicts; the CLI parses, dispatches, writes and sets the exit statu
     verify     verification_suite     simulation-vs-analytics cross-check battery
 
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
-(restrictable with --format).  The CSV holds the report's table, formatted
-in equal blocks of at most ``_BLOCK_ROWS`` rows, so the writer holds one
-block of text and never the whole file.  A table of ``_BULK_ROWS`` rows or
-more of float64 arrays and integer arrays within ±2^53 only goes through
-:mod:`lqw._floatfmt`, which writes the text of ``repr`` for each float and
-of ``str`` for each int, all columns of a block in one pass; any other
-table goes cell by cell.  Lines end
-in CRLF and a cell is quoted as ``csv.QUOTE_MINIMAL`` quotes it, a row's
-only cell too when it is empty.
+(restrictable with --format).  The CSV holds the report's table in the
+default dialect of :func:`csv.writer`: CRLF line ends, minimal quoting.  A
+table of ``_BULK_ROWS`` rows or more of float64 arrays and integer arrays
+within ±2^53 only goes through :mod:`lqw._floatfmt`, in equal blocks of at
+most ``_BLOCK_ROWS`` rows, so the writer holds one block of text and never
+the whole file; it writes the text of ``repr`` for each float and of
+``str`` for each int, the bytes ``csv.writer`` gives them.  Any other
+table goes row by row through ``csv.writer``.
 Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
 error (nothing is written; this includes an output that cannot be written).
 """
@@ -26,6 +25,7 @@ error (nothing is written; this includes an output that cannot be written).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -40,7 +40,7 @@ from . import __version__, _floatfmt, harness
 from .core import StandardInit, _check_tau
 from .errors import ComplexParseError, LqwError, NormalizationError
 
-__all__ = ["CliConfig", "parse_complex", "format_complex", "run", "main"]
+__all__ = ["CliConfig", "parse_complex", "format_complex", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -65,8 +65,6 @@ _BLOCK_ROWS = 1280
 # A numeric table shorter than this goes cell by cell: the bulk path costs
 # about 0.2 ms a block whatever its rows, a row cell by cell 2.5-4 µs.
 _BULK_ROWS = 64
-# A CSV cell holding one of these is quoted, as csv.QUOTE_MINIMAL does.
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 _TOKEN = re.compile(
     r"""(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
@@ -169,11 +167,10 @@ def format_complex(z: complex) -> str:
     re_part, im_part = float(z.real), float(z.imag)
     if im_part == 0.0:
         return repr(re_part)
-    imag = f"{repr(abs(im_part))}i"
-    sign = "-" if im_part < 0 else ""
+    imag = f"{'-' if im_part < 0 else '+'}{repr(abs(im_part))}i"
     if re_part == 0.0:
-        return sign + imag
-    return f"{repr(re_part)}{'-' if im_part < 0 else '+'}{imag}"
+        return imag.lstrip("+")
+    return repr(re_part) + imag
 
 
 @dataclass
@@ -216,31 +213,16 @@ def _json_value(value):
     return value
 
 
-def _quote(text: str) -> str:
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _cell_lines(block) -> str:
-    """The CSV lines of a block formatted cell by cell, for a table with a text or bool column."""
-    return _csv_lines([(_quote(str(_fmt_cell(value))) for value in col) for col in block])
-
-
-def _csv_lines(block) -> str:
-    """CRLF-ended lines from each column's cell text; a lone empty cell is quoted, as in csv."""
-    lines = map(",".join, zip(*block))
-    return "\r\n".join(lines if len(block) != 1 else (s or '""' for s in lines)) + "\r\n"
-
-
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
-    fh.write(_csv_lines([[_quote(name)] for name in report.columns]))
+    # a csv.writer holds a 128 KiB record buffer while it lives: none outlives its call
+    csv.writer(fh).writerow(report.columns)
     length = len(report.table[0]) if report.table else 0
-    lines, rows = _cell_lines, _BLOCK_ROWS
-    if length >= _BULK_ROWS and all(map(_floatfmt.is_numeric, report.table)):
-        blocks = -(-length // _BLOCK_ROWS)
-        rows = -(-length // blocks)  # equal blocks, the last a little shorter
-        lines = _floatfmt.BlockFormatter(report.table, rows)
+    if length < _BULK_ROWS or not all(map(_floatfmt.is_numeric, report.table)):
+        csv.writer(fh).writerows(zip(*(map(_fmt_cell, col) for col in report.table)))
+        return
+    blocks = -(-length // _BLOCK_ROWS)
+    rows = -(-length // blocks)  # equal blocks, the last a little shorter
+    lines = _floatfmt.BlockFormatter(report.table, rows)
     for start in range(0, length, rows):
         fh.write(lines([col[start:start + rows] for col in report.table]))
 
@@ -295,22 +277,6 @@ def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[
             raise UsageError(f"cannot write the output: {exc}") from exc
         raise
     return paths
-
-
-def run(config: CliConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    if config.subcommand not in _SUBCOMMANDS:
-        raise UsageError(f"unknown subcommand {config.subcommand!r}")
-    experiment = getattr(harness, _SUBCOMMANDS[config.subcommand][0])
-    report = experiment(config.init, config.tau, config.size)
-
-    written = _write_outputs(report, config)
-    for path in written:
-        print(f"wrote {path}")
-    for v in report.verdicts:
-        status = "pass" if v.passed else "FAIL"
-        print(f"  [{status}] {v.name}: measured {v.measured:.3e} vs tolerance {v.tolerance:.3e}")
-    return 0 if report.passed else 1
 
 
 def _positive_int(text: str) -> int:
@@ -378,13 +344,17 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = _config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        experiment = getattr(harness, _SUBCOMMANDS[config.subcommand][0])
+        report = experiment(config.init, config.tau, config.size)
+        for path in _write_outputs(report, config):
+            print(f"wrote {path}")
+        for v in report.verdicts:
+            status = "pass" if v.passed else "FAIL"
+            print(f"  [{status}] {v.name}: measured {v.measured:.3e} vs tolerance "
+                  f"{v.tolerance:.3e}")
+        return 0 if report.passed else 1
     except (LqwError, ValueError) as exc:
-        # precondition violations and unwritable outputs leave no file behind
+        # bad flags, precondition violations and unwritable outputs leave no file behind
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
