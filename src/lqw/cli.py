@@ -12,12 +12,13 @@ metrics and verdicts; the CLI parses, dispatches, writes and sets the exit statu
 Each run writes ``<out>/<subcommand>.csv`` and ``<out>/<subcommand>.json``
 (restrictable with --format).  The CSV holds the report's table in the
 default dialect of :func:`csv.writer`: CRLF line ends, minimal quoting.  A
-table of ``_BULK_ROWS`` rows or more of float64 arrays and integer arrays
-within ±2^53 only goes through :mod:`lqw._floatfmt`, in equal blocks of at
-most ``_BLOCK_ROWS`` rows, so the writer holds one block of text and never
-the whole file; it writes the text of ``repr`` for each float and of
-``str`` for each int, the bytes ``csv.writer`` gives them.  Any other
-table goes row by row through ``csv.writer``.
+table of float64 arrays and integer arrays within ±2^53 only goes through
+:mod:`lqw._floatfmt`, in equal blocks of at most ``_BLOCK_ROWS`` rows, so the
+writer holds one block of text and never the whole file; it writes the text
+of ``repr`` for each float and of ``str`` for each int, the bytes
+``csv.writer`` gives them.  A table with a text, bool or beyond-±2^53 int
+column goes row by row through ``csv.writer``.  The JSON is
+:func:`json.dump`'s, with complex values as ``{"re", "im", "text"}``.
 Exit status: 0 all verdicts passed, 1 a tolerance was exceeded, 2 usage
 error (nothing is written; this includes an output that cannot be written).
 """
@@ -31,7 +32,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import __version__, _floatfmt, harness
 from .core import StandardInit, _check_tau
 from .errors import ComplexParseError, LqwError, NormalizationError
 
-__all__ = ["CliConfig", "parse_complex", "format_complex", "main"]
+__all__ = ["parse_complex", "format_complex", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -62,9 +62,6 @@ _SIZE_HELP = {"--steps": "number of walk steps", "--grid": "number of tabulation
 # a 2000-row `localize` block (0.96 MB), not the walk, would set the peak of
 # the `evolution` benchmark.
 _BLOCK_ROWS = 1280
-# A numeric table shorter than this goes cell by cell: the bulk path costs
-# about 0.2 ms a block whatever its rows, a row cell by cell 2.5-4 µs.
-_BULK_ROWS = 64
 
 _TOKEN = re.compile(
     r"""(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
@@ -173,18 +170,6 @@ def format_complex(z: complex) -> str:
     return repr(re_part) + imag
 
 
-@dataclass
-class CliConfig:
-    """Validated arguments of one invocation."""
-
-    subcommand: str
-    tau: int
-    init: StandardInit
-    size: int  # --steps, or --grid for density
-    out: Path
-    fmt: str
-
-
 class UsageError(LqwError):
     """Bad flags or values; exit status 2, no files written."""
 
@@ -194,34 +179,28 @@ def _fmt_cell(value) -> object:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+    return value  # csv.writer writes str() of the rest, an np.integer's included
 
 
-def _json_value(value):
+def _json_default(value):
+    # json writes floats, np.float64 among them, with float.__repr__ itself
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag, "text": format_complex(value)}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_csv(fh, report: harness.ExperimentReport) -> None:
     # a csv.writer holds a 128 KiB record buffer while it lives: none outlives its call
     csv.writer(fh).writerow(report.columns)
-    length = len(report.table[0]) if report.table else 0
-    if length < _BULK_ROWS or not all(map(_floatfmt.is_numeric, report.table)):
+    if not all(map(_floatfmt.is_numeric, report.table)):
         csv.writer(fh).writerows(zip(*(map(_fmt_cell, col) for col in report.table)))
         return
-    blocks = -(-length // _BLOCK_ROWS)
-    rows = -(-length // blocks)  # equal blocks, the last a little shorter
+    length = len(report.table[0]) if report.table else 0
+    # equal blocks, the last a little shorter; an empty table writes none
+    blocks = max(1, -(-length // _BLOCK_ROWS))
+    rows = max(1, -(-length // blocks))
     lines = _floatfmt.BlockFormatter(report.table, rows)
     for start in range(0, length, rows):
         fh.write(lines([col[start:start + rows] for col in report.table]))
@@ -232,8 +211,8 @@ def _write_json(fh, report: harness.ExperimentReport) -> None:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "experiment": report.experiment,
-        "config": _json_value(report.config),
-        "metrics": _json_value(report.metrics),
+        "config": report.config,
+        "metrics": report.metrics,
         "verdicts": [
             {"name": v.name, "measured": v.measured,
              "tolerance": v.tolerance, "passed": v.passed}
@@ -241,24 +220,25 @@ def _write_json(fh, report: harness.ExperimentReport) -> None:
         ],
         "passed": report.passed,
     }
-    json.dump(payload, fh, indent=2)
+    json.dump(payload, fh, indent=2, default=_json_default)
     fh.write("\n")
 
 
-def _write_outputs(report: harness.ExperimentReport, config: CliConfig) -> list[Path]:
-    """Write the artifacts all or nothing.
+def _write_outputs(report: harness.ExperimentReport, args: argparse.Namespace) -> list[Path]:
+    """Write the artifacts ``args.fmt`` names to ``args.out``, all or nothing.
 
     Each artifact goes to a temp file in the output directory, and the temp
     files replace their targets only after every write succeeded.  A failed
     write leaves no artifact behind; an OSError becomes a UsageError.
     """
     writers = {"csv": _write_csv, "json": _write_json}
-    if config.fmt != "both":
-        writers = {config.fmt: writers[config.fmt]}
-    paths = [config.out / f"{config.subcommand}.{ext}" for ext in writers]
+    if args.fmt != "both":
+        writers = {args.fmt: writers[args.fmt]}
+    out = Path(args.out)
+    paths = [out / f"{args.subcommand}.{ext}" for ext in writers]
     temps: list[Path] = []
     try:
-        config.out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         for path in paths:
             if path.is_dir():  # os.replace would fail only after the others are in place
                 raise UsageError(f"cannot write the output: {path} is a directory")
@@ -310,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
+def _tau_and_init(args: argparse.Namespace) -> tuple[int, StandardInit]:
+    """The validated --tau and the initial state of --alpha/--beta."""
     try:
         tau = _check_tau(args.tau)
     except (TypeError, ValueError) as exc:
@@ -321,18 +302,9 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     except ComplexParseError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        init = StandardInit(alpha, beta)
+        return tau, StandardInit(alpha, beta)
     except NormalizationError as exc:
         raise UsageError(f"--alpha/--beta: {exc}") from exc
-
-    return CliConfig(
-        subcommand=args.subcommand,
-        tau=tau,
-        init=init,
-        size=args.size,
-        out=Path(args.out),
-        fmt=args.fmt,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -343,10 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        experiment = getattr(harness, _SUBCOMMANDS[config.subcommand][0])
-        report = experiment(config.init, config.tau, config.size)
-        for path in _write_outputs(report, config):
+        tau, init = _tau_and_init(args)
+        experiment = getattr(harness, _SUBCOMMANDS[args.subcommand][0])
+        report = experiment(init, tau, args.size)
+        for path in _write_outputs(report, args):
             print(f"wrote {path}")
         for v in report.verdicts:
             status = "pass" if v.passed else "FAIL"

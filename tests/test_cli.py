@@ -139,7 +139,10 @@ class TestCsvSerialization:
         ("density", "--tau", "5", "--grid", "301"),
         ("variance", "--tau", "2", "--steps", "80"),
         ("verify", "--tau", "2", "--steps", "40"),
-    ], ids=lambda argv: argv[0])
+        ("simulate", "--tau", "3", "--steps", "20"),  # 41 rows
+        ("density", "--tau", "3", "--grid", "1"),  # one row
+    ], ids=["simulate", "localize", "density", "variance", "verify", "simulate-41-rows",
+            "density-one-row"])
     def test_bytes_match_cell_by_cell_formatting(self, argv, tmp_path, monkeypatch):
         reports, cells = [], []
         write, fmt_cell = lqw.cli._write_outputs, lqw.cli._fmt_cell
@@ -157,7 +160,8 @@ class TestCsvSerialization:
         run_cli(*argv, "--out", str(tmp_path))
         monkeypatch.setattr(lqw.cli, "_fmt_cell", fmt_cell)
         assert (tmp_path / f"{argv[0]}.csv").read_bytes() == cell_by_cell_csv(reports[0])
-        # tables of plain floats and ints skip the per-cell path; verify has text and bools
+        # tables of plain floats and ints skip the per-cell path at any length;
+        # verify has text and bools
         assert bool(cells) is (argv[0] == "verify")
 
     @pytest.mark.parametrize("argv", [
@@ -209,7 +213,7 @@ class TestCsvSerialization:
         report = self.blocks_report(length, 2**53)
         assert self.cells_formatted(report, monkeypatch) == []
 
-    @pytest.mark.parametrize("length", [lqw.cli._BULK_ROWS, lqw.cli._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("length", [64, lqw.cli._BLOCK_ROWS + 1])
     def test_full_range_int_columns_go_cell_by_cell(self, length, monkeypatch):
         # an int beyond ±2^53 is not exact as a float64: the bulk path takes none
         report = self.blocks_report(length, 2**63)
@@ -242,8 +246,9 @@ class TestCsvSerialization:
 
     def test_one_column_tables_match_the_csv_module(self):
         # an unquoted empty cell alone on its row would read as an empty line
+        # an empty table, of text or of numbers, is its header alone
         for cells, expected in ((["", "a", "a,b"], b'name\r\n""\r\na\r\n"a,b"\r\n'),
-                                ([], b"name\r\n")):
+                                ([], b"name\r\n"), (np.empty(0), b"name\r\n")):
             report = lqw.ExperimentReport(experiment="names", config={}, columns=("name",),
                                           table=(cells,))
             fh = io.StringIO(newline="")
@@ -268,14 +273,13 @@ class TestCsvSerialization:
 
         assert peak(400_001) < 1.5 * peak(40_001)
 
-    @pytest.mark.parametrize("length", [lqw.cli._BULK_ROWS - 1, lqw.cli._BULK_ROWS,
-                                        lqw.cli._BULK_ROWS + 1])
-    def test_short_numeric_tables_go_cell_by_cell(self, length, monkeypatch):
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65])
+    def test_short_numeric_tables_go_in_bulk(self, length, monkeypatch):
         rng = np.random.default_rng(length)
         report = lqw.ExperimentReport(
             experiment="short", config={}, columns=("n", "x"),
             table=(np.arange(length) - length // 2, rng.standard_normal(length) * 1e-3))
-        assert bool(self.cells_formatted(report, monkeypatch)) is (length < lqw.cli._BULK_ROWS)
+        assert self.cells_formatted(report, monkeypatch) == []
 
     # A two-float table like density's and an (int, float, float) one like
     # localize's; the bulk writer holds one block, so its peak stays under
@@ -324,6 +328,38 @@ class TestCsvSerialization:
             assert peak < len(formatter._text) + len(text) + 8 * n
         finally:
             tracemalloc.stop()
+
+
+class TestJsonSerialization:
+    @staticmethod
+    def report(**metrics):
+        return lqw.ExperimentReport(
+            experiment="literal", columns=(), table=(),
+            config={"tau": 3, "alpha": complex(0.6, 0.0), "beta": 0.8j,
+                    "coin_vector": [np.complex128(0.5 - 0.5j)]},
+            metrics=metrics, verdicts=[lqw.Verdict("norm", 1e-15, 1e-12, True)])
+
+    def test_bytes_are_literal(self):
+        report = self.report(f=np.float64(0.1), n=np.int64(7), ok=np.bool_(True),
+                             gap=float("nan"), tiny=np.float64(5e-324))
+        fh = io.StringIO(newline="")
+        lqw.cli._write_json(fh, report)
+        assert fh.getvalue() == (
+            '{\n  "schema_version": 1,\n  "tool_version": "%s",\n  "experiment": "literal",\n'
+            '  "config": {\n    "tau": 3,\n'
+            '    "alpha": {\n      "re": 0.6,\n      "im": 0.0,\n      "text": "0.6"\n    },\n'
+            '    "beta": {\n      "re": 0.0,\n      "im": 0.8,\n      "text": "0.8i"\n    },\n'
+            '    "coin_vector": [\n      {\n        "re": 0.5,\n        "im": -0.5,\n'
+            '        "text": "0.5-0.5i"\n      }\n    ]\n  },\n'
+            '  "metrics": {\n    "f": 0.1,\n    "n": 7,\n    "ok": true,\n    "gap": NaN,\n'
+            '    "tiny": 5e-324\n  },\n'
+            '  "verdicts": [\n    {\n      "name": "norm",\n      "measured": 1e-15,\n'
+            '      "tolerance": 1e-12,\n      "passed": true\n    }\n  ],\n'
+            '  "passed": true\n}\n' % lqw.__version__)
+
+    def test_an_unknown_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="Path"):
+            lqw.cli._write_json(io.StringIO(), self.report(where=Path(".")))
 
 
 class TestUsageErrors:

@@ -158,7 +158,7 @@ def test_ints_beyond_2_to_the_53_go_cell_by_cell(edge, monkeypatch):
 
     monkeypatch.setattr(lqw.cli, "_fmt_cell", counted)
     for beyond in (False, True):
-        values = np.arange(lqw.cli._BULK_ROWS)
+        values = np.arange(8)
         values[0] = edge + beyond * (1 if edge > 0 else -1)
         cells_formatted.clear()
         assert is_numeric(values) is not beyond
