@@ -22,19 +22,17 @@ by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
 * the loop differences ``d`` never move: they live at the origin only (zero
   for ``StandardInit``) and change sign every step.
 
-The coin is real, so each step is one real product on the float64 view of
-the complex window, written into one work array per walk, and a step costs
-O(t) at any ``tau``.  ``iter_evolution`` gives every state a new window of
-its own; ``evolve`` keeps only the last, so it steps in one reused buffer
-and allocates nothing per step.  The kernel also hands out each step's coin
-product, the step's amplitudes before the shift, which stays valid until
-the next step.  Of the experiments, ``localization_series`` builds one
-``WalkerState`` per step through ``iter_evolution``; ``variance_series``
-and the ``verification_suite`` walk read the reused buffer themselves, and
-the verify walk checks each step's norm from the coin product and builds
-one state, at its last step.  A ``WalkerState`` holds exactly this data,
-``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
-origin).  Its norm check is two dot products, which
+The kernel stores the moving sector as (left, u, right), whose shifts of
+0, 1 and 2 sites step evenly from row to row: each step is one real product
+of the real coin with the float64 view of the complex window, written
+straight into its shifted place in the next window, and costs O(t) at any
+``tau``.  ``iter_evolution`` steps into a new window each time; ``evolve``
+keeps only the last, so it alternates between two reused buffers and
+allocates nothing per step.  Both copy a window into a ``WalkerState`` in
+the public (left, right, u) order; two walks of ``lqw.harness`` read every
+step from the reused buffers instead, with no state.  A ``WalkerState``
+holds exactly this data, ``moving`` (left, right, u over the sites) and
+``loop_diff`` (d at the origin).  Its norm check is two dot products, which
 leaves one O(tau) term per state: the squared norm of d.  The probability
 vector and the full ``(2t+1, delta)`` amplitudes, the one way to read a
 site's coin state, are built only when read.
@@ -64,6 +62,9 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
+
+# The kernel's rows (left, u, right) as indices of (left, right, u), and back.
+_LUR = np.array([0, 2, 1])
 
 
 def _check_tau(tau: int) -> int:
@@ -272,63 +273,59 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
 def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *, reuse=False):
     """The position-space kernel: one application of U = S (I x G) per step.
 
-    Evolves the moving sector (left, right, u) under ``_moving_coin``; the
-    loop differences d at the origin only change sign.  Yields
-    ``(t, window, d_t, coined)`` for t = 0 .. t_max, where ``window`` is the
-    ``(3, 2t+1)`` state: one row per component, so each shift is a
-    contiguous copy.  ``coined`` holds step t's amplitudes before the shift,
-    the values the shift copies into ``window``, so its norm is the state's:
-    at t = 0 the start column, at t = 1 the one-column coin product, and
-    after that a contiguous ``(3, 2t-1)`` view of the one work array of
-    6(2t_max + 1) floats that every coin product is written into.  It is
-    valid until the next step.  Each window is a new array that the kernel never writes
-    again, unless ``reuse``: then step t is written into the first 2t+1
-    columns of one zeroed (3, 2t_max + 1) buffer, so a window is overwritten
-    at the next step and the walk allocates nothing per step.  The coin
-    product has left the buffer before the shift writes it, and the cells
-    the shift leaves unwritten at step t ([0, 2t-1:], [1, :2], [2, 0],
-    [2, 2t]) were never written at an earlier step, so they stay zero.
-    Internal only, never exposed.
+    Yields ``(t, window, d_t)`` for t = 0 .. t_max: d_t, the loop
+    differences at the origin, only changes sign, and ``window`` is the
+    C-contiguous ``(3, 2t+1)`` moving sector with its rows in the order
+    (left, u, right), which shift by 0, 1 and 2 columns a step.  So one real
+    product of the permuted ``_moving_coin`` with the float64 view of window
+    t-1 writes every coined row straight into its shifted place in window t,
+    through a strided view whose rows are 2t+2 columns apart.  The cells no
+    product reaches, [0, 2t-1:] and [1, 0], then [1, 2t] and [2, :2], are
+    two runs of three in the flat window and are zero.  Each window is a new
+    zeroed array, unless ``reuse``: then the windows take turns in two flat
+    buffers of 3(2t_max + 1) complex, each step zeroes the two runs in the
+    one it writes, a window is overwritten two steps later and the walk
+    allocates nothing per step.  Internal only.
     """
     start, diff = _reduced_start(init, params)
     signed_diff = (diff, -diff)
 
-    g = _moving_coin(params)
-    width = 2 * t_max + 1
-    work = np.empty(6 * width)
+    g = _moving_coin(params)[_LUR][:, _LUR]
+    window = start[_LUR][:, None]
     if reuse:
-        buffer = np.zeros((3, width), dtype=np.complex128)
-    window = start[:, None]
-    # The one-column first step stays a complex matrix-vector product, whose
-    # rounding the dense reference walk shares.
-    first = g @ window
-    yield 0, window, signed_diff[0], window
+        # two allocations: evolve's final window keeps only one alive
+        buffers = [np.zeros(3 * (2 * t_max + 1), dtype=np.complex128) for _ in range(2)]
+    yield 0, window, signed_diff[0]
     for t in range(1, t_max + 1):
-        # g is real: one real product on the float64 view coins the real and
-        # imaginary parts with the complex product's bits.
-        coined = first if t == 1 else np.matmul(
-            g, window.view(np.float64), out=work[:6 * (2 * t - 1)].reshape(3, -1)
-        ).view(np.complex128)
         if reuse:
-            window = buffer[:, :2 * t + 1]
+            flat = buffers[t % 2][:6 * t + 3]
+            flat[2 * t - 1:2 * t + 2] = 0
+            flat[4 * t + 1:4 * t + 4] = 0
         else:
-            window = np.zeros((3, 2 * t + 1), dtype=np.complex128)
-        window[0, :-2] = coined[0]
-        window[1, 2:] = coined[1]
-        window[2, 1:-1] = coined[2]
-        yield t, window, signed_diff[t % 2], coined
+            flat = np.zeros(6 * t + 3, dtype=np.complex128)
+        # g is real, so one product coins real and imaginary parts at once; its
+        # row r lands at flat r * (2t + 2), row r of window t, r columns on
+        shifted = np.ndarray((3, 4 * t - 2), np.float64, flat, strides=(16 * (2 * t + 2), 8))
+        np.matmul(g, window.view(np.float64), out=shifted)
+        window = flat.reshape(3, -1)
+        yield t, window, signed_diff[t % 2]
+
+
+def _window_state(t: int, window: np.ndarray, diff: np.ndarray) -> WalkerState:
+    """The WalkerState of a kernel window, its rows copied in the public (left, right, u) order."""
+    return WalkerState(t, window.take(_LUR, axis=0), diff)
 
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
-    for _, window, diff, _ in _evolution_buffers(init, params, t, reuse=True):
+    for _, window, diff in _evolution_buffers(init, params, t, reuse=True):
         pass
-    return WalkerState(t, window, diff)
+    return _window_state(t, window, diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
     t_max = _check_int("t_max", t_max, 0)
-    for t, window, diff, _ in _evolution_buffers(init, params, t_max):
-        yield WalkerState(t, window, diff)
+    for t, window, diff in _evolution_buffers(init, params, t_max):
+        yield _window_state(t, window, diff)

@@ -13,10 +13,11 @@ module.
 The kernel walks are shared.  localization_series iterates ``WalkerState``
 snapshots, one per step, each with its norm check.  verification_suite's
 walk (``_walk``) and variance_series read every step from the kernel's
-reused buffer: ``_walk`` checks each step's norm from the coin product and
-builds one state, at its last step; variance_series checks it from the
-step's probabilities and builds none.  distribution_snapshot and the kernel
-probe of empirical_vs_weak_limit build one final state with ``evolve``.
+reused buffers, whose rows are (left, u, right): ``_walk`` checks each
+step's norm from the window and builds one state, at its last step;
+variance_series checks it from the step's probabilities and builds none.
+distribution_snapshot and the kernel probe of empirical_vs_weak_limit build
+one final state with ``evolve``.
 """
 
 from __future__ import annotations
@@ -124,23 +125,25 @@ def _config_echo(init: InitialCondition, tau: int, **extra) -> dict:
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[np.ndarray, WalkerState]:
-    """One walk of the kernel's reused buffer: P(X_t = 0) for t = 1..t_max and the final state.
+    """One walk of the kernel's reused buffers: P(X_t = 0) for t = 1..t_max and the final state.
 
     P(X_t = 0) is the origin column of the window plus |d|^2, the arithmetic
-    of ``WalkerState.probabilities()`` without its vector.  Each step's norm
-    is checked from its coin product, one contiguous ``vdot``, plus |d|^2
-    computed once; the one ``WalkerState`` is built from the last window, bit
-    for bit the state ``evolve`` returns.
+    of ``WalkerState.probabilities()`` without its vector: the columns are
+    put in its (left, right, u) order once, after the walk.  Each step's norm
+    is checked from its window, one contiguous ``vdot``, plus |d|^2 computed
+    once; the one ``WalkerState`` is built from the last window, bit for bit
+    the state ``evolve`` returns.
     """
     columns = np.empty((t_max, 3), dtype=np.complex128)
-    for t, window, diff, coined in core._evolution_buffers(init, params, t_max, reuse=True):
+    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
         if t == 0:
             # d only flips sign, so |d|^2 is the same at every step
             loop_weight = np.sum(np.abs(diff) ** 2)
         else:
             columns[t - 1] = window[:, t]
-        core._check_norm(np.vdot(coined, coined).real + loop_weight)
-    return np.sum(np.abs(columns) ** 2, axis=1) + loop_weight, WalkerState(t_max, window, diff)
+        core._check_norm(np.vdot(window, window).real + loop_weight)
+    origin = np.sum(np.abs(columns[:, core._LUR]) ** 2, axis=1) + loop_weight
+    return origin, core._window_state(t_max, window, diff)
 
 
 def _window_mean(origin: np.ndarray) -> float:
@@ -266,7 +269,8 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
 
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
     row into one work row: |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
-    the origin.  Contiguous rows keep every ufunc call off numpy's buffer.
+    the origin; the kernel's rows are (left, u, right), so they are read
+    out of order.  Contiguous rows keep every ufunc call off numpy's buffer.
     The norm of every step is checked from that row's sum.
     """
     # the weights n and n^2 at every step are slices of these
@@ -275,13 +279,13 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     variances = np.empty(t_max + 1)
     probs = np.empty(2 * t_max + 1)
     square = np.empty(2 * t_max + 1)
-    for t, window, diff, _ in core._evolution_buffers(init, params, t_max, reuse=True):
+    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
         if t == 0:
             # d only flips sign, so |d|^2 is the same at every step
             loop_weight = np.sum(np.abs(diff) ** 2)
         q, r = probs[:2 * t + 1], square[:2 * t + 1]
         np.square(np.abs(window[0], out=q), out=q)
-        for row in window[1:]:
+        for row in (window[2], window[1]):
             q += np.square(np.abs(row, out=r), out=r)
         q[t] += loop_weight
         core._check_norm(np.sum(q))

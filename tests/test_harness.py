@@ -202,7 +202,7 @@ class TestVarianceSeries:
         assert states == []
 
     def test_peak_memory_holds_no_window_per_step(self, symmetric_init):
-        # the (3, 2t+1) buffer, the coin's work array and a few (2t+1)-float rows:
+        # the kernel's two flat buffers of one window each and a few (2t+1)-float rows:
         # about 0.55 MB at t 2000; a WalkerState per step, or one ufunc call on
         # the 2-D window, reads above 0.7 MB
         variance_series(symmetric_init, 10, 50)
