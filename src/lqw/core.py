@@ -24,18 +24,32 @@ by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
 
 The kernel stores the moving sector as (left, u, right), whose shifts of
 0, 1 and 2 sites step evenly from row to row: each step is one real product
-of the real coin with the float64 view of the complex window, written
-straight into its shifted place in the next window, and costs O(t) at any
-``tau``.  ``iter_evolution`` steps into a new window each time; ``evolve``
-keeps only the last, so it alternates between two reused buffers and
-allocates nothing per step.  Both copy a window into a ``WalkerState`` in
-the public (left, right, u) order; two walks of ``lqw.harness`` read every
-step from the reused buffers instead, with no state.  A ``WalkerState``
-holds exactly this data, ``moving`` (left, right, u over the sites) and
-``loop_diff`` (d at the origin).  Its norm check is two dot products, which
-leaves one O(tau) term per state: the squared norm of d.  The probability
-vector and the full ``(2t+1, delta)`` amplitudes, the one way to read a
-site's coin state, are built only when read.
+of the real coin with the float64 view of the window, written straight into
+its shifted place in the next window, and costs O(t) at any ``tau``.
+
+The coin is symmetric under swapping left and right, so the walk from
+|right> is the walk from |left> reflected, n -> -n with the left and right
+rows swapped: in the kernel's rows that is the view ``a[::-1, ::-1]``,
+mirror(a).  The walk a from |left> is real (its start, coin and shift are),
+so a ``StandardInit`` state is alpha a + beta mirror(a).  ``evolve`` steps
+that one real window, half the bytes and flops of a complex one, and
+combines once at the end; a ``StandardInit`` builds no delta- or tau-vector
+until its ``WalkerState`` holds the zero d.  ``iter_evolution`` and every
+``GeneralInit`` walk step the complex window: a ``GeneralInit`` start has a
+u part, which needs a second real walk, and a combination per step made
+``localize``'s tau 10, t 2000 loop twice as slow (120 ms against 52 ms, one
+BLAS thread).
+
+``iter_evolution`` steps into a new window each time; ``evolve`` keeps only
+the last, so it alternates between two reused buffers and allocates nothing
+per step.  Both build a ``WalkerState`` in the public (left, right, u)
+order; two walks of ``lqw.harness`` read every step from the reused buffers
+instead, with no state.  A ``WalkerState`` holds exactly this data,
+``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
+origin).  Its norm check is two dot products, which leaves one O(tau) term
+per state: the squared norm of d.  The probability vector and the full
+``(2t+1, delta)`` amplitudes, the one way to read a site's coin state, are
+built only when read.
 
 All operations are pure; states hold read-only views.
 """
@@ -65,6 +79,10 @@ _NORM_TOL = 1e-10
 
 # The kernel's rows (left, u, right) as indices of (left, right, u), and back.
 _LUR = np.array([0, 2, 1])
+
+# The start |left> of the one real walk a StandardInit takes, in (left, right, u).
+_LEFT = np.array([1.0, 0.0, 0.0])
+_LEFT.setflags(write=False)
 
 
 def _check_tau(tau: int) -> int:
@@ -168,6 +186,14 @@ def _check_norm(total: float) -> None:
         raise NormalizationError(f"state norm^2 = {total!r} deviates from 1 beyond {_NORM_TOL}")
 
 
+def _column_weights(moving: np.ndarray) -> np.ndarray:
+    """|left|^2 + |right|^2 + |u|^2 per column of a complex (3, N) array, rows in public order."""
+    squares = np.abs(moving) ** 2
+    weights = squares[0] + squares[1]
+    weights += squares[2]  # np.sum's order over the rows, in two adds
+    return weights
+
+
 @dataclass(frozen=True)
 class WalkerState:
     """Wavefunction after ``t`` steps, in the walk's reduced coordinates.
@@ -205,9 +231,7 @@ class WalkerState:
 
     @cached_property
     def _probs(self) -> np.ndarray:
-        squares = np.abs(self.moving) ** 2
-        probs = squares[0] + squares[1]
-        probs += squares[2]  # np.sum's order over the rows, in two adds
+        probs = _column_weights(self.moving)
         # d is orthogonal to the uniform loop mode, so its weight just adds
         probs[self.t] += np.sum(np.abs(self.loop_diff) ** 2)
         probs.setflags(write=False)
@@ -270,62 +294,95 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
     return np.array([coin[0], coin[1], u]), coin[2:] - u / root_tau
 
 
-def _evolution_buffers(init: InitialCondition, params: WalkParams, t_max: int, *, reuse=False):
-    """The position-space kernel: one application of U = S (I x G) per step.
+def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int, *, reuse=False):
+    """The position-space kernel: one application of U = S (I x G) per step, moving sector only.
 
-    Yields ``(t, window, d_t)`` for t = 0 .. t_max: d_t, the loop
-    differences at the origin, only changes sign, and ``window`` is the
-    C-contiguous ``(3, 2t+1)`` moving sector with its rows in the order
-    (left, u, right), which shift by 0, 1 and 2 columns a step.  So one real
-    product of the permuted ``_moving_coin`` with the float64 view of window
-    t-1 writes every coined row straight into its shifted place in window t,
-    through a strided view whose rows are 2t+2 columns apart.  The cells no
-    product reaches, [0, 2t-1:] and [1, 0], then [1, 2t] and [2, :2], are
-    two runs of three in the flat window and are zero.  Each window is a new
-    zeroed array, unless ``reuse``: then the windows take turns in two flat
-    buffers of 3(2t_max + 1) complex, each step zeroes the two runs in the
-    one it writes, a window is overwritten two steps later and the walk
-    allocates nothing per step.  Internal only.
+    ``start`` is the moving sector at the origin in the public (left, right,
+    u) order, float64 or complex128; the windows take its dtype.  Yields
+    ``(t, window)`` for t = 0 .. t_max: ``window`` is the C-contiguous
+    ``(3, 2t+1)`` moving sector with its rows in the order (left, u, right),
+    which shift by 0, 1 and 2 columns a step.  So one real product of the
+    permuted ``_moving_coin`` with the float64 view of window t-1 writes
+    every coined row straight into its shifted place in window t, through a
+    strided view whose rows are 2t+2 window columns apart (a complex column
+    is two float64 values, a real one one).  The cells no product reaches,
+    [0, 2t-1:] and [1, 0], then [1, 2t] and [2, :2], are two runs of three
+    in the flat window and are zero.  Each window is a new zeroed array,
+    unless ``reuse``: then the windows take turns in two flat buffers of
+    3(2t_max + 1) values, each step zeroes the two runs in the one it
+    writes, a window is overwritten two steps later and the walk allocates
+    nothing per step.  The loop differences d are the caller's: they only
+    change sign.  Internal only.
     """
-    start, diff = _reduced_start(init, params)
-    signed_diff = (diff, -diff)
-
     g = _moving_coin(params)[_LUR][:, _LUR]
     window = start[_LUR][:, None]
+    floats = start.itemsize // 8  # float64 values per window column
     if reuse:
         # two allocations: evolve's final window keeps only one alive
-        buffers = [np.zeros(3 * (2 * t_max + 1), dtype=np.complex128) for _ in range(2)]
-    yield 0, window, signed_diff[0]
+        buffers = [np.zeros(3 * (2 * t_max + 1), dtype=start.dtype) for _ in range(2)]
+    yield 0, window
     for t in range(1, t_max + 1):
         if reuse:
             flat = buffers[t % 2][:6 * t + 3]
             flat[2 * t - 1:2 * t + 2] = 0
             flat[4 * t + 1:4 * t + 4] = 0
         else:
-            flat = np.zeros(6 * t + 3, dtype=np.complex128)
+            flat = np.zeros(6 * t + 3, dtype=start.dtype)
         # g is real, so one product coins real and imaginary parts at once; its
         # row r lands at flat r * (2t + 2), row r of window t, r columns on
-        shifted = np.ndarray((3, 4 * t - 2), np.float64, flat, strides=(16 * (2 * t + 2), 8))
+        shifted = np.ndarray((3, floats * (2 * t - 1)), np.float64, flat,
+                             strides=(flat.itemsize * (2 * t + 2), 8))
         np.matmul(g, window.view(np.float64), out=shifted)
         window = flat.reshape(3, -1)
-        yield t, window, signed_diff[t % 2]
+        yield t, window
 
 
 def _window_state(t: int, window: np.ndarray, diff: np.ndarray) -> WalkerState:
-    """The WalkerState of a kernel window, its rows copied in the public (left, right, u) order."""
+    """The WalkerState of a complex kernel window, its rows copied in the public (left, right, u) order."""
     return WalkerState(t, window.take(_LUR, axis=0), diff)
+
+
+def _superpose(init: StandardInit, a: np.ndarray, mirrored: np.ndarray) -> np.ndarray:
+    """alpha * a + beta * mirrored as complex rows in the public (left, right, u) order.
+
+    ``a`` and ``mirrored`` are real, with their rows in the kernel's (left, u,
+    right) order.  The real and imaginary parts are written apart, so no
+    operand is cast to complex; each part of an entry is two products and
+    one add whatever the shape, so origin columns combine bit for bit as
+    whole windows do.
+    """
+    out = np.empty((3, a.shape[1]), dtype=np.complex128)
+    for row, r in zip(out, _LUR):
+        for part, x, y in ((row.real, init.alpha.real, init.beta.real),
+                           (row.imag, init.alpha.imag, init.beta.imag)):
+            np.multiply(a[r], x, out=part)
+            part += y * mirrored[r]
+    return out
+
+
+def _mirror_state(init: StandardInit, params: WalkParams, t: int, a: np.ndarray) -> WalkerState:
+    """The state alpha * a + beta * mirror(a) of a StandardInit, ``a`` the window of the walk from |left>."""
+    return WalkerState(t, _superpose(init, a, a[::-1, ::-1]),
+                       np.zeros(params.tau, dtype=np.complex128))
 
 
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
-    for _, window, diff in _evolution_buffers(init, params, t, reuse=True):
+    if isinstance(init, StandardInit):
+        for _, a in _evolution_buffers(_LEFT, params, t, reuse=True):
+            pass
+        return _mirror_state(init, params, t, a)
+    start, diff = _reduced_start(init, params)
+    for _, window in _evolution_buffers(start, params, t, reuse=True):
         pass
-    return _window_state(t, window, diff)
+    return _window_state(t, window, -diff if t % 2 else diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
     t_max = _check_int("t_max", t_max, 0)
-    for t, window, diff in _evolution_buffers(init, params, t_max):
-        yield _window_state(t, window, diff)
+    start, diff = _reduced_start(init, params)
+    signed_diff = (diff, -diff)
+    for t, window in _evolution_buffers(start, params, t_max):
+        yield _window_state(t, window, signed_diff[t % 2])

@@ -11,13 +11,19 @@ subcommand runs one of the experiments; serialization is left to the cli
 module.
 
 The kernel walks are shared.  localization_series iterates ``WalkerState``
-snapshots, one per step, each with its norm check.  verification_suite's
-walk (``_walk``) and variance_series read every step from the kernel's
-reused buffers, whose rows are (left, u, right): ``_walk`` checks each
-step's norm from the window and builds one state, at its last step;
-variance_series checks it from the step's probabilities and builds none.
-distribution_snapshot and the kernel probe of empirical_vs_weak_limit build
-one final state with ``evolve``.
+snapshots of the complex walk, one per step, each with its norm check.
+verification_suite's walk (``_walk``) and variance_series read every step
+from the kernel's reused buffers, whose rows are (left, u, right).  For a
+StandardInit both step only the real walk a from |left> and read the state
+alpha a + beta mirror(a) from it (see ``lqw.core``): ``_walk`` reads the
+origin column a[:, t] and combines the columns once, after the walk;
+variance_series takes the moments from a * a and a * mirror(a), with no
+probability vector and no tau-vector, so it runs in O(t) memory at any tau.
+A GeneralInit steps the complex window.  ``_walk`` checks each step's norm
+from the window and builds one state, at its last step; variance_series
+checks it from the step's sums and builds none.  distribution_snapshot and
+the kernel probe of empirical_vs_weak_limit build one final state with
+``evolve``.
 """
 
 from __future__ import annotations
@@ -122,28 +128,57 @@ def _config_echo(init: InitialCondition, tau: int, **extra) -> dict:
     return cfg
 
 
+def _mirror_weights(init: StandardInit) -> tuple[float, float, float]:
+    """(|alpha|^2 + |beta|^2, |alpha|^2 - |beta|^2, 2 Re(conj(alpha) beta)) of a StandardInit.
+
+    Its state is alpha a + beta mirror(a), a the real walk from |left>, so its
+    norm^2 is the first times ||a||^2 plus the last times <a, mirror(a)>.
+    """
+    alpha2, beta2 = abs(init.alpha) ** 2, abs(init.beta) ** 2
+    return alpha2 + beta2, alpha2 - beta2, 2.0 * (init.alpha.conjugate() * init.beta).real
+
+
 def _walk(
     init: InitialCondition, params: WalkParams, t_max: int
 ) -> tuple[np.ndarray, WalkerState]:
     """One walk of the kernel's reused buffers: P(X_t = 0) for t = 1..t_max and the final state.
 
-    P(X_t = 0) is the origin column of the window plus |d|^2, the arithmetic
-    of ``WalkerState.probabilities()`` without its vector: the columns are
-    put in its (left, right, u) order once, after the walk.  Each step's norm
-    is checked from its window, one contiguous ``vdot``, plus |d|^2 computed
-    once; the one ``WalkerState`` is built from the last window, bit for bit
-    the state ``evolve`` returns.
+    Each step stores the window's origin column and checks the state's norm
+    from the window.  P(X_t = 0) is ``WalkerState.probabilities()``'
+    arithmetic on those columns, put in its (left, right, u) order once,
+    after the walk.  A StandardInit walks the real walk a from |left>: the
+    norm is ||a||^2 and <a, mirror(a)> weighted by ``_mirror_weights``, and
+    the origin columns and the last window are combined as ``evolve``
+    combines them, so the last origin probability and the final state are
+    ``evolve``'s bit for bit.  A GeneralInit walks the complex window: one
+    contiguous ``vdot`` plus |d|^2, computed once, and the final state is
+    ``evolve``'s too.
     """
-    columns = np.empty((t_max, 3), dtype=np.complex128)
-    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
-        if t == 0:
-            # d only flips sign, so |d|^2 is the same at every step
-            loop_weight = np.sum(np.abs(diff) ** 2)
-        else:
-            columns[t - 1] = window[:, t]
+    if isinstance(init, StandardInit):
+        total, _, cross = _mirror_weights(init)
+        columns = np.empty((3, t_max))
+        for t, a in core._evolution_buffers(core._LEFT, params, t_max, reuse=True):
+            if t:
+                columns[:, t - 1] = a[:, t]
+            flat = a.ravel()
+            norm = total * np.dot(flat, flat)
+            if cross:  # a reversed dot is no BLAS call: it costs about what the step does
+                norm += cross * np.dot(flat, flat[::-1])
+            core._check_norm(norm)
+        # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
+        origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
+        return origin, core._mirror_state(init, params, t_max, a)
+
+    start, diff = core._reduced_start(init, params)
+    # d only flips sign, so |d|^2 is the same at every step
+    loop_weight = np.sum(np.abs(diff) ** 2)
+    columns = np.empty((3, t_max), dtype=np.complex128)
+    for t, window in core._evolution_buffers(start, params, t_max, reuse=True):
+        if t:
+            columns[:, t - 1] = window[:, t]
         core._check_norm(np.vdot(window, window).real + loop_weight)
-    origin = np.sum(np.abs(columns[:, core._LUR]) ** 2, axis=1) + loop_weight
-    return origin, core._window_state(t_max, window, diff)
+    origin = core._column_weights(columns[core._LUR]) + loop_weight
+    return origin, core._window_state(t_max, window, -diff if t_max % 2 else diff)
 
 
 def _window_mean(origin: np.ndarray) -> float:
@@ -265,24 +300,47 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
 
 
 def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.ndarray:
-    """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffer.
+    """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffers.
 
+    A StandardInit walks the real walk a from |left>, whose state is
+    alpha a + beta mirror(a).  With A(n) = sum_r a_r(n)^2 and
+    C(n) = 2 a_L(n) a_R(-n) + a_u(n) a_u(-n) (C is even in n), the mean is
+    (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
+    (|alpha|^2 + |beta|^2) sum n^2 A(n) + 2 Re(conj(alpha) beta) sum n^2 C(n).
+    Each step forms a * a and a * mirror(a) in one work array and takes
+    their sums against 1, n and n^2 in one product; the norm is checked from
+    the sums against 1.  A GeneralInit walks the complex window:
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
-    row into one work row: |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
-    the origin; the kernel's rows are (left, u, right), so they are read
-    out of order.  Contiguous rows keep every ufunc call off numpy's buffer.
-    The norm of every step is checked from that row's sum.
+    row into one work row, |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
+    the origin; contiguous rows keep every ufunc call off numpy's buffer, and
+    the norm is checked from that row's sum.
     """
-    # the weights n and n^2 at every step are slices of these
+    # the weights 1, n and n^2 at every step are slices of these
     ns = np.arange(-t_max, t_max + 1, dtype=float)
-    ns2 = ns * ns
     variances = np.empty(t_max + 1)
+    if isinstance(init, StandardInit):
+        total, skew, cross = _mirror_weights(init)
+        powers = np.stack((np.ones_like(ns), ns, ns * ns))
+        work = np.empty(6 * (2 * t_max + 1))
+        for t, a in core._evolution_buffers(core._LEFT, params, t_max, reuse=True):
+            products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
+            np.multiply(a, a, out=products[0])
+            np.multiply(a, a[::-1, ::-1], out=products[1])
+            sums = products.reshape(6, -1) @ powers[:, t_max - t:t_max + t + 1].T
+            (norm_a, first, second), (norm_c, _, second_c) = (
+                sums.reshape(2, 3, 3).sum(axis=1).tolist())
+            core._check_norm(total * norm_a + cross * norm_c)
+            mean = skew * first
+            variances[t] = total * second + cross * second_c - mean * mean
+        return variances
+
+    ns2 = ns * ns
     probs = np.empty(2 * t_max + 1)
     square = np.empty(2 * t_max + 1)
-    for t, window, diff in core._evolution_buffers(init, params, t_max, reuse=True):
-        if t == 0:
-            # d only flips sign, so |d|^2 is the same at every step
-            loop_weight = np.sum(np.abs(diff) ** 2)
+    start, diff = core._reduced_start(init, params)
+    # d only flips sign, so |d|^2 is the same at every step
+    loop_weight = np.sum(np.abs(diff) ** 2)
+    for t, window in core._evolution_buffers(start, params, t_max, reuse=True):
         q, r = probs[:2 * t + 1], square[:2 * t + 1]
         np.square(np.abs(window[0], out=q), out=q)
         for row in (window[2], window[1]):

@@ -20,7 +20,8 @@ from lqw import (
     propagate_fourier,
 )
 
-from lqw.core import _evolution_buffers, _moving_coin, _reduced_start
+import lqw.harness
+from lqw.core import _LEFT, _evolution_buffers, _mirror_state, _moving_coin, _reduced_start
 from lqw.spectral import _closed_form_state, _light_cone_tail
 
 from conftest import random_general, random_standard
@@ -239,16 +240,18 @@ class TestEvolve:
         assert np.array_equal(states[-1].amplitudes, final.amplitudes)
 
     def test_kept_snapshots_stay_valid(self):
-        # every snapshot owns its data, so keeping them all changes none
+        # every snapshot owns its data, so keeping them all changes none; evolve
+        # combines the real walk with its mirror, the snapshots step the complex
+        # walk: 2.2e-15 apart at most (1.3e-15 in probability) to t 4000
         init = StandardInit(0.6, 0.8j)
         params = WalkParams(3)
         states = list(iter_evolution(init, params, 8))
         assert [s.t for s in states] == list(range(9))
         for state in states:
             expected = evolve(init, params, state.t)
-            assert np.array_equal(state.moving, expected.moving)
-            assert np.array_equal(state.amplitudes, expected.amplitudes)
-            assert np.array_equal(state.probabilities(), expected.probabilities())
+            assert np.max(np.abs(state.moving - expected.moving)) < 6e-15
+            assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 6e-15
+            assert np.max(np.abs(state.probabilities() - expected.probabilities())) < 4e-15
             weight = np.sum(np.abs(state.moving) ** 2) + np.sum(np.abs(state.loop_diff) ** 2)
             assert weight == pytest.approx(state.probabilities().sum(), abs=1e-14)
             for array in (state.moving, state.loop_diff, state.amplitudes):
@@ -272,46 +275,60 @@ class TestEvolve:
             evolve(StandardInit(1, 0), WalkParams(1), -1)
 
     def test_reused_buffers_allocate_nothing_per_step(self):
-        # evolve's walk allocates its buffer up front: 100 later steps, each with a
-        # 96 KB window, raise the traced peak by no more than their small array views
-        steps = _evolution_buffers(StandardInit(0.6, 0.8j), WalkParams(3), 1100, reuse=True)
-        for t, *_ in steps:
-            if t == 1000:
-                break
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for t, *_ in steps:
-                if t == 1100:
+        # evolve's walk allocates its buffers up front: 100 later steps, each with a
+        # 48 KB real or 96 KB complex window, raise the traced peak by no more than
+        # their small array views
+        params = WalkParams(3)
+        for start in (_LEFT, _reduced_start(StandardInit(0.6, 0.8j), params)[0]):
+            steps = _evolution_buffers(start, params, 1100, reuse=True)
+            for t, window in steps:
+                if t == 1000:
                     break
-            assert tracemalloc.get_traced_memory()[1] - before < 4096
-        finally:
-            tracemalloc.stop()
+            assert window.dtype == start.dtype
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for t, _ in steps:
+                    if t == 1100:
+                        break
+                assert tracemalloc.get_traced_memory()[1] - before < 4096
+            finally:
+                tracemalloc.stop()
 
     @pytest.mark.parametrize("tau", [1, 3, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_cells_no_product_reaches_are_zero(self, tau, kind):
         # rows (left, u, right): step t's coin product writes [0, :2t-1], [1, 1:2t]
-        # and [2, 2:]; a reused buffer holds the window of step t-2 under the rest
+        # and [2, 2:]; a reused buffer holds the window of step t-2 under the rest.
+        # A StandardInit walks the real walk from |left> (evolve) and its complex
+        # start (iter_evolution); a GeneralInit its complex start only.
         params = WalkParams(tau)
         rng = np.random.default_rng(900 + tau)
         init = random_standard(rng) if kind == "standard" else random_general(rng, params)
-        walks = zip(_evolution_buffers(init, params, 64),
-                    _evolution_buffers(init, params, 64, reuse=True))
-        for (t, fresh, _), (_, reused, _) in walks:
-            assert np.array_equal(reused, fresh)
-            if t == 0:
-                continue
-            for window in (fresh, reused):
-                assert window.shape == (3, 2 * t + 1) and window.flags.c_contiguous
-                for cells in (window[0, 2 * t - 1:], window[1, [0, 2 * t]], window[2, :2]):
-                    assert not np.any(cells)
+        starts = [_reduced_start(init, params)[0]]
+        if kind == "standard":
+            starts.append(_LEFT)
+        for start in starts:
+            walks = zip(_evolution_buffers(start, params, 64),
+                        _evolution_buffers(start, params, 64, reuse=True))
+            for (t, fresh), (_, reused) in walks:
+                assert np.array_equal(reused, fresh)
+                if t == 0:
+                    continue
+                for window in (fresh, reused):
+                    assert window.shape == (3, 2 * t + 1) and window.flags.c_contiguous
+                    assert window.dtype == start.dtype
+                    for cells in (window[0, 2 * t - 1:], window[1, [0, 2 * t]], window[2, :2]):
+                        assert not np.any(cells)
 
     @pytest.mark.parametrize("tau", [1, 2, 10, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_reused_buffers_match_new_windows(self, tau, kind):
         # at tau 1 the light-cone tails turn subnormal from about t 645; the
-        # complex product in the (left, right, u) order is 1.9e-15 off at most
+        # complex product in the (left, right, u) order is 1.9e-15 off at most.
+        # A StandardInit's evolve combines the real walk with its mirror while
+        # iter_evolution steps the complex walk: over every t <= 4000 they are
+        # 1.7e-14 apart at most (tau 1), and 1.9e-14 from the complex product.
         params = WalkParams(tau)
         rng = np.random.default_rng(500 + tau)
         init = random_standard(rng) if kind == "standard" else random_general(rng, params)
@@ -322,10 +339,14 @@ class TestEvolve:
                      if t in ts}
         for t in ts:
             state = evolve(init, params, t)
-            assert np.array_equal(state.moving, fresh[t].moving)
-            assert np.array_equal(state.loop_diff, fresh[t].loop_diff)
             moving, loop_diff = reference[t]
-            assert np.max(np.abs(state.moving - moving)) < 4e-15
+            if kind == "standard":
+                assert np.max(np.abs(state.moving - fresh[t].moving)) < 5e-14
+                assert np.max(np.abs(state.moving - moving)) < 6e-14
+            else:
+                assert np.array_equal(state.moving, fresh[t].moving)
+                assert np.max(np.abs(state.moving - moving)) < 4e-15
+            assert np.array_equal(state.loop_diff, fresh[t].loop_diff)
             assert np.array_equal(state.loop_diff, loop_diff)
 
     def test_evolve_result_survives_later_walks(self):
@@ -585,6 +606,68 @@ class TestReducedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestMirrorSymmetry:
+    """The walk from |right> is the walk from |left> reflected: n -> -n, left <-> right.
+
+    A StandardInit's evolve, variance and verify walk step only the real walk
+    a from |left> and read alpha a + beta mirror(a), mirror(a) = a[::-1, ::-1]
+    in the kernel's (left, u, right) rows.
+    """
+
+    @pytest.mark.parametrize("tau", [1, 2, 10, 100])
+    def test_right_walk_is_the_mirror_of_the_left_walk(self, tau):
+        # measured over t <= 256: 1.2e-15 between the mirror and the complex walk
+        # from |right> (tau 100), 5.3e-15 for <a, mirror(a)> (tau 2)
+        params = WalkParams(tau)
+        walks = zip(_evolution_buffers(_LEFT, params, 256),
+                    iter_evolution(StandardInit(1, 0), params, 256),
+                    iter_evolution(StandardInit(0, 1), params, 256))
+        for (t, a), left, right in walks:
+            # the real walk is the complex walk from |left>, bit for bit
+            assert np.array_equal(left.moving.real, a[[0, 2, 1]])
+            assert not np.any(left.moving.imag)
+            mirrored = _mirror_state(StandardInit(0, 1), params, t, a)
+            assert np.max(np.abs(mirrored.moving - right.moving)) < 4e-15
+            # |left> and |right> are orthogonal, and the walk keeps them so
+            flat = a.ravel()
+            assert abs(np.dot(flat, flat[::-1])) < 2e-14
+
+    @pytest.mark.parametrize("tau", range(1, 21))
+    def test_evolve_matches_dense_and_complex_walks_at_skewed_states(self, tau, skewed_init):
+        # measured: 4.6e-15 in amplitude and 5.1e-15 in probability from the dense
+        # walk (tau >= 2), 6.2e-16 from the complex product
+        params = WalkParams(tau)
+        checked = {1, 2, 37, 200}
+        for init in (skewed_init, random_standard(np.random.default_rng(100 + tau))):
+            walks = zip(dense_states(init, params, 200), complex_coin_walk(init, params, 200))
+            for (t, dense), (moving, _) in walks:
+                if t not in checked:
+                    continue
+                state = evolve(init, params, t)
+                dense_probs = np.sum(np.abs(dense) ** 2, axis=1)
+                assert np.max(np.abs(state.amplitudes - dense)) < 2e-14
+                assert np.max(np.abs(state.probabilities() - dense_probs)) < 2e-14
+                assert np.max(np.abs(state.moving - moving)) < 2.5e-15
+
+    @pytest.mark.parametrize("tau", range(1, 21))
+    def test_mirror_moments_match_the_complex_walk_at_skewed_states(self, tau, skewed_init):
+        # the cross term 2 Re(conj(alpha) beta) sum n^2 C(n) of the variance;
+        # measured within 2.1e-15 relative of the complex walk's moments to t 200
+        params = WalkParams(tau)
+        t_max = 200
+        ns = np.arange(-t_max, t_max + 1, dtype=float)
+        for init in (skewed_init, random_standard(np.random.default_rng(200 + tau))):
+            expected = np.empty(t_max + 1)
+            for state in iter_evolution(init, params, t_max):
+                sites = slice(t_max - state.t, t_max + state.t + 1)
+                probs = state.probabilities()
+                mean = float(np.dot(ns[sites], probs))
+                expected[state.t] = float(np.dot(ns[sites] ** 2, probs)) - mean * mean
+            variances = lqw.harness._variances(init, params, t_max)
+            assert variances[0] == expected[0] == 0.0
+            assert np.all(np.abs(variances - expected) <= 8e-15 * expected)
 
 
 def _rebuilt_state(init, params, t):

@@ -214,6 +214,20 @@ class TestVarianceSeries:
             tracemalloc.stop()
         assert peak < 650_000
 
+    def test_memory_does_not_grow_with_tau(self, symmetric_init):
+        # a StandardInit walks the real walk from |left>: no delta- or tau-vector,
+        # about 58 KB at t 200 at any tau (the complex start asked for 14.6 TiB here)
+        variance_series(symmetric_init, 10, 50)
+        tracemalloc.start()
+        try:
+            report = variance_series(symmetric_init, 10**12, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150_000
+        assert report.passed
+        assert report.metrics["alpha_fit"] == pytest.approx(2.0, abs=1e-6)
+
     def test_general_init_gets_the_bare_series(self):
         # the loop-difference sector stays at the origin: no power law to fit
         init = GeneralInit((0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)))
@@ -224,9 +238,24 @@ class TestVarianceSeries:
 
 
 class TestPerStepSeriesAreExact:
-    """The per-step series equal what each evolved state gives, bit for bit."""
+    """The per-step series equal what each evolved state gives.
+
+    A GeneralInit steps the complex walk on every route, and every series is
+    bit for bit.  A StandardInit's evolve, variance and verify walk step the
+    real walk from |left> and read its mirror, while localize and
+    iter_evolution step the complex walk: the two agree within bounds
+    measured over every t <= 4000 (``MIRROR_*``, about 3x the largest
+    difference, at tau 1).  Routes that share the real walk stay bit for bit.
+    """
 
     T_MAX = 64
+    # measured over t <= 4000 at StandardInit(0.6, 0.8j), tau 1, 2 and 10: the
+    # origin probability 1.3e-14 apart, the final moving sector 1.0e-14, the
+    # variance 6.6e-15 relative (1.5e-15 against moments of evolve's states)
+    MIRROR_ORIGIN = 4e-14
+    MIRROR_MOVING = 3e-14
+    MIRROR_VARIANCE = 2e-14
+    MIRROR_VARIANCE_EVOLVED = 5e-15
 
     @staticmethod
     def _walk(tau, kind):
@@ -246,7 +275,10 @@ class TestPerStepSeriesAreExact:
         origin = np.array([p for _, p, _ in report.rows])
         expected = np.array([evolve(init, params, t).probabilities()[t]
                              for t in range(1, self.T_MAX + 1)])
-        assert np.array_equal(origin, expected)
+        if kind == "standard":
+            assert np.max(np.abs(origin - expected)) < self.MIRROR_ORIGIN
+        else:
+            assert np.array_equal(origin, expected)
 
     @pytest.mark.parametrize("tau", [1, 2, 10])
     @pytest.mark.parametrize("kind", ["standard", "general"])
@@ -260,10 +292,15 @@ class TestPerStepSeriesAreExact:
             mean = float(np.dot(ns, probs))
             second = float(np.dot(ns * ns, probs))
             expected.append((t, second - mean * mean))
-        assert report.rows == expected
+        if kind == "standard":
+            got, want = np.array(report.rows).T[1], np.array(expected).T[1]
+            assert got[0] == want[0] == 0.0
+            assert np.all(np.abs(got - want) <= self.MIRROR_VARIANCE_EVOLVED * want)
+        else:
+            assert report.rows == expected
 
     # Past 8192 values a ufunc call on a (3, 2t+1) array may go through numpy's
-    # buffer; variance_series works row by row, so its bits must not change there.
+    # buffer; the complex route works row by row, so its bits must not change there.
     @pytest.mark.parametrize("tau", [1, 10])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_variance_equals_moments_of_iterated_states_at_full_size(self, tau, kind):
@@ -278,10 +315,16 @@ class TestPerStepSeriesAreExact:
             mean = float(np.dot(ns[sites], probs))
             second = float(np.dot(ns2[sites], probs))
             expected[state.t] = second - mean * mean
-        assert np.array_equal(variance_series(init, tau, t_max).table[1], expected)
+        variances = variance_series(init, tau, t_max).table[1]
+        if kind == "standard":
+            assert variances[0] == expected[0] == 0.0
+            assert np.all(np.abs(variances - expected) <= self.MIRROR_VARIANCE * expected)
+        else:
+            assert np.array_equal(variances, expected)
 
-    # The verify walk reads the reused buffer; at tau 1 the light-cone tails
-    # turn subnormal from about t 645.
+    # The verify walk reads the reused buffers; at tau 1 the light-cone tails
+    # turn subnormal from about t 645.  A StandardInit's final state and last
+    # origin probability are evolve's, bit for bit: both read the real walk.
     @pytest.mark.parametrize("tau", [1, 10])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_verify_walk_equals_iterated_states_at_full_size(self, tau, kind):
@@ -293,10 +336,17 @@ class TestPerStepSeriesAreExact:
         for state in states:
             expected[state.t - 1] = state.probabilities()[state.t]
         origin, final = lqw.harness._walk(init, params, t_max)
-        assert np.array_equal(origin, expected)
         assert final.t == t_max
-        assert np.array_equal(final.moving, state.moving)
         assert np.array_equal(final.loop_diff, state.loop_diff)
+        if kind == "standard":
+            assert np.max(np.abs(origin - expected)) < self.MIRROR_ORIGIN
+            assert np.max(np.abs(final.moving - state.moving)) < self.MIRROR_MOVING
+            evolved = evolve(init, params, t_max)
+            assert np.array_equal(final.moving, evolved.moving)
+            assert origin[-1] == evolved.probabilities()[t_max]
+        else:
+            assert np.array_equal(origin, expected)
+            assert np.array_equal(final.moving, state.moving)
 
 
 class TestPerStepNormCheck:
