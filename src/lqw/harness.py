@@ -132,7 +132,8 @@ def _mirror_weights(init: StandardInit) -> tuple[float, float, float]:
     """(|alpha|^2 + |beta|^2, |alpha|^2 - |beta|^2, 2 Re(conj(alpha) beta)) of a StandardInit.
 
     Its state is alpha a + beta mirror(a), a the real walk from |left>, so its
-    norm^2 is the first times ||a||^2 plus the last times <a, mirror(a)>.
+    norm^2 is the first times ||a||^2 plus the last times <a, mirror(a)>.  That
+    inner product is <U^t left, U^t right> = <left, right> = 0 by unitarity.
     """
     alpha2, beta2 = abs(init.alpha) ** 2, abs(init.beta) ** 2
     return alpha2 + beta2, alpha2 - beta2, 2.0 * (init.alpha.conjugate() * init.beta).real
@@ -147,7 +148,8 @@ def _walk(
     from the window.  P(X_t = 0) is ``WalkerState.probabilities()``'
     arithmetic on those columns, put in its (left, right, u) order once,
     after the walk.  A StandardInit walks the real walk a from |left>: the
-    norm is ||a||^2 and <a, mirror(a)> weighted by ``_mirror_weights``, and
+    norm is ||a||^2 times |alpha|^2 + |beta|^2, since the cross term
+    <a, mirror(a)> is 0 by unitarity (see ``_mirror_weights``), and
     the origin columns and the last window are combined as ``evolve``
     combines them, so the last origin probability and the final state are
     ``evolve``'s bit for bit.  A GeneralInit walks the complex window: one
@@ -155,16 +157,13 @@ def _walk(
     ``evolve``'s too.
     """
     if isinstance(init, StandardInit):
-        total, _, cross = _mirror_weights(init)
+        total = _mirror_weights(init)[0]
         columns = np.empty((3, t_max))
         for t, a in core._evolution_buffers(core._LEFT, params, t_max, reuse=True):
             if t:
                 columns[:, t - 1] = a[:, t]
             flat = a.ravel()
-            norm = total * np.dot(flat, flat)
-            if cross:  # a reversed dot is no BLAS call: it costs about what the step does
-                norm += cross * np.dot(flat, flat[::-1])
-            core._check_norm(norm)
+            core._check_norm(total * np.dot(flat, flat))
         # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
         origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
         return origin, core._mirror_state(init, params, t_max, a)
@@ -303,13 +302,15 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffers.
 
     A StandardInit walks the real walk a from |left>, whose state is
-    alpha a + beta mirror(a).  With A(n) = sum_r a_r(n)^2 and
-    C(n) = 2 a_L(n) a_R(-n) + a_u(n) a_u(-n) (C is even in n), the mean is
-    (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
+    alpha a + beta mirror(a).  With A(n) = sum_r a_r(n)^2 and C(n) the row
+    sum of a * mirror(a), a_L(n) a_R(-n) + a_R(n) a_L(-n) + a_u(n) a_u(-n),
+    which is even in n, so sum n C(n) = 0 and the mean has no cross term: the
+    mean is (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
     (|alpha|^2 + |beta|^2) sum n^2 A(n) + 2 Re(conj(alpha) beta) sum n^2 C(n).
     Each step forms a * a and a * mirror(a) in one work array and takes
     their sums against 1, n and n^2 in one product; the norm is checked from
-    the sums against 1.  A GeneralInit walks the complex window:
+    the sums against 1, cross term included, since that product gives it.
+    A GeneralInit walks the complex window:
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
     row into one work row, |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
     the origin; contiguous rows keep every ufunc call off numpy's buffer, and

@@ -244,14 +244,17 @@ class TestPerStepSeriesAreExact:
     bit for bit.  A StandardInit's evolve, variance and verify walk step the
     real walk from |left> and read its mirror, while localize and
     iter_evolution step the complex walk: the two agree within bounds
-    measured over every t <= 4000 (``MIRROR_*``, about 3x the largest
-    difference, at tau 1).  Routes that share the real walk stay bit for bit.
+    measured over every t <= 4000 (``MIRROR_*``, 2.3x to 3x the largest
+    difference, at tau 1 or 10).  Routes that share the real walk stay bit
+    for bit.  The skewed state has Re(conj(alpha) beta) != 0, so its origin
+    probability and variance read the cross term a * mirror(a).
     """
 
     T_MAX = 64
-    # measured over t <= 4000 at StandardInit(0.6, 0.8j), tau 1, 2 and 10: the
-    # origin probability 1.3e-14 apart, the final moving sector 1.0e-14, the
-    # variance 6.6e-15 relative (1.5e-15 against moments of evolve's states)
+    # measured over t <= 4000 at StandardInit(0.6, 0.8j) and the skewed state,
+    # tau 1, 2 and 10: the origin probability 1.3e-14 apart (9.2e-15 skewed),
+    # the final moving sector 1.3e-14 (skewed, tau 1), the variance 6.8e-15
+    # relative (skewed, tau 10; 2.0e-15 against moments of evolve's states)
     MIRROR_ORIGIN = 4e-14
     MIRROR_MOVING = 3e-14
     MIRROR_VARIANCE = 2e-14
@@ -262,26 +265,28 @@ class TestPerStepSeriesAreExact:
         params = WalkParams(tau)
         if kind == "standard":
             return params, StandardInit(0.6, 0.8j)
+        if kind == "skewed":  # the skewed_init fixture's state
+            return params, StandardInit((1 + np.sqrt(2) * 1j) / 2, np.sqrt(2) * (1 + 1j) / 4)
         init = random_general(np.random.default_rng(40 + tau), params)
         if tau >= 2:
             assert np.max(np.abs(evolve(init, params, 0).loop_diff)) > 1e-3
         return params, init
 
     @pytest.mark.parametrize("tau", [1, 2, 10])
-    @pytest.mark.parametrize("kind", ["standard", "general"])
+    @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_origin_column_equals_evolved_probabilities(self, tau, kind):
         params, init = self._walk(tau, kind)
         report = localization_series(init, tau, self.T_MAX)
         origin = np.array([p for _, p, _ in report.rows])
         expected = np.array([evolve(init, params, t).probabilities()[t]
                              for t in range(1, self.T_MAX + 1)])
-        if kind == "standard":
+        if kind != "general":
             assert np.max(np.abs(origin - expected)) < self.MIRROR_ORIGIN
         else:
             assert np.array_equal(origin, expected)
 
     @pytest.mark.parametrize("tau", [1, 2, 10])
-    @pytest.mark.parametrize("kind", ["standard", "general"])
+    @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_variance_rows_equal_moments_of_evolved_states(self, tau, kind):
         params, init = self._walk(tau, kind)
         report = variance_series(init, tau, self.T_MAX)
@@ -292,7 +297,7 @@ class TestPerStepSeriesAreExact:
             mean = float(np.dot(ns, probs))
             second = float(np.dot(ns * ns, probs))
             expected.append((t, second - mean * mean))
-        if kind == "standard":
+        if kind != "general":
             got, want = np.array(report.rows).T[1], np.array(expected).T[1]
             assert got[0] == want[0] == 0.0
             assert np.all(np.abs(got - want) <= self.MIRROR_VARIANCE_EVOLVED * want)
@@ -302,7 +307,7 @@ class TestPerStepSeriesAreExact:
     # Past 8192 values a ufunc call on a (3, 2t+1) array may go through numpy's
     # buffer; the complex route works row by row, so its bits must not change there.
     @pytest.mark.parametrize("tau", [1, 10])
-    @pytest.mark.parametrize("kind", ["standard", "general"])
+    @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_variance_equals_moments_of_iterated_states_at_full_size(self, tau, kind):
         params, init = self._walk(tau, kind)
         t_max = 1400
@@ -316,7 +321,7 @@ class TestPerStepSeriesAreExact:
             second = float(np.dot(ns2[sites], probs))
             expected[state.t] = second - mean * mean
         variances = variance_series(init, tau, t_max).table[1]
-        if kind == "standard":
+        if kind != "general":
             assert variances[0] == expected[0] == 0.0
             assert np.all(np.abs(variances - expected) <= self.MIRROR_VARIANCE * expected)
         else:
@@ -326,7 +331,7 @@ class TestPerStepSeriesAreExact:
     # turn subnormal from about t 645.  A StandardInit's final state and last
     # origin probability are evolve's, bit for bit: both read the real walk.
     @pytest.mark.parametrize("tau", [1, 10])
-    @pytest.mark.parametrize("kind", ["standard", "general"])
+    @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_verify_walk_equals_iterated_states_at_full_size(self, tau, kind):
         params, init = self._walk(tau, kind)
         t_max = 1400
@@ -338,7 +343,7 @@ class TestPerStepSeriesAreExact:
         origin, final = lqw.harness._walk(init, params, t_max)
         assert final.t == t_max
         assert np.array_equal(final.loop_diff, state.loop_diff)
-        if kind == "standard":
+        if kind != "general":
             assert np.max(np.abs(origin - expected)) < self.MIRROR_ORIGIN
             assert np.max(np.abs(final.moving - state.moving)) < self.MIRROR_MOVING
             evolved = evolve(init, params, t_max)
