@@ -138,9 +138,27 @@ class WeakLimitModel:
         th = theta_constants(self.tau)
         return th.theta2 + 2.0 * th.theta3 * _re_ab(self.init)[0]
 
-    def continuous_mass(self, hi: float | None = None) -> float:
-        """Integral of f from -Omega up to hi (default: all of it).  NaN raises DomainError."""
-        return _density_integral(self.init, self.tau, 0, _density_edges(self.tau, hi))
+    def continuous_mass(
+        self, hi: float | np.ndarray | None = None
+    ) -> float | np.ndarray:
+        """Integral of f from -Omega up to hi (default: all of it), by quadrature.
+
+        A scalar hi gives a float; an array gives the integral up to every
+        entry, from one rule over the graded panels: their running sum up to
+        the panel that holds hi, plus that panel cut at hi.  NaN raises
+        DomainError.
+        """
+        edges = _graded_density_edges(self.tau)
+        if hi is None:
+            return _density_integral(self.init, self.tau, 0, edges)
+        u_hi = np.arcsin(np.clip(_check_not_nan(hi) / self.omega, -1.0, 1.0))
+        # the mass below each edge, and the panel that holds u_hi (cut empty at -pi/2)
+        below = np.concatenate(([0.0], np.cumsum(np.sum(
+            _density_terms(self.init, self.tau, 0, edges[:-1], edges[1:]), axis=1))))
+        panel = np.maximum(np.searchsorted(edges, u_hi) - 1, 0)
+        mass = below[panel] + np.sum(
+            _density_terms(self.init, self.tau, 0, edges[panel], u_hi), axis=-1)
+        return float(mass) if mass.ndim == 0 else mass
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(X_t / t <= x) in the limit, atom included, in closed form.
@@ -197,7 +215,7 @@ def limit_moment(init: InitialCondition, tau: int, r: int) -> float:
     r = _check_int("moment order", r, 0)
     if r == 0:
         return 1.0
-    edges = _density_edges(tau)
+    edges = _graded_density_edges(tau)
     split = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])))
     coarse = _density_integral(init, tau, r, edges)
     fine = _density_integral(init, tau, r, split)
@@ -305,33 +323,25 @@ def _graded_density_edges(tau: int) -> np.ndarray:
     return edges
 
 
-def _density_edges(tau: int, hi: float | None = None) -> np.ndarray:
-    """Panel edges in u for the integral of f from -Omega up to hi (all of it by default).
-
-    The graded edges are built once per tau; an upper limit inside the support
-    drops the panels above u_hi = asin(hi / Omega) and cuts the one holding it.
-    """
-    edges = _graded_density_edges(tau)
-    if hi is None:
-        return edges
-    u_hi = math.asin(min(max(float(_check_not_nan(hi)) / _support(tau)[0], -1.0), 1.0))
-    return np.append(edges[edges < u_hi], u_hi)
-
-
-def _density_integral(init: StandardInit, tau: int, r: int, edges: np.ndarray) -> float:
-    """integral of x^r f(x) over x = Omega sin(u), u running over the panel edges.
+def _density_terms(
+    init: StandardInit, tau: int, r: int, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Weighted Gauss-Legendre terms of x^r f(x) over x = Omega sin(u), one row per panel [a, b] in u.
 
     The edge factor sqrt(Omega^2 - x^2) in f cancels against dx, and
     1 - x^2 = cos^2 u + s^2 sin^2 u with s^2 = 1 - Omega^2, which keeps the
     denominator free of cancellation next to the edges of the support.
     """
-    if edges.size < 2:
-        return 0.0
-    u, w = legendre_rule(_PANEL_NODES, edges[:-1], edges[1:])
+    u, w = legendre_rule(_PANEL_NODES, a, b)
     sin_u, cos_u = np.sin(u), np.cos(u)
     x = _support(tau)[0] * sin_u
     smooth = _density_numerator(init, tau, x) / (
         math.pi * (cos_u * cos_u + (2.0 / (tau + 2.0)) * sin_u * sin_u)
         * math.sqrt(2.0 * (tau + 2.0))
     )
-    return float(np.sum(w * x**r * smooth))
+    return w * x**r * smooth
+
+
+def _density_integral(init: StandardInit, tau: int, r: int, edges: np.ndarray) -> float:
+    """integral of x^r f(x) over x = Omega sin(u), u running over the panel edges."""
+    return float(np.sum(_density_terms(init, tau, r, edges[:-1], edges[1:])))

@@ -439,8 +439,7 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
     near_theory = model.cdf(_NEAR_ORIGIN) - model.cdf(-_NEAR_ORIGIN)
 
     sweep = np.linspace(-model.omega, model.omega, 33)
-    quadrature_cdf = [(model.p_hat if x >= 0.0 else 0.0) + model.continuous_mass(hi=x)
-                      for x in sweep.tolist()]
+    quadrature_cdf = np.where(sweep >= 0.0, model.p_hat, 0.0) + model.continuous_mass(hi=sweep)
     cdf_error = float(np.max(np.abs(model.cdf(sweep) - quadrature_cdf)))
 
     probe = min(t_max, _KERNEL_PROBE_STEPS)

@@ -371,6 +371,49 @@ class TestWeakLimitCdf:
             model.continuous_mass(hi=float("nan"))
         with pytest.raises(DomainError):
             model.continuous_mass(hi=np.float64("nan"))
+        with pytest.raises(DomainError):
+            model.continuous_mass(hi=np.array([-0.5, 0.2, np.nan, 0.7]))
+
+
+def per_limit_mass(model: WeakLimitModel, hi: float) -> float:
+    """The integral of f up to hi by a rule of its own: the graded edges below u_hi, then u_hi."""
+    edges = lqw.analytics._graded_density_edges(model.tau)
+    u_hi = np.arcsin(min(max(hi / model.omega, -1.0), 1.0))
+    cut = np.append(edges[edges < u_hi], u_hi)
+    return lqw.analytics._density_integral(model.init, model.tau, 0, cut) if cut.size > 1 else 0.0
+
+
+class TestContinuousMassOverArrays:
+    # one rule's running panel sums plus a cut panel, against a rule per limit
+    # summed in one pass: at most 3.3e-16 over QUADRATURE_TAUS and the four
+    # cdf_init states, at 33 sweep points and 201 points on [-1.1, 1.1] (3x)
+    SUM_ORDER = 1e-15
+
+    @pytest.mark.parametrize("tau", QUADRATURE_TAUS)
+    def test_each_entry_is_the_scalar_call(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        his = np.concatenate((np.linspace(-model.omega, model.omega, 33),
+                              np.linspace(-1.1, 1.1, 201)))
+        masses = model.continuous_mass(hi=his)
+        assert masses.shape == his.shape
+        assert masses.tolist() == [model.continuous_mass(hi=hi) for hi in his.tolist()]
+        reference = [per_limit_mass(model, hi) for hi in his.tolist()]
+        assert np.max(np.abs(masses - reference)) <= self.SUM_ORDER
+
+    @pytest.mark.parametrize("tau", [1, 3, 100, 10**6])
+    def test_zero_below_and_all_of_it_above_the_support(self, tau, cdf_init):
+        model = WeakLimitModel(cdf_init, tau)
+        below = np.array([-model.omega, np.nextafter(-model.omega, -2.0), -1.0, -np.inf])
+        above = np.array([model.omega, np.nextafter(model.omega, 2.0), 1.0, np.inf])
+        assert model.continuous_mass(hi=below).tolist() == [0.0] * 4
+        assert np.max(np.abs(model.continuous_mass(hi=above) - model.continuous_mass())) \
+            <= self.SUM_ORDER
+
+    def test_scalar_gives_a_float(self, skewed_init):
+        model = WeakLimitModel(skewed_init, 3)
+        for hi in (0.25, np.float64(0.25), np.array(0.25), -2.0):
+            assert type(model.continuous_mass(hi=hi)) is float
+        assert type(model.continuous_mass()) is float
 
 
 class TestTotalLocalization:

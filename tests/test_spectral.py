@@ -395,6 +395,36 @@ class TestClosedFormState:
             assert np.max(np.abs(closed.amplitudes - direct.amplitudes)) < 1e-12
             assert np.max(np.abs(closed.probabilities() - direct.probabilities())) < 1e-12
 
+    # M is the least 5-smooth number >= 2t + 1: 2t + 1 prime (t 1, 3, 2000),
+    # already 5-smooth (t 62: M = 125, odd, so k = pi is a grid point) or
+    # neither (t 3000: 6001 = 17 * 353, M = 6075)
+    GRIDS = {1: 3, 3: 8, 2000: 4050, 62: 125, 3000: 6075}
+
+    def test_grid_is_the_least_five_smooth_size(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        sizes = [m for m in range(1, 10_241) if smooth(m)]
+        for n in range(1, 10_001):
+            assert lqw.spectral._five_smooth_at_least(n) == next(m for m in sizes if m >= n)
+        for t, m in self.GRIDS.items():
+            assert lqw.spectral._five_smooth_at_least(2 * t + 1) == m
+
+    @pytest.mark.parametrize("tau", [1, 3, 100])
+    @pytest.mark.parametrize("t", GRIDS)
+    def test_matches_kernel_on_every_kind_of_grid(self, tau, t, skewed_init):
+        # measured at most 8.7e-14 (t 2000), 6.1e-14 (3000), 4.3e-15 (62),
+        # 7.2e-16 (3) and 2.8e-16 (1); the bound leaves 2.8x to 11x
+        params = WalkParams(tau)
+        for init in (skewed_init, random_general(np.random.default_rng(tau), params)):
+            direct = evolve(init, params, t)
+            closed = lqw.spectral._closed_form_state(init, params, t)
+            assert np.max(np.abs(closed.moving - direct.moving)) <= 1.5e-16 * (t + 20)
+            assert np.array_equal(closed.loop_diff, direct.loop_diff)
+
     def test_memory_no_more_than_the_kernel(self, symmetric_init):
         # the kernel's evolve peaks at 1.15 MB here; the eigenvector sum on a
         # power-of-two grid took 3.8 MB
