@@ -36,9 +36,11 @@ that one real window, half the bytes and flops of a complex one, and
 combines once at the end; a ``StandardInit`` builds no delta- or tau-vector
 until its ``WalkerState`` holds the zero d.  ``iter_evolution`` and every
 ``GeneralInit`` walk step the complex window: a ``GeneralInit`` start has a
-u part, which needs a second real walk, and a combination per step made
-``localize``'s tau 10, t 2000 loop twice as slow (120 ms against 52 ms, one
-BLAS thread).
+u part, which needs a second real walk.
+
+The origin column of the walk from |left> needs no walk at all:
+``_origin_recurrence`` runs its exact recurrences in O(t) time and memory
+(``lqw.harness.localization_series``).
 
 ``iter_evolution`` steps into a new window each time; ``evolve`` keeps only
 the last, so it alternates between two reused buffers and allocates nothing
@@ -46,10 +48,11 @@ per step.  Both build a ``WalkerState`` in the public (left, right, u)
 order; two walks of ``lqw.harness`` read every step from the reused buffers
 instead, with no state.  A ``WalkerState`` holds exactly this data,
 ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
-origin).  Its norm check is two dot products, which leaves one O(tau) term
-per state: the squared norm of d.  The probability vector and the full
-``(2t+1, delta)`` amplitudes, the one way to read a site's coin state, are
-built only when read.
+origin).  Its norm check is two dot products; ``iter_evolution`` takes the
+O(tau) one, the squared norm of d, once per walk, since d only changes
+sign, so each state costs O(t) at any tau.  The probability vector and the
+full ``(2t+1, delta)`` amplitudes, the one way to read a site's coin state,
+are built only when read.
 
 All operations are pure; states hold read-only views.
 """
@@ -79,6 +82,10 @@ _NORM_TOL = 1e-10
 
 # The kernel's rows (left, u, right) as indices of (left, right, u), and back.
 _LUR = np.array([0, 2, 1])
+
+# Steps per block of ``_origin_recurrence``: its coefficients for one block are
+# numpy arrays, read back as Python floats.
+_RECURRENCE_BLOCK = 4096
 
 # The start |left> of the one real walk a StandardInit takes, in (left, right, u).
 _LEFT = np.array([1.0, 0.0, 0.0])
@@ -204,15 +211,18 @@ class WalkerState:
     to the uniform loop mode.  Both are stored as read-only views.
 
     The norm is checked on construction from the squared norms of ``moving``
-    and ``loop_diff``.  ``probabilities()`` builds its vector on first call
-    and returns the same read-only array after that.  ``amplitudes``, the
-    full ``(2t+1, delta)`` array with row ``n + t`` the coin state at
-    position n, |n| <= t, is built on first read; ``probabilities()`` never needs it.
+    and ``loop_diff``; a walk, whose d only changes sign, passes |d|^2 in
+    once for all its states (``_loop_weight``).  ``probabilities()`` builds
+    its vector on first call and returns the same read-only array after
+    that.  ``amplitudes``, the full ``(2t+1, delta)`` array with row
+    ``n + t`` the coin state at position n, |n| <= t, is built on first
+    read; ``probabilities()`` never needs it.
     """
 
     t: int
     moving: np.ndarray = field(repr=False)
     loop_diff: np.ndarray = field(repr=False)
+    _loop_weight: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t", _check_int("t", self.t, 0))
@@ -225,7 +235,10 @@ class WalkerState:
         # read-only views: the arrays a caller passed in stay writable
         moving.setflags(write=False)
         loop_diff.setflags(write=False)
-        _check_norm(np.vdot(moving, moving).real + np.vdot(loop_diff, loop_diff).real)
+        loop_weight = self._loop_weight
+        if loop_weight is None:
+            loop_weight = np.vdot(loop_diff, loop_diff).real
+        _check_norm(np.vdot(moving, moving).real + loop_weight)
         object.__setattr__(self, "moving", moving)
         object.__setattr__(self, "loop_diff", loop_diff)
 
@@ -287,6 +300,8 @@ def _moving_coin(params: WalkParams) -> np.ndarray:
 
 def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
     """The initial coin state as (left, right, u) at the origin and the loop differences d."""
+    if isinstance(init, StandardInit):  # no loop amplitude: u = 0, d = 0, with no delta-vector
+        return np.array([init.alpha, init.beta, 0j]), np.zeros(params.tau, dtype=np.complex128)
     coin = init.coin_vector(params)
     root_tau = math.sqrt(params.tau)
     u = coin[2:].sum() / root_tau
@@ -337,9 +352,9 @@ def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int, *, reu
         yield t, window
 
 
-def _window_state(t: int, window: np.ndarray, diff: np.ndarray) -> WalkerState:
+def _window_state(t: int, window: np.ndarray, diff: np.ndarray, loop_weight=None) -> WalkerState:
     """The WalkerState of a complex kernel window, its rows copied in the public (left, right, u) order."""
-    return WalkerState(t, window.take(_LUR, axis=0), diff)
+    return WalkerState(t, window.take(_LUR, axis=0), diff, loop_weight)
 
 
 def _superpose(init: StandardInit, a: np.ndarray, mirrored: np.ndarray) -> np.ndarray:
@@ -365,6 +380,73 @@ def _mirror_state(init: StandardInit, params: WalkParams, t: int, a: np.ndarray)
                        np.zeros(params.tau, dtype=np.complex128))
 
 
+def _recurrence_coefficients(t, kappa):
+    """(e_left, e_right, f, e_u, f_u) of the origin recurrences at step t (see ``_origin_recurrence``).
+
+    Plain arithmetic on ``t`` and ``kappa``: float64 arrays give the run's
+    coefficients, Fractions give them exactly.
+    """
+    t1, t2, t3 = t + 1, t + 2, t + 3
+    q = (2 * t + 3) / (t1 * t1 * t3)
+    g = kappa * t1 * t2
+    return q * (g + 1), q * (g - 1), t * t2 * t2 / (t1 * t1 * t3), kappa * (2 * t + 3) / t2, t / t1
+
+
+def _origin_recurrence(params: WalkParams, t_max: int) -> np.ndarray:
+    """The origin column (left, u, right) of the real walk from |left>, t = 0 .. t_max, in O(t).
+
+    The origin amplitudes' generating function is algebraic, so each origin
+    component a_t is P-recursive: here of order 3, with every constant
+    sequence a solution.  Its first differences d_t = a_{t+1} - a_t thus obey
+
+        d_{t+2} = e(t) d_{t+1} - f(t) d_t,    t >= 0,
+
+    with kappa = (tau - 2) / (tau + 2) = cos(theta) at k = pi and
+
+        left   e = (2t+3) (kappa (t+1)(t+2) + 1) / ((t+1)^2 (t+3)),  f = t (t+2)^2 / ((t+1)^2 (t+3))
+        right  e = (2t+3) (kappa (t+1)(t+2) - 1) / ((t+1)^2 (t+3)),  f as for left
+        u      e = kappa (2t+3) / (t+2),                               f = t / (t+1)
+
+    (``_recurrence_coefficients``).  They were guessed from the exact walk
+    and hold exactly for every t <= 100 at tau 1 to 10^12
+    (``tests/test_core.py``).  The seeds are the walk's first two steps in
+    closed form.  Run on the differences, the float64 recurrence keeps the
+    constant solution exactly, and its characteristic roots at
+    t -> infinity, e^{+-i theta(pi)}, lie on the unit circle; run as an
+    order-3 recurrence in a_t it drifted 10 to 1000 times further at
+    t = 10^6 and tau >= 10.  Each block of steps takes its coefficients
+    from numpy and runs the three recurrences in Python floats; no
+    tau-vector is built.  Internal only.
+    """
+    tau = params.tau
+    # integer true division rounds correctly, and never overflows at large tau
+    kappa = (tau - 2) / (tau + 2)
+    edge = 2.0 * math.sqrt(tau) / (tau + 2)
+    seeds = ((1.0, 0.0, 4 / (tau + 2) ** 2),
+             (0.0, edge, edge * kappa),
+             (0.0, 0.0, -2 * tau / (tau + 2) ** 2))
+    out = np.empty((3, t_max + 1))
+    out[:, :3] = np.array(seeds)[:, :t_max + 1]
+    (l0, l1, l), (u0, u1, u), (r0, r1, r) = seeds
+    dl0, dl1, du0, du1, dr0, dr1 = l1 - l0, l - l1, u1 - u0, u - u1, r1 - r0, r - r1
+    for lo in range(0, t_max - 2, _RECURRENCE_BLOCK):
+        t = np.arange(lo, min(lo + _RECURRENCE_BLOCK, t_max - 2), dtype=np.float64)
+        ls, us, rs = [], [], []
+        for el, er, f, eu, fu in zip(*(x.tolist() for x in _recurrence_coefficients(t, kappa))):
+            dl0, dl1 = dl1, el * dl1 - f * dl0
+            du0, du1 = du1, eu * du1 - fu * du0
+            dr0, dr1 = dr1, er * dr1 - f * dr0
+            l += dl1
+            u += du1
+            r += dr1
+            ls.append(l)
+            us.append(u)
+            rs.append(r)
+        steps = slice(lo + 3, lo + 3 + t.size)
+        out[0, steps], out[1, steps], out[2, steps] = ls, us, rs
+    return out
+
+
 def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
@@ -383,5 +465,7 @@ def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     t_max = _check_int("t_max", t_max, 0)
     start, diff = _reduced_start(init, params)
     signed_diff = (diff, -diff)
+    # d only flips sign, so |d|^2 is the same at every step
+    loop_weight = np.vdot(diff, diff).real
     for t, window in _evolution_buffers(start, params, t_max):
-        yield _window_state(t, window, signed_diff[t % 2])
+        yield _window_state(t, window, signed_diff[t % 2], loop_weight)

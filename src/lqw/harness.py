@@ -10,8 +10,10 @@ table costs 8 bytes per cell and no Python object per row.  Every CLI
 subcommand runs one of the experiments; serialization is left to the cli
 module.
 
-The kernel walks are shared.  localization_series iterates ``WalkerState``
-snapshots of the complex walk, one per step, each with its norm check.
+The kernel walks are shared.  localization_series takes a StandardInit's
+origin series from exact recurrences (``core._origin_recurrence``) and
+iterates ``WalkerState`` snapshots of the complex walk only as their probe,
+for at most 256 steps; a GeneralInit's series reads one snapshot per step.
 verification_suite's walk (``_walk``) and variance_series read every step
 from the kernel's reused buffers, whose rows are (left, u, right).  For a
 StandardInit both step only the real walk a from |left> and read the state
@@ -64,8 +66,16 @@ __all__ = [
 # Ai^2, |a'_1| Airy lengths behind the front v*t.
 _AIRY_PRIME_ZERO = 1.0187929716474710
 
-# Steps of the kernel walk that judges the closed-form final state (about 1 ms).
+# Steps of the kernel walk that judges the closed-form final state (about 1 ms)
+# and the recurrence's origin series.
 _KERNEL_PROBE_STEPS = 256
+
+# Bounds on the recurrence's origin amplitudes, about 3x the largest difference
+# measured over tau 1 to 10^6 at four states: 4.9e-15 from the kernel's probe,
+# and 3.4e-11 from the spectral origin at t_max 257 to 10^6, the spectral
+# route's own error at tau 10^6, t 10^6 (at most 2.3e-13 for tau <= 100).
+_RECURRENCE_VS_KERNEL = 1.5e-14
+_RECURRENCE_VS_CLOSED_FORM = 1e-10
 
 # Half-width of the window around the atom at x = 0 that the empirical CDF
 # comparison leaves out; Omega >= 1/sqrt(3) keeps it inside the support.
@@ -191,20 +201,43 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
     Convergence is judged on the mean over the last ceil(t_max/10) steps,
     since the pointwise sequence keeps oscillating around the limit.  No
     verdict is emitted when the window covers the whole series.
+
+    A StandardInit takes the origin column of the real walk from |left> from
+    its exact recurrences (``core._origin_recurrence``), in O(t) time and
+    memory at any tau, and combines it as ``_walk`` does.  Once the
+    recurrence runs past its seeds (t_max >= 3), ``recurrence_vs_kernel`` is
+    the largest difference of the combined origin amplitudes from the
+    ``iter_evolution`` states over the first ``probe_steps`` =
+    min(t_max, 256) steps, and where t_max exceeds those,
+    ``recurrence_vs_closed_form`` is their difference at t_max from the
+    spectral origin (``spectral._closed_form_origin``).  A GeneralInit reads
+    the origin column of every ``iter_evolution`` state.
     """
     t_max = _check_int("t_max", t_max, 1)
+    params = WalkParams(tau)
     # the odd-step limit has the same probability as the even one
     reference = analytics.localization_probability_origin(init, tau)
-    # The same origin series as _walk's, one WalkerState per step.  This walk
-    # stays on iter_evolution while the benchmark counts kernel walks only at
-    # evolve and iter_evolution: it is the only tau-10 walk at toy size, and
-    # on _walk core.site_steps_per_s.tau10 would read 0 on every workload.
-    states = iter_evolution(init, WalkParams(tau), t_max)
-    loop_weight = np.sum(np.abs(next(states).loop_diff) ** 2)
-    columns = np.empty((t_max, 3), dtype=np.complex128)
-    for state in states:
-        columns[state.t - 1] = state.moving[:, state.t]
-    origin = np.sum(np.abs(columns) ** 2, axis=1) + loop_weight
+    checks, probe = [], min(t_max, _KERNEL_PROBE_STEPS)
+    if isinstance(init, StandardInit):
+        columns = core._origin_recurrence(params, t_max)[:, 1:]
+        # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
+        amplitudes = core._superpose(init, columns, columns[::-1])
+        origin = core._column_weights(amplitudes)
+        if t_max >= 3:
+            kernel, _ = _origin_columns(init, params, probe)
+            checks.append(Verdict.judge(
+                "recurrence_vs_kernel", np.max(np.abs(amplitudes[:, :probe] - kernel.T)),
+                _RECURRENCE_VS_KERNEL))
+        if t_max > probe:
+            closed = spectral._closed_form_origin(
+                core._reduced_start(init, params)[0], params, t_max)
+            checks.append(Verdict.judge(
+                "recurrence_vs_closed_form", np.max(np.abs(amplitudes[:, -1] - closed)),
+                _RECURRENCE_VS_CLOSED_FORM))
+    else:
+        columns, state = _origin_columns(init, params, t_max)
+        # d only flips sign, so the last state's |d|^2 is every state's
+        origin = np.sum(np.abs(columns) ** 2, axis=1) + np.sum(np.abs(state.loop_diff) ** 2)
 
     window = math.ceil(t_max / 10)
     metrics = {"reference": reference, "window": window}
@@ -213,14 +246,30 @@ def localization_series(init: InitialCondition, tau: int, t_max: int) -> Experim
         metrics["window_mean"] = _window_mean(origin)
         verdicts.append(Verdict.judge(
             "window_mean_deviation", abs(metrics["window_mean"] - reference), 1e-2))
+    if checks:
+        metrics["probe_steps"] = probe
     return ExperimentReport(
         experiment="localization_series",
         config=_config_echo(init, tau, steps=t_max),
         columns=("t", "origin_probability", "reference"),
         table=(np.arange(1, t_max + 1), origin, np.full(t_max, reference)),
         metrics=metrics,
-        verdicts=verdicts,
+        verdicts=verdicts + checks,
     )
+
+
+def _origin_columns(
+    init: InitialCondition, params: WalkParams, t_max: int
+) -> tuple[np.ndarray, WalkerState]:
+    """The origin columns (left, right, u) of the ``iter_evolution`` states t = 1..t_max, and the last state.
+
+    Row t - 1 holds state t's column.
+    """
+    columns = np.empty((t_max, 3), dtype=np.complex128)
+    for state in iter_evolution(init, params, t_max):
+        if state.t:
+            columns[state.t - 1] = state.moving[:, state.t]
+    return columns, state
 
 
 def _argmax_peak(positions: np.ndarray, probs: np.ndarray, side: int) -> int:

@@ -43,7 +43,9 @@ grid has its own size rule, the least 5-smooth M >= 2t + 1, which the FFT
 factors fully where 2t + 1 itself is often prime; the oracle's power-of-two
 grid would cost more memory.  It needs neither the theta-eigenvectors nor
 their 1/(1 + e^{i omega}) denominators.  The kernel judges it
-(``harness.empirical_vs_weak_limit``).
+(``harness.empirical_vs_weak_limit``).  ``_closed_form_origin`` reads the
+origin alone from the same Psi~ rows, as their mean over t + 1 momenta, in
+O(t) with no FFT; it judges the origin recurrences of ``lqw.core``.
 """
 
 from __future__ import annotations
@@ -207,6 +209,39 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
     start, diff = _reduced_start(init, params)
     n = 2 * t + 1
     m = _five_smooth_at_least(n)
+    out = _momentum_state(start, params, t, m)
+    # row p of the inverse transform holds n = p - t once the rows carry
+    # e^{-i k t} (k t reduced mod 2 pi in integers) and the output e^{i pi p / M}
+    out *= np.exp((-1j * np.pi / m) * ((2 * np.arange(m) + 1) * t % (2 * m)))
+    # one row at a time, its 2t + 1 sites packed in front of the buffer: each
+    # row is transformed before any write reaches it, and the state is one
+    # contiguous block, which its norm check reads without a copy
+    flat = out.reshape(-1)
+    for r in range(3):
+        flat[r * n:(r + 1) * n] = np.fft.ifft(flat[r * m:(r + 1) * m])[:n]
+    sites = flat[:3 * n].reshape(3, n)
+    sites *= np.exp((1j * np.pi / m) * np.arange(n))
+    return WalkerState(t, sites, diff if t % 2 == 0 else -diff)
+
+
+def _closed_form_origin(start: np.ndarray, params: WalkParams, t: int) -> np.ndarray:
+    """The origin amplitudes (left, right, u) after t steps from the moving-sector start, with no FFT.
+
+    psi(t, 0) is the mean of Psi~(t, k) over the M = t + 1 momenta of
+    ``_momentum_state``'s grid: that mean adds up the sites n = 0 mod M, and
+    the origin is the only one within the support |n| <= t.  O(t) time and
+    memory, at any tau.  It judges ``lqw.core._origin_recurrence``
+    (``harness.localization_series``).
+    """
+    return _momentum_state(start, params, t, t + 1).mean(axis=1)
+
+
+def _momentum_state(start: np.ndarray, params: WalkParams, t: int, m: int) -> np.ndarray:
+    """Psi~(t, k_j) as a (3, m) array, rows (left, right, u), on k_j = 2 pi (j + 1/2) / m.
+
+    ``start`` is the moving sector at the origin, (left, right, u); the
+    formula is ``_closed_form_state``'s.
+    """
     ks = (2.0 * np.pi / m) * (np.arange(m) + 0.5)
     phi = _pi_minus_theta(params.tau, ks)
     sin_phi = np.sin(phi)
@@ -236,19 +271,7 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
         proj -= s
         proj *= s_prev
         row += proj
-    del left, right, loop, overlap, proj, s_t, s_prev
-    # row p of the inverse transform holds n = p - t once the rows carry
-    # e^{-i k t} (k t reduced mod 2 pi in integers) and the output e^{i pi p / M}
-    out *= np.exp((-1j * np.pi / m) * ((2 * np.arange(m) + 1) * t % (2 * m)))
-    # one row at a time, its 2t + 1 sites packed in front of the buffer: each
-    # row is transformed before any write reaches it, and the state is one
-    # contiguous block, which its norm check reads without a copy
-    flat = out.reshape(-1)
-    for r in range(3):
-        flat[r * n:(r + 1) * n] = np.fft.ifft(flat[r * m:(r + 1) * m])[:n]
-    sites = flat[:3 * n].reshape(3, n)
-    sites *= np.exp((1j * np.pi / m) * np.arange(n))
-    return WalkerState(t, sites, diff if t % 2 == 0 else -diff)
+    return out
 
 
 def _five_smooth_at_least(n: int) -> int:

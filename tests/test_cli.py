@@ -548,6 +548,15 @@ class TestLocalize:
         payload = json.loads((tmp_path / "localize.json").read_text())
         assert payload["metrics"]["reference"] == pytest.approx(0.2020410288672876, rel=1e-12)
 
+    def test_json_records_the_probe_steps(self, tmp_path):
+        # the recurrence's kernel probe covers min(steps, 256) steps
+        status = run_cli("localize", "--tau", "2", "--steps", "300", "--out", str(tmp_path))
+        assert status == 0
+        payload = json.loads((tmp_path / "localize.json").read_text())
+        assert payload["metrics"]["probe_steps"] == 256
+        assert [v["name"] for v in payload["verdicts"]] == [
+            "window_mean_deviation", "recurrence_vs_kernel", "recurrence_vs_closed_form"]
+
     def test_single_step_no_verdict(self, tmp_path):
         status = run_cli("localize", "--tau", "1", "--steps", "1", "--out", str(tmp_path))
         assert status == 0

@@ -1,6 +1,8 @@
 """Position-space evolution: coin algebra, hand-derived steps, invariants."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from lqw import (
 )
 
 import lqw.harness
-from lqw.core import _LEFT, _evolution_buffers, _mirror_state, _moving_coin, _reduced_start
+from lqw.core import (
+    _LEFT,
+    _evolution_buffers,
+    _mirror_state,
+    _moving_coin,
+    _origin_recurrence,
+    _recurrence_coefficients,
+    _reduced_start,
+)
 from lqw.spectral import _closed_form_state, _light_cone_tail
 
 from conftest import random_general, random_standard
@@ -432,6 +442,81 @@ class TestInvariants:
             WalkerState(1, moving, np.zeros(1))
 
 
+def exact_origin(tau: int, t_max: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(left, right, U) at the origin of the walk from |left>, t = 0 .. t_max, as exact Fractions.
+
+    U is the sum of the loop amplitudes, sqrt(tau) u.  Each step of the
+    delta-scaled integer walk is s = 2 (l + r + U), l' = s - delta l,
+    r' = s - delta r, U' = tau s - delta U at every site, then the shift;
+    step t divides by delta^t.
+    """
+    d = tau + 2
+    size = 2 * t_max + 3
+    left, right, loops = [0] * size, [0] * size, [0] * size
+    left[t_max + 1] = 1
+    out = [(Fraction(1), Fraction(0), Fraction(0))]
+    for t in range(1, t_max + 1):
+        s = [2 * (a + b + c) for a, b, c in zip(left, right, loops)]
+        left = [s[n + 1] - d * left[n + 1] for n in range(size - 1)] + [0]
+        right = [0] + [s[n] - d * right[n] for n in range(size - 1)]
+        loops = [tau * sn - d * c for sn, c in zip(s, loops)]
+        scale = d ** t
+        out.append(tuple(Fraction(row[t_max + 1], scale) for row in (left, right, loops)))
+    return out
+
+
+class TestOriginRecurrence:
+    """The origin column of the walk from |left> from its exact recurrences (``_origin_recurrence``)."""
+
+    TAUS = [1, 2, 3, 10, 100, 10**6, 10**12]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_differences_obey_the_recurrences_exactly(self, tau):
+        # the package's own coefficients, evaluated in Fractions, at every t <= 100
+        exact = exact_origin(tau, 100)
+        kappa = Fraction(tau - 2, tau + 2)
+        for row, (e, f) in ((0, (0, 2)), (1, (1, 2)), (2, (3, 4))):  # left, right, U
+            a = [step[row] for step in exact]
+            d = [y - x for x, y in zip(a, a[1:])]
+            for t in range(len(d) - 2):
+                c = _recurrence_coefficients(Fraction(t), kappa)
+                assert d[t + 2] == c[e] * d[t + 1] - c[f] * d[t], (row, t)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_float_run_matches_the_exact_walk(self, tau):
+        # seeds in closed form and 98 recurrence steps in float64: measured at
+        # most 2.8e-16 from the exact amplitudes over these tau
+        exact = exact_origin(tau, 100)
+        expected = np.array([[float(l), float(u / math.sqrt(tau)) if u else 0.0, float(r)]
+                             for l, r, u in exact]).T
+        run = _origin_recurrence(WalkParams(tau), 100)
+        assert np.max(np.abs(run - expected)) < 8e-16
+
+    @pytest.mark.parametrize("t_max", [0, 1, 2, 3, 4100])
+    def test_short_runs_are_prefixes(self, t_max):
+        # the seeds cover t <= 2, and a run crosses its 4096-step blocks seamlessly
+        full = _origin_recurrence(WalkParams(3), 4100)
+        assert np.array_equal(_origin_recurrence(WalkParams(3), t_max), full[:, :t_max + 1])
+
+    def test_matches_the_kernel_walk(self):
+        # the real walk from |left> to t 4000: measured 9.0e-14 at tau 1 (the
+        # kernel's drift) and 9.7e-15 at tau 10
+        for tau, bound in ((1, 2.5e-13), (10, 3e-14)):
+            run = _origin_recurrence(WalkParams(tau), 4000)
+            kernel = np.empty_like(run)
+            for t, a in _evolution_buffers(_LEFT, WalkParams(tau), 4000, reuse=True):
+                kernel[:, t] = a[:, t]
+            assert np.max(np.abs(run - kernel)) < bound, tau
+
+    @pytest.mark.parametrize("t", [10**4, 10**5, 10**6])
+    def test_matches_the_closed_form_state_at_large_t(self, t):
+        # tau 10: measured 8.5e-15, 6.7e-14 and 6.9e-14
+        params = WalkParams(10)
+        closed = _closed_form_state(StandardInit(1, 0), params, t).moving[:, t]
+        run = _origin_recurrence(params, t)[:, t]
+        assert np.max(np.abs(closed - run[[0, 2, 1]])) < 2e-13
+
+
 class TestWalkerState:
     """One layout: (left, right, u) over the sites plus the loop differences d."""
 
@@ -525,6 +610,18 @@ class TestWalkerState:
         arrays[part] *= np.sqrt(1.0 + offset / weight)
         with pytest.raises(NormalizationError):
             WalkerState(7, arrays["moving"], arrays["loop_diff"])
+
+    def test_a_walk_passes_its_loop_weight_once(self):
+        # d only flips sign, so iter_evolution takes |d|^2 once and every state
+        # checks its norm with it; a state checks the weight it is given
+        params = WalkParams(3)
+        init = random_general(np.random.default_rng(13), params)
+        diff = _reduced_start(init, params)[1]
+        states = list(iter_evolution(init, params, 5))
+        assert all(s._loop_weight == np.vdot(diff, diff).real for s in states)
+        last = states[-1]
+        with pytest.raises(NormalizationError):
+            WalkerState(last.t, last.moving, last.loop_diff, last._loop_weight + 1e-9)
 
     def test_probabilities_built_once_and_read_only(self):
         params = WalkParams(4)

@@ -118,6 +118,107 @@ class TestLocalizationSeries:
         assert a.metrics == b.metrics
 
 
+def route_verdicts(report) -> dict:
+    """The recurrence's verdicts of a localization_series report, by name."""
+    return {v.name: v for v in report.verdicts if v.name.startswith("recurrence_")}
+
+
+class TestLocalizationByRecurrence:
+    """A StandardInit's origin series from the exact recurrences, judged by the kernel and the spectrum."""
+
+    # largest |P_recurrence - P_kernel| over t <= 4000 at the default, (0.6, 0.8j)
+    # and skewed states: 8.8e-14 at tau 1 (the kernel's drift: the recurrence
+    # meets the closed form within 4e-15 there), 6.2e-15 at tau 10, 2.9e-15 at 100
+    KERNEL_BOUNDS = {1: 2.5e-13, 10: 2e-14, 100: 1e-14}
+
+    @pytest.mark.parametrize("t_max,names,probe", [
+        (1, [], None), (2, [], None), (3, ["recurrence_vs_kernel"], 3),
+        (256, ["recurrence_vs_kernel"], 256),
+        (257, ["recurrence_vs_kernel", "recurrence_vs_closed_form"], 256),
+    ])
+    def test_route_verdicts_start_past_the_seeds(self, symmetric_init, t_max, names, probe):
+        report = localization_series(symmetric_init, 2, t_max)
+        assert list(route_verdicts(report)) == names
+        assert report.metrics.get("probe_steps") == probe
+
+    def test_metrics_and_verdict_order(self, symmetric_init):
+        report = localization_series(symmetric_init, 2, 300)
+        assert list(report.metrics) == ["reference", "window", "window_mean", "probe_steps"]
+        assert [(v.name, v.tolerance) for v in report.verdicts] == [
+            ("window_mean_deviation", 1e-2), ("recurrence_vs_kernel", 1.5e-14),
+            ("recurrence_vs_closed_form", 1e-10)]
+        assert report.passed
+
+    def test_general_init_walks_every_step(self):
+        params = WalkParams(2)
+        report = localization_series(random_general(np.random.default_rng(5), params), 2, 300)
+        assert [v.name for v in report.verdicts] == ["window_mean_deviation"]
+        assert "probe_steps" not in report.metrics
+
+    @pytest.mark.parametrize("t_max", [200, 2000])
+    def test_the_probe_walks_at_most_256_steps_and_no_fft(self, symmetric_init, monkeypatch,
+                                                          t_max):
+        walks, iterate = [], lqw.harness.iter_evolution
+
+        def spied(init, params, steps):
+            walks.append(steps)
+            return iterate(init, params, steps)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the origin series ran an FFT")
+
+        monkeypatch.setattr(lqw.harness, "iter_evolution", spied)
+        monkeypatch.setattr(np.fft, "ifft", forbidden)
+        assert localization_series(symmetric_init, 10, t_max).passed
+        assert walks == [min(t_max, 256)]
+
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    @pytest.mark.parametrize("kind", ["default", "standard", "skewed"])
+    def test_series_matches_the_kernel_to_t_4000(self, tau, kind, symmetric_init, skewed_init):
+        # the kernel's reused buffers step iter_evolution's windows bit for bit
+        init = {"default": symmetric_init, "standard": StandardInit(0.6, 0.8j),
+                "skewed": skewed_init}[kind]
+        params = WalkParams(tau)
+        kernel = np.empty(4000)
+        start = lqw.core._reduced_start(init, params)[0]
+        for t, window in lqw.core._evolution_buffers(start, params, 4000, reuse=True):
+            if t:
+                kernel[t - 1] = np.sum(np.abs(window[:, t]) ** 2)
+        report = localization_series(init, tau, 4000)
+        assert np.max(np.abs(report.table[1] - kernel)) < self.KERNEL_BOUNDS[tau]
+        assert report.passed
+
+    @pytest.mark.parametrize("tau,t_max", [(1, 2000), (10, 2000), (100, 2000), (10**4, 2000),
+                                           (10**6, 2000), (10**6, 10**5)])
+    def test_route_verdicts_pass_up_to_tau_1e6(self, skewed_init, tau, t_max):
+        # measured over tau 1 to 10^6 and t_max up to 10^6 at four states: at
+        # most 4.9e-15 against the probe and 3.4e-11 against the spectral origin
+        report = localization_series(skewed_init, tau, t_max)
+        assert all(v.passed for v in route_verdicts(report).values())
+        assert len(route_verdicts(report)) == 2
+
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    @pytest.mark.parametrize("coefficient", range(5))
+    def test_a_coefficient_off_by_1e_9_fails_a_verdict(self, symmetric_init, monkeypatch, tau,
+                                                       coefficient):
+        # the least relative change that failed at every tau and coefficient
+        # here was 2e-14; 1e-14 of e_right passed at tau 1 (the probe read 0.93x
+        # its bound), so a 1e-12 change fails as well
+        exact = lqw.core._recurrence_coefficients
+
+        def perturbed(t, kappa):
+            values = list(exact(t, kappa))
+            values[coefficient] = values[coefficient] * (1.0 + 1e-9)
+            return tuple(values)
+
+        exact_report = localization_series(symmetric_init, tau, 2000)
+        assert all(v.passed for v in route_verdicts(exact_report).values())
+        monkeypatch.setattr(lqw.core, "_recurrence_coefficients", perturbed)
+        report = localization_series(symmetric_init, tau, 2000)
+        assert not all(v.passed for v in route_verdicts(report).values())
+        assert not report.passed
+
+
 class TestDistributionSnapshot:
     def test_tau1_right_peak_near_29(self, symmetric_init):
         report = distribution_snapshot(symmetric_init, 1, 50)
