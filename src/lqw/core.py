@@ -42,10 +42,11 @@ The origin column of the walk from |left> needs no walk at all:
 ``_origin_recurrence`` runs its exact recurrences in O(t) time and memory
 (``lqw.harness.localization_series``).
 
-``iter_evolution`` steps into a new window each time; ``evolve`` keeps only
-the last, so it alternates between two reused buffers and allocates nothing
-per step.  Both build a ``WalkerState`` in the public (left, right, u)
-order; two walks of ``lqw.harness`` read every step from the reused buffers
+Every walk alternates between the kernel's two reused buffers, so the
+kernel allocates nothing per step.  ``evolve`` builds a ``WalkerState``
+from the last window only; ``iter_evolution`` builds one from every window,
+its rows copied in the public (left, right, u) order, so each state owns
+its data.  Two walks of ``lqw.harness`` read every step from the buffers
 instead, with no state.  A ``WalkerState`` holds exactly this data,
 ``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
 origin).  Its norm check is two dot products; ``iter_evolution`` takes the
@@ -309,7 +310,7 @@ def _reduced_start(init: InitialCondition, params: WalkParams) -> tuple[np.ndarr
     return np.array([coin[0], coin[1], u]), coin[2:] - u / root_tau
 
 
-def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int, *, reuse=False):
+def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int):
     """The position-space kernel: one application of U = S (I x G) per step, moving sector only.
 
     ``start`` is the moving sector at the origin in the public (left, right,
@@ -320,29 +321,25 @@ def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int, *, reu
     permuted ``_moving_coin`` with the float64 view of window t-1 writes
     every coined row straight into its shifted place in window t, through a
     strided view whose rows are 2t+2 window columns apart (a complex column
-    is two float64 values, a real one one).  The cells no product reaches,
-    [0, 2t-1:] and [1, 0], then [1, 2t] and [2, :2], are two runs of three
-    in the flat window and are zero.  Each window is a new zeroed array,
-    unless ``reuse``: then the windows take turns in two flat buffers of
-    3(2t_max + 1) values, each step zeroes the two runs in the one it
-    writes, a window is overwritten two steps later and the walk allocates
+    is two float64 values, a real one one).  The windows take turns in two
+    flat buffers of 3(2t_max + 1) values, allocated as the walk starts: the
+    cells no product reaches, [0, 2t-1:] and [1, 0], then [1, 2t] and
+    [2, :2], are two runs of three in the flat window, which each step
+    zeroes in the buffer it writes.  A window is overwritten two steps
+    later, so a caller that keeps one copies it, and the walk allocates
     nothing per step.  The loop differences d are the caller's: they only
     change sign.  Internal only.
     """
     g = _moving_coin(params)[_LUR][:, _LUR]
     window = start[_LUR][:, None]
     floats = start.itemsize // 8  # float64 values per window column
-    if reuse:
-        # two allocations: evolve's final window keeps only one alive
-        buffers = [np.zeros(3 * (2 * t_max + 1), dtype=start.dtype) for _ in range(2)]
+    # two allocations: evolve's final window keeps only one alive
+    buffers = [np.zeros(3 * (2 * t_max + 1), dtype=start.dtype) for _ in range(2)]
     yield 0, window
     for t in range(1, t_max + 1):
-        if reuse:
-            flat = buffers[t % 2][:6 * t + 3]
-            flat[2 * t - 1:2 * t + 2] = 0
-            flat[4 * t + 1:4 * t + 4] = 0
-        else:
-            flat = np.zeros(6 * t + 3, dtype=start.dtype)
+        flat = buffers[t % 2][:6 * t + 3]
+        flat[2 * t - 1:2 * t + 2] = 0
+        flat[4 * t + 1:4 * t + 4] = 0
         # g is real, so one product coins real and imaginary parts at once; its
         # row r lands at flat r * (2t + 2), row r of window t, r columns on
         shifted = np.ndarray((3, floats * (2 * t - 1)), np.float64, flat,
@@ -451,17 +448,22 @@ def evolve(init: InitialCondition, params: WalkParams, t: int) -> WalkerState:
     """State after ``t`` steps, U^t applied to the initial state."""
     t = _check_int("t", t, 0)
     if isinstance(init, StandardInit):
-        for _, a in _evolution_buffers(_LEFT, params, t, reuse=True):
+        for _, a in _evolution_buffers(_LEFT, params, t):
             pass
         return _mirror_state(init, params, t, a)
     start, diff = _reduced_start(init, params)
-    for _, window in _evolution_buffers(start, params, t, reuse=True):
+    for _, window in _evolution_buffers(start, params, t):
         pass
     return _window_state(t, window, -diff if t % 2 else diff)
 
 
 def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
-    """Yield the WalkerState at every t = 0 .. t_max; each owns its data."""
+    """Yield the WalkerState at every t = 0 .. t_max; each owns its data.
+
+    The walk is the kernel's complex one, in its two reused buffers, which it
+    reserves for the whole t_max as it starts; each state copies its window
+    before the next step writes over it.
+    """
     t_max = _check_int("t_max", t_max, 0)
     start, diff = _reduced_start(init, params)
     signed_diff = (diff, -diff)

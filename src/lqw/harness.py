@@ -18,14 +18,15 @@ verification_suite's walk (``_walk``) and variance_series read every step
 from the kernel's reused buffers, whose rows are (left, u, right).  For a
 StandardInit both step only the real walk a from |left> and read the state
 alpha a + beta mirror(a) from it (see ``lqw.core``): ``_walk`` reads the
-origin column a[:, t] and combines the columns once, after the walk;
-variance_series takes the moments from a * a and a * mirror(a), with no
-probability vector and no tau-vector, so it runs in O(t) memory at any tau.
-A GeneralInit steps the complex window.  ``_walk`` checks each step's norm
-from the window and builds one state, at its last step; variance_series
-checks it from the step's sums and builds none.  distribution_snapshot and
-the kernel probe of empirical_vs_weak_limit build one final state with
-``evolve``.
+origin column a[:, t], checks each step's norm from the window and
+combines the columns once, after the walk, with one state at its last
+step; variance_series takes the moments from a * a and a * mirror(a), with
+no probability vector and no tau-vector, so it runs in O(t) memory at any
+tau.  verification_suite takes a StandardInit only, and a GeneralInit
+raises before its walk.  variance_series steps a GeneralInit's complex
+window and checks each step's norm from the step's sums, building no
+state.  distribution_snapshot and the kernel probe of
+empirical_vs_weak_limit build one final state with ``evolve``.
 """
 
 from __future__ import annotations
@@ -149,45 +150,29 @@ def _mirror_weights(init: StandardInit) -> tuple[float, float, float]:
     return alpha2 + beta2, alpha2 - beta2, 2.0 * (init.alpha.conjugate() * init.beta).real
 
 
-def _walk(
-    init: InitialCondition, params: WalkParams, t_max: int
-) -> tuple[np.ndarray, WalkerState]:
+def _walk(init: StandardInit, params: WalkParams, t_max: int) -> tuple[np.ndarray, WalkerState]:
     """One walk of the kernel's reused buffers: P(X_t = 0) for t = 1..t_max and the final state.
 
-    Each step stores the window's origin column and checks the state's norm
-    from the window.  P(X_t = 0) is ``WalkerState.probabilities()``'
-    arithmetic on those columns, put in its (left, right, u) order once,
-    after the walk.  A StandardInit walks the real walk a from |left>: the
-    norm is ||a||^2 times |alpha|^2 + |beta|^2, since the cross term
-    <a, mirror(a)> is 0 by unitarity (see ``_mirror_weights``), and
-    the origin columns and the last window are combined as ``evolve``
-    combines them, so the last origin probability and the final state are
-    ``evolve``'s bit for bit.  A GeneralInit walks the complex window: one
-    contiguous ``vdot`` plus |d|^2, computed once, and the final state is
-    ``evolve``'s too.
+    The walk is the real walk a from |left>.  Each step stores the window's
+    origin column and checks the state's norm from the window: ||a||^2
+    times |alpha|^2 + |beta|^2, since the cross term <a, mirror(a)> is 0 by
+    unitarity (see ``_mirror_weights``).  P(X_t = 0) is
+    ``WalkerState.probabilities()``' arithmetic on those columns, put in
+    its (left, right, u) order once, after the walk.  The origin columns
+    and the last window are combined as ``evolve`` combines them, so the
+    last origin probability and the final state are ``evolve``'s bit for
+    bit.  StandardInit only, as ``verification_suite`` is.
     """
-    if isinstance(init, StandardInit):
-        total = _mirror_weights(init)[0]
-        columns = np.empty((3, t_max))
-        for t, a in core._evolution_buffers(core._LEFT, params, t_max, reuse=True):
-            if t:
-                columns[:, t - 1] = a[:, t]
-            flat = a.ravel()
-            core._check_norm(total * np.dot(flat, flat))
-        # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
-        origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
-        return origin, core._mirror_state(init, params, t_max, a)
-
-    start, diff = core._reduced_start(init, params)
-    # d only flips sign, so |d|^2 is the same at every step
-    loop_weight = np.sum(np.abs(diff) ** 2)
-    columns = np.empty((3, t_max), dtype=np.complex128)
-    for t, window in core._evolution_buffers(start, params, t_max, reuse=True):
+    total = _mirror_weights(init)[0]
+    columns = np.empty((3, t_max))
+    for t, a in core._evolution_buffers(core._LEFT, params, t_max):
         if t:
-            columns[:, t - 1] = window[:, t]
-        core._check_norm(np.vdot(window, window).real + loop_weight)
-    origin = core._column_weights(columns[core._LUR]) + loop_weight
-    return origin, core._window_state(t_max, window, -diff if t_max % 2 else diff)
+            columns[:, t - 1] = a[:, t]
+        flat = a.ravel()
+        core._check_norm(total * np.dot(flat, flat))
+    # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
+    origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
+    return origin, core._mirror_state(init, params, t_max, a)
 
 
 def _window_mean(origin: np.ndarray) -> float:
@@ -372,7 +357,7 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
         total, skew, cross = _mirror_weights(init)
         powers = np.stack((np.ones_like(ns), ns, ns * ns))
         work = np.empty(6 * (2 * t_max + 1))
-        for t, a in core._evolution_buffers(core._LEFT, params, t_max, reuse=True):
+        for t, a in core._evolution_buffers(core._LEFT, params, t_max):
             products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
             np.multiply(a, a, out=products[0])
             np.multiply(a, a[::-1, ::-1], out=products[1])
@@ -390,7 +375,7 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     start, diff = core._reduced_start(init, params)
     # d only flips sign, so |d|^2 is the same at every step
     loop_weight = np.sum(np.abs(diff) ** 2)
-    for t, window in core._evolution_buffers(start, params, t_max, reuse=True):
+    for t, window in core._evolution_buffers(start, params, t_max):
         q, r = probs[:2 * t + 1], square[:2 * t + 1]
         np.square(np.abs(window[0], out=q), out=q)
         for row in (window[2], window[1]):
@@ -519,9 +504,14 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
 
 
 def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentReport:
-    """Cross-check battery: every closed form against an independent route."""
+    """Cross-check battery: every closed form against an independent route.
+
+    StandardInit only: a GeneralInit raises UnsupportedInitialStateError
+    from ``analytics.WeakLimitModel`` before any walk.
+    """
     t_max = _check_int("t_max", t_max, 1)
     params = WalkParams(tau)
+    model = analytics.WeakLimitModel(init, tau)
     verdicts: list[Verdict] = []
 
     g = grover_coin(params)
@@ -556,7 +546,6 @@ def verification_suite(init: StandardInit, tau: int, t_max: int) -> ExperimentRe
     verdicts.append(Verdict.judge("theta_vs_quadrature", _theta_quadrature_error(tau), 1e-8))
     verdicts.append(Verdict.judge("f3_vs_projector_integral", _f3_projector_error(tau), 1e-8))
 
-    model = analytics.WeakLimitModel(init, tau)
     omega = analytics.peak_velocities(tau)[1]
     verdicts.append(Verdict.judge("v_right_equals_support_bound", abs(omega - model.omega), 0.0))
 

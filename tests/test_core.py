@@ -285,12 +285,12 @@ class TestEvolve:
             evolve(StandardInit(1, 0), WalkParams(1), -1)
 
     def test_reused_buffers_allocate_nothing_per_step(self):
-        # evolve's walk allocates its buffers up front: 100 later steps, each with a
+        # the kernel allocates its buffers up front: 100 later steps, each with a
         # 48 KB real or 96 KB complex window, raise the traced peak by no more than
         # their small array views
         params = WalkParams(3)
         for start in (_LEFT, _reduced_start(StandardInit(0.6, 0.8j), params)[0]):
-            steps = _evolution_buffers(start, params, 1100, reuse=True)
+            steps = _evolution_buffers(start, params, 1100)
             for t, window in steps:
                 if t == 1000:
                     break
@@ -304,6 +304,24 @@ class TestEvolve:
                 assert tracemalloc.get_traced_memory()[1] - before < 4096
             finally:
                 tracemalloc.stop()
+        # iter_evolution walks the same buffers and copies each window out: at
+        # most two states are alive at once, the loop's last one while the next
+        # copies its window, 2 windows of t 1100 (213 KB measured); a new kernel
+        # window per step would add a third (318 KB measured)
+        window = 3 * (2 * 1100 + 1) * 16
+        walk = iter_evolution(StandardInit(0.6, 0.8j), params, 1100)
+        for state in walk:
+            if state.t == 1000:
+                break
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for state in walk:
+                if state.t == 1100:
+                    break
+            assert tracemalloc.get_traced_memory()[1] - before < 2.5 * window
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("tau", [1, 3, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
@@ -311,25 +329,25 @@ class TestEvolve:
         # rows (left, u, right): step t's coin product writes [0, :2t-1], [1, 1:2t]
         # and [2, 2:]; a reused buffer holds the window of step t-2 under the rest.
         # A StandardInit walks the real walk from |left> (evolve) and its complex
-        # start (iter_evolution); a GeneralInit its complex start only.
+        # start (iter_evolution); a GeneralInit its complex start only.  The
+        # complex product in the (left, right, u) order is 4.4e-16 off at most.
         params = WalkParams(tau)
         rng = np.random.default_rng(900 + tau)
         init = random_standard(rng) if kind == "standard" else random_general(rng, params)
-        starts = [_reduced_start(init, params)[0]]
+        walks = [(_reduced_start(init, params)[0], init)]
         if kind == "standard":
-            starts.append(_LEFT)
-        for start in starts:
-            walks = zip(_evolution_buffers(start, params, 64),
-                        _evolution_buffers(start, params, 64, reuse=True))
-            for (t, fresh), (_, reused) in walks:
-                assert np.array_equal(reused, fresh)
+            walks.append((_LEFT, StandardInit(1, 0)))
+        for start, walk_init in walks:
+            steps = zip(_evolution_buffers(start, params, 64),
+                        complex_coin_walk(walk_init, params, 64))
+            for (t, window), (moving, _) in steps:
+                assert np.max(np.abs(window - moving[[0, 2, 1]])) < 1e-15
                 if t == 0:
                     continue
-                for window in (fresh, reused):
-                    assert window.shape == (3, 2 * t + 1) and window.flags.c_contiguous
-                    assert window.dtype == start.dtype
-                    for cells in (window[0, 2 * t - 1:], window[1, [0, 2 * t]], window[2, :2]):
-                        assert not np.any(cells)
+                assert window.shape == (3, 2 * t + 1) and window.flags.c_contiguous
+                assert window.dtype == start.dtype
+                for cells in (window[0, 2 * t - 1:], window[1, [0, 2 * t]], window[2, :2]):
+                    assert not np.any(cells)
 
     @pytest.mark.parametrize("tau", [1, 2, 10, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
@@ -504,7 +522,7 @@ class TestOriginRecurrence:
         for tau, bound in ((1, 2.5e-13), (10, 3e-14)):
             run = _origin_recurrence(WalkParams(tau), 4000)
             kernel = np.empty_like(run)
-            for t, a in _evolution_buffers(_LEFT, WalkParams(tau), 4000, reuse=True):
+            for t, a in _evolution_buffers(_LEFT, WalkParams(tau), 4000):
                 kernel[:, t] = a[:, t]
             assert np.max(np.abs(run - kernel)) < bound, tau
 

@@ -181,7 +181,7 @@ class TestLocalizationByRecurrence:
         params = WalkParams(tau)
         kernel = np.empty(4000)
         start = lqw.core._reduced_start(init, params)[0]
-        for t, window in lqw.core._evolution_buffers(start, params, 4000, reuse=True):
+        for t, window in lqw.core._evolution_buffers(start, params, 4000):
             if t:
                 kernel[t - 1] = np.sum(np.abs(window[:, t]) ** 2)
         report = localization_series(init, tau, 4000)
@@ -299,7 +299,7 @@ class TestVarianceSeries:
         monkeypatch.setattr(lqw.harness, "iter_evolution", no_iteration)
         monkeypatch.setattr(WalkerState, "__post_init__", constructed)
         assert variance_series(symmetric_init, 10, 200).passed
-        assert walks == [{"reuse": True}]
+        assert walks == [{}]
         assert states == []
 
     def test_peak_memory_holds_no_window_per_step(self, symmetric_init):
@@ -431,6 +431,8 @@ class TestPerStepSeriesAreExact:
     # The verify walk reads the reused buffers; at tau 1 the light-cone tails
     # turn subnormal from about t 645.  A StandardInit's final state and last
     # origin probability are evolve's, bit for bit: both read the real walk.
+    # verification_suite rejects a GeneralInit, so its case reads the origin
+    # columns of the same complex walk in the reused buffers that evolve takes.
     @pytest.mark.parametrize("tau", [1, 10])
     @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_verify_walk_equals_iterated_states_at_full_size(self, tau, kind):
@@ -441,7 +443,17 @@ class TestPerStepSeriesAreExact:
         expected = np.empty(t_max)
         for state in states:
             expected[state.t - 1] = state.probabilities()[state.t]
-        origin, final = lqw.harness._walk(init, params, t_max)
+        if kind != "general":
+            origin, final = lqw.harness._walk(init, params, t_max)
+        else:
+            start, diff = lqw.core._reduced_start(init, params)
+            loop_weight = np.sum(np.abs(diff) ** 2)
+            columns = np.empty((3, t_max), dtype=np.complex128)
+            for t, window in lqw.core._evolution_buffers(start, params, t_max):
+                if t:
+                    columns[:, t - 1] = window[:, t]
+            origin = lqw.core._column_weights(columns[lqw.core._LUR]) + loop_weight
+            final = evolve(init, params, t_max)
         assert final.t == t_max
         assert np.array_equal(final.loop_diff, state.loop_diff)
         if kind != "general":
@@ -705,8 +717,28 @@ class TestVerificationSuite:
         monkeypatch.setattr(WalkerState, "__post_init__", constructed)
         report = verification_suite(symmetric_init, 2, 128)
         assert "localization_window_mean" in [v.name for v in report.verdicts]
-        assert walks == [{"reuse": True}]
+        assert walks == [{}]
         assert states == [128]
+
+    def test_general_init_raises_before_any_walk(self, monkeypatch):
+        # no closed form covers a GeneralInit: the suite rejects it before the
+        # kernel walk and the Fourier oracle, whose work would be thrown away
+        calls = []
+
+        def spied(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        spied(lqw.core, "_evolution_buffers")
+        spied(lqw.spectral, "momentum_grid_solution")
+        init = random_general(np.random.default_rng(3), WalkParams(3))
+        with pytest.raises(UnsupportedInitialStateError):
+            verification_suite(init, 3, 1000)
+        assert calls == []
 
     def test_eigen_system_only_for_the_residual_check(self, symmetric_init, monkeypatch):
         # the F3 projector integral uses the three-component omega = 0 vector;
