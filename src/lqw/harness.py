@@ -154,9 +154,10 @@ def _walk(init: StandardInit, params: WalkParams, t_max: int) -> tuple[np.ndarra
     """One walk of the kernel's reused buffers: P(X_t = 0) for t = 1..t_max and the final state.
 
     The walk is the real walk a from |left>.  Each step stores the window's
-    origin column and checks the state's norm from the window: ||a||^2
-    times |alpha|^2 + |beta|^2, since the cross term <a, mirror(a)> is 0 by
-    unitarity (see ``_mirror_weights``).  P(X_t = 0) is
+    origin column and checks the state's norm from the window: ||a||^2,
+    one dot over the window's rows and the zero cells between them in its
+    flat buffer, times |alpha|^2 + |beta|^2, since the cross term
+    <a, mirror(a)> is 0 by unitarity (see ``_mirror_weights``).  P(X_t = 0) is
     ``WalkerState.probabilities()``' arithmetic on those columns, put in
     its (left, right, u) order once, after the walk.  The origin columns
     and the last window are combined as ``evolve`` combines them, so the
@@ -165,10 +166,11 @@ def _walk(init: StandardInit, params: WalkParams, t_max: int) -> tuple[np.ndarra
     """
     total = _mirror_weights(init)[0]
     columns = np.empty((3, t_max))
+    width = 2 * t_max + 1  # a kernel buffer's row
     for t, a in core._evolution_buffers(core._LEFT, params, t_max):
         if t:
             columns[:, t - 1] = a[:, t]
-        flat = a.ravel()
+        flat = a.base[t_max - t:2 * width + t_max + t + 1]
         core._check_norm(total * np.dot(flat, flat))
     # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
     origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
@@ -341,9 +343,10 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     which is even in n, so sum n C(n) = 0 and the mean has no cross term: the
     mean is (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
     (|alpha|^2 + |beta|^2) sum n^2 A(n) + 2 Re(conj(alpha) beta) sum n^2 C(n).
-    Each step forms a * a and a * mirror(a) in one work array and takes
-    their sums against 1, n and n^2 in one product; the norm is checked from
-    the sums against 1, cross term included, since that product gives it.
+    Each step copies the window, a strided view, into contiguous work rows,
+    forms a * mirror(a) and a * a there and takes their sums against 1, n
+    and n^2 in one product; the norm is checked from the sums against 1,
+    cross term included, since that product gives it.
     A GeneralInit walks the complex window:
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
     row into one work row, |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
@@ -357,10 +360,13 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
         total, skew, cross = _mirror_weights(init)
         powers = np.stack((np.ones_like(ns), ns, ns * ns))
         work = np.empty(6 * (2 * t_max + 1))
-        for t, a in core._evolution_buffers(core._LEFT, params, t_max):
+        for t, window in core._evolution_buffers(core._LEFT, params, t_max):
             products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
-            np.multiply(a, a, out=products[0])
+            # ufuncs on the strided window itself would go through numpy's buffer
+            a = products[0]
+            np.copyto(a, window)
             np.multiply(a, a[::-1, ::-1], out=products[1])
+            np.multiply(a, a, out=a)
             sums = products.reshape(6, -1) @ powers[:, t_max - t:t_max + t + 1].T
             (norm_a, first, second), (norm_c, _, second_c) = (
                 sums.reshape(2, 3, 3).sum(axis=1).tolist())

@@ -721,6 +721,40 @@ class TestMisc:
             "density.csv", "density.json", "simulate.csv", "simulate.json",
             "verify.csv", "verify.json"]
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # main parses with the parser built as lqw.cli loads; a usage error or
+        # --version exits through it, and the next call must parse as a first
+        # call, on a new parser, does
+        calls = (("simulate", "--tau", "3", "--steps", "30"),
+                 ("simulate", "--tau", "3", "--steps", "0"),
+                 ("--version",),
+                 ("variance", "--tau", "2", "--steps", "100", "--alpha", "0.6", "--beta", "0.8"))
+
+        def call(index, argv):
+            out = tmp_path / str(index)
+            status = run_cli(*argv, "--out", str(out)) if len(argv) > 1 else run_cli(*argv)
+            artifacts = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            for path in out.glob("*"):
+                path.unlink()
+            return status, capsys.readouterr(), artifacts
+
+        first = []
+        for index, argv in enumerate(calls):
+            with monkeypatch.context() as patch:
+                patch.setattr(lqw.cli, "_PARSER", lqw.cli.build_parser())
+                first.append(call(index, argv))
+
+        def never():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(lqw.cli, "build_parser", never)
+        again = [call(index, argv) for index, argv in enumerate(calls)]
+        assert [status for status, _, _ in first] == [0, 2, 0, 0]
+        assert first[1][1].err.endswith("must be >= 1, got 0\n")
+        assert first[2][1].out == f"lqw {lqw.__version__}\n"
+        assert sorted(first[3][2]) == ["variance.csv", "variance.json"]
+        assert again == first
+
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 

@@ -22,10 +22,16 @@ from lqw import (
     propagate_fourier,
 )
 
+import lqw.core
 import lqw.harness
 from lqw.core import (
+    _FLUSH_BELOW,
+    _FLUSH_EVERY,
     _LEFT,
+    _SCAN_COLUMNS,
+    _column_weights,
     _evolution_buffers,
+    _first_live,
     _mirror_state,
     _moving_coin,
     _origin_recurrence,
@@ -75,6 +81,27 @@ def complex_coin_walk(init, params: WalkParams, t_max: int):
         window[1, 2:] = coined[1]
         window[2, 1:-1] = coined[2]
         yield window, -diff if t % 2 else diff
+
+
+def unflushed_walk(start: np.ndarray, params: WalkParams, t_max: int):
+    """Yield (t, window) for t = 0 .. t_max, every column stepped: the kernel before its tail flush.
+
+    A new C-contiguous window per step, site n in column n + t, rows (left,
+    u, right), written by the kernel's real product over the same columns;
+    so a cell that no flushed tail reaches is the kernel's bit for bit.
+    """
+    lur = [0, 2, 1]
+    g = _moving_coin(params)[lur][:, lur]
+    floats = start.itemsize // 8
+    window = start[lur][:, None]
+    yield 0, window
+    for t in range(1, t_max + 1):
+        flat = np.zeros(3 * (2 * t + 1), dtype=start.dtype)
+        shifted = np.ndarray((3, floats * (2 * t - 1)), np.float64, flat,
+                             strides=(flat.itemsize * (2 * t + 2), 8))
+        np.matmul(g, window.view(np.float64), out=shifted)
+        window = flat.reshape(3, -1)
+        yield t, window
 
 
 class TestWalkParams:
@@ -285,9 +312,10 @@ class TestEvolve:
             evolve(StandardInit(1, 0), WalkParams(1), -1)
 
     def test_reused_buffers_allocate_nothing_per_step(self):
-        # the kernel allocates its buffers up front: 100 later steps, each with a
-        # 48 KB real or 96 KB complex window, raise the traced peak by no more than
-        # their small array views
+        # the kernel allocates its buffers and its edge scan's scratch up front:
+        # 100 later steps, each with a 48 KB real or 96 KB complex window, and
+        # three tail flushes raise the traced peak by no more than their small
+        # array views and scalars
         params = WalkParams(3)
         for start in (_LEFT, _reduced_start(StandardInit(0.6, 0.8j), params)[0]):
             steps = _evolution_buffers(start, params, 1100)
@@ -298,12 +326,14 @@ class TestEvolve:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                for t, _ in steps:
+                for t, window in steps:
                     if t == 1100:
                         break
                 assert tracemalloc.get_traced_memory()[1] - before < 4096
             finally:
                 tracemalloc.stop()
+            # the flushes ran: the tails at both edges are 0
+            assert not np.any(window[:, :8]) and not np.any(window[:, -8:])
         # iter_evolution walks the same buffers and copies each window out: at
         # most two states are alive at once, the loop's last one while the next
         # copies its window, 2 windows of t 1100 (213 KB measured); a new kernel
@@ -326,34 +356,39 @@ class TestEvolve:
     @pytest.mark.parametrize("tau", [1, 3, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_cells_no_product_reaches_are_zero(self, tau, kind):
-        # rows (left, u, right): step t's coin product writes [0, :2t-1], [1, 1:2t]
-        # and [2, 2:]; a reused buffer holds the window of step t-2 under the rest.
-        # A StandardInit walks the real walk from |left> (evolve) and its complex
-        # start (iter_evolution); a GeneralInit its complex start only.  The
-        # complex product in the (left, right, u) order is 4.4e-16 off at most.
+        # site n sits in column n + 64 of each buffer row, rows (left, u, right):
+        # step t's coin product writes row 0 at sites -t .. t-2, row 1 at 1-t ..
+        # t-1 and row 2 at 2-t .. t, over what the buffer held two steps before;
+        # every other cell of the buffer was never written.  No tail is below
+        # the flush threshold by t 64.  A StandardInit walks the real walk from
+        # |left> (evolve) and its complex start (iter_evolution); a GeneralInit
+        # its complex start only.  The complex product in the (left, right, u)
+        # order is 4.4e-16 off at most.
         params = WalkParams(tau)
         rng = np.random.default_rng(900 + tau)
         init = random_standard(rng) if kind == "standard" else random_general(rng, params)
         walks = [(_reduced_start(init, params)[0], init)]
         if kind == "standard":
             walks.append((_LEFT, StandardInit(1, 0)))
+        columns = np.arange(2 * 64 + 1)
         for start, walk_init in walks:
             steps = zip(_evolution_buffers(start, params, 64),
                         complex_coin_walk(walk_init, params, 64))
             for (t, window), (moving, _) in steps:
                 assert np.max(np.abs(window - moving[[0, 2, 1]])) < 1e-15
-                if t == 0:
-                    continue
-                assert window.shape == (3, 2 * t + 1) and window.flags.c_contiguous
-                assert window.dtype == start.dtype
-                for cells in (window[0, 2 * t - 1:], window[1, [0, 2 * t]], window[2, :2]):
-                    assert not np.any(cells)
+                assert window.shape == (3, 2 * t + 1) and window.dtype == start.dtype
+                assert window.strides == ((2 * 64 + 1) * window.itemsize, window.itemsize)
+                written = (np.abs(columns - 64 + 1 - np.arange(3)[:, None]) < t if t
+                           else columns == 64)
+                buffer = window.base.reshape(3, -1)
+                assert np.array_equal(buffer[:, 64 - t:64 + t + 1], window)
+                assert not np.any(buffer[~np.broadcast_to(written, buffer.shape)])
 
     @pytest.mark.parametrize("tau", [1, 2, 10, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_reused_buffers_match_new_windows(self, tau, kind):
-        # at tau 1 the light-cone tails turn subnormal from about t 645; the
-        # complex product in the (left, right, u) order is 1.9e-15 off at most.
+        # at tau 1 the kernel flushes the light-cone tails from t 384 (unflushed,
+        # they turn subnormal from about t 645); the complex product in the (left, right, u) order is 1.9e-15 off at most.
         # A StandardInit's evolve combines the real walk with its mirror while
         # iter_evolution steps the complex walk: over every t <= 4000 they are
         # 1.7e-14 apart at most (tau 1), and 1.9e-14 from the complex product.
@@ -387,6 +422,110 @@ class TestEvolve:
             next(states)
         assert np.array_equal(state.moving, moving)
         assert np.array_equal(state.loop_diff, loop_diff)
+
+
+class TestTailFlush:
+    """Every 32 steps the kernel sets the edge columns below 2^-600 to 0 and steps only the rest.
+
+    Unflushed, the light-cone tails turn subnormal, at tau 1 from about t 645.
+    """
+
+    STARTS = {"real": lambda params: _LEFT,
+              "complex": lambda params: _reduced_start(StandardInit(0.6, 0.8j), params)[0]}
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 5])
+    @pytest.mark.parametrize("start", ["real", "complex"])
+    def test_no_window_cell_is_subnormal(self, tau, start):
+        params = WalkParams(tau)
+        tiny = np.finfo(np.float64).tiny
+        for t, window in _evolution_buffers(self.STARTS[start](params), params, 4000):
+            values = np.abs(window.view(np.float64))
+            assert np.min(values, where=values > 0, initial=1.0) >= tiny, t
+
+    # Cells at least this large and column weights at least this large are the
+    # unflushed kernel's bit for bit, and every cell is within the bound.
+    # Measured over t <= 4000 at tau 1, 2, 3 and 10, the largest differing cell
+    # and cell difference: the real walk 2^-513.0 and 2^-566.0 (tau 2), with
+    # every weight the same; from (0.6, 0.8i) 2^-483.7 and 2^-537.0, a weight
+    # of 2^-967.3 (all at tau 1).  A flushed tail moves the hull's edge cells by
+    # less than an ulp, but a rounding that flips hands an ulp on inwards.
+    AGREEMENT = {"real": (2.0 ** -500, 0.0, 2.0 ** -565),
+                 "complex": (2.0 ** -450, 2.0 ** -900, 2.0 ** -536)}
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 10])
+    @pytest.mark.parametrize("start", ["real", "complex"])
+    def test_matches_the_unflushed_kernel(self, tau, start):
+        params = WalkParams(tau)
+        first = self.STARTS[start](params)
+        cells, weights, bound = self.AGREEMENT[start]
+        walks = zip(_evolution_buffers(first, params, 4000), unflushed_walk(first, params, 4000))
+        for (t, window), (_, plain) in walks:
+            large = np.abs(plain) >= cells
+            assert np.array_equal(window[large], plain[large]), t
+            ours, theirs = _column_weights(window), _column_weights(plain)
+            heavy = theirs >= weights
+            assert np.array_equal(ours[heavy], theirs[heavy]), t
+            assert np.max(np.abs(window - plain)) <= bound, t
+        # the tails were flushed: the last window has fewer nonzero cells
+        assert np.count_nonzero(window) < np.count_nonzero(plain)
+
+    @pytest.mark.parametrize("floats", [1, 2])
+    def test_a_tail_wider_than_one_scan_is_found_whole(self, floats):
+        # a hull of 8 scan blocks below the threshold but for one value at each
+        # end, 3 blocks and 5 columns in from the left, 2 blocks and 3 from the right
+        width = 8 * _SCAN_COLUMNS
+        rows = np.full((3, floats * width), _FLUSH_BELOW / 2)
+        rows[1, floats * (3 * _SCAN_COLUMNS + 5)] = _FLUSH_BELOW
+        rows[2, floats * (width - 2 * _SCAN_COLUMNS - 3) - 1] = -_FLUSH_BELOW
+        scratch = (np.empty((3, floats * _SCAN_COLUMNS)), np.empty(floats * _SCAN_COLUMNS),
+                   np.empty(floats * _SCAN_COLUMNS, dtype=bool))
+        lo = _first_live(rows, 0, width, floats, scratch)
+        assert lo == 3 * _SCAN_COLUMNS + 5
+        hi = width - _first_live(rows[:, ::-1], 0, width - lo, floats, scratch)
+        assert hi == width - 2 * _SCAN_COLUMNS - 3
+        assert _first_live(rows, lo, width, floats, scratch) == lo
+        # a hull with no value at the threshold is below it whole, past any block
+        assert _first_live(rows, 0, lo, floats, scratch) == lo
+        assert _first_live(rows, lo + 1, hi - 1, floats, scratch) == hi - 1
+
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_every_flush_leaves_live_edges_and_zero_tails(self, tau, monkeypatch):
+        # with 2-column scan blocks each flushed tail spans several blocks: every
+        # flush must leave edge columns holding a value of at least the
+        # threshold, as the default scan leaves them, and until the next flush
+        # each window, in either buffer, is 0 beyond those sites plus one a step
+        params = WalkParams(tau)
+        start = _reduced_start(StandardInit(0.6, 0.8j), params)[0]
+        default = [window.copy() for _, window in _evolution_buffers(start, params, 1000)]
+        monkeypatch.setattr(lqw.core, "_SCAN_COLUMNS", 2)
+        flushed, hull = 0, None
+        for t, window in _evolution_buffers(start, params, 1000):
+            assert np.array_equal(window, default[t]), t
+            if hull is not None:
+                (first, last), reach = hull, t - flush_t
+                sites = np.arange(-t, t + 1)
+                assert not np.any(window[:, (sites < first - reach) | (sites > last + reach)]), t
+            if t % _FLUSH_EVERY or t == 0:
+                continue
+            live = np.flatnonzero(np.any(window != 0, axis=0))
+            edges = window[:, live[[0, -1]]]
+            peaks = np.maximum(np.abs(edges.real), np.abs(edges.imag)).max(axis=0)
+            assert np.all(peaks >= _FLUSH_BELOW), t
+            flushed += 2 * t + 1 - (live[-1] - live[0] + 1)
+            hull, flush_t = (live[0] - t, live[-1] - t), t
+        assert flushed > 0
+
+    def test_a_moving_sector_of_zeros_is_flushed_whole(self):
+        # no weight on the moving sector: the hull empties at the first flush and
+        # the walk goes on over nothing, the loops flipping sign
+        start = np.array([1, -1]) / np.sqrt(2)
+        init = GeneralInit((0, 0, *start))
+        for state in iter_evolution(init, WalkParams(2), 100):
+            assert not np.any(state.moving)
+            assert np.array_equal(state.loop_diff, (-1) ** state.t * start)
+        state = evolve(init, WalkParams(2), 100)
+        assert not np.any(state.moving)
+        assert state.probabilities()[100] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPositionDistribution:

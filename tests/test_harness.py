@@ -428,8 +428,9 @@ class TestPerStepSeriesAreExact:
         else:
             assert np.array_equal(variances, expected)
 
-    # The verify walk reads the reused buffers; at tau 1 the light-cone tails
-    # turn subnormal from about t 645.  A StandardInit's final state and last
+    # The verify walk reads the reused buffers; at tau 1 the kernel flushes the
+    # light-cone tails from t 384 (unflushed, they turn subnormal from about
+    # t 645).  A StandardInit's final state and last
     # origin probability are evolve's, bit for bit: both read the real walk.
     # verification_suite rejects a GeneralInit, so its case reads the origin
     # columns of the same complex walk in the reused buffers that evolve takes.
