@@ -11,11 +11,9 @@ this package:
 
 One step applies the Grover coin at every site and then shifts the left/right
 components one site; loop components stay put.  The support after ``t`` steps
-is ``[-t, t]``, and the kernel keeps every column of it but its underflowed
-tails: every 32 steps it sets the edge columns whose every value is below
-2^-600 to 0 and steps only the rest, instead of stepping subnormals.  A
-flushed value's square is already 0.0; over the walks measured to t 4000 no
-cell moved by more than 2^-537 (``_evolution_buffers``).
+is ``[-t, t]``, and the kernel steps all of it but its underflowed tails:
+every 32 steps it sets the edge columns below 2^-600 to 0 instead of
+stepping subnormals, which moved no cell by more than 2^-537 to t 4000.
 
 The Grover coin treats all loops alike, so the kernel never stores them one
 by one.  At each site the loop block is ``u/sqrt(tau) (1, ..., 1) + d`` with
@@ -47,14 +45,15 @@ The origin column of the walk from |left> needs no walk at all:
 ``_origin_recurrence`` runs its exact recurrences in O(t) time and memory
 (``lqw.harness.localization_series``).
 
-Every walk alternates between the kernel's two reused buffers, so the
-kernel allocates nothing per step.  ``evolve`` builds a ``WalkerState``
-from the last window only; ``iter_evolution`` builds one from every window,
-its rows copied in the public (left, right, u) order, so each state owns
-its data.  Two walks of ``lqw.harness`` read every step from the buffers
-instead, with no state.  A ``WalkerState`` holds exactly this data,
-``moving`` (left, right, u over the sites) and ``loop_diff`` (d at the
-origin).  Its norm check is two dot products; ``iter_evolution`` takes the
+Every walk alternates between the kernel's two reused buffers, whose views
+it builds once per 32-step flush block, zero-padded outside each step's
+sites (``_evolution_buffers``).  ``evolve`` builds a ``WalkerState`` from
+the last window only; ``iter_evolution`` builds one from every step's
+centred ``(3, 2t+1)`` slice, its rows copied in the public (left, right,
+u) order, so each state owns its data.  Two walks of ``lqw.harness`` read
+every step from the views instead, with no state.  A ``WalkerState`` holds
+exactly this data, ``moving`` (left, right, u over the sites) and
+``loop_diff`` (d at the origin).  Its norm check is two dot products; ``iter_evolution`` takes the
 O(tau) one, the squared norm of d, once per walk, since d only changes
 sign, so each state costs O(t) at any tau.  The probability vector and the
 full ``(2t+1, delta)`` amplitudes, the one way to read a site's coin state,
@@ -350,44 +349,43 @@ def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int):
     """The position-space kernel: one application of U = S (I x G) per step, moving sector only.
 
     ``start`` is the moving sector at the origin in the public (left, right,
-    u) order, float64 or complex128; the windows take its dtype.  Yields
-    ``(t, window)`` for t = 0 .. t_max: ``window`` is the ``(3, 2t+1)``
-    moving sector with its rows in the order (left, u, right), which shift
-    by 0, 1 and 2 columns a step.  The windows take turns in two flat
-    buffers of three rows of 2t_max + 1 values, allocated as the walk
-    starts; site n sits in column n + t_max of every row, so a window is a
-    strided view whose rows are 2t_max + 1 columns apart.  One real product
-    of the permuted ``_moving_coin`` with the float64 view of window t-1's
-    live columns writes every coined row straight into its shifted place in
-    the other buffer, through a view whose rows are 2t_max + 2 columns apart
-    (a complex column is two float64 values, a real one one).  Both views
-    are built once per walk.  A window only grows, so every cell that a
-    step's product does not reach has never been written in its buffer and
-    is 0; no step zeroes anything.  A window is overwritten two steps later,
-    so a caller that keeps one copies it, and the walk allocates nothing per
-    step.  The loop differences d are the caller's: they only change sign.
+    u) order, float64 or complex128; the views take its dtype.  The walk
+    takes turns in two flat buffers of three rows of 2t_max + 1 values,
+    allocated as it starts: site n sits in column n + t_max of every row,
+    and the rows, in the order (left, u, right), shift by 0, 1 and 2 columns
+    a step.  One real product of the permuted ``_moving_coin`` with the
+    float64 view of one buffer's columns writes every coined row straight
+    into its shifted place in the other, through a view whose rows are
+    2t_max + 2 columns apart (a complex column is two float64 values).
+
+    The steps go in blocks of ``_FLUSH_EVERY``, the last one ending at t_max,
+    and a block builds its views once: each of its steps multiplies the
+    columns that its last step s reads and yields ``(t, view)``, ``view``
+    the block's fixed ``(3, 2s+1)`` view of the sites |n| <= s in step t's
+    buffer, site 0 in its centre column.  The view is zero-padded: a cell
+    outside a step's live hull is an exact zero, which the coin, with a
+    positive entry in every row, takes to +0.0, so each live cell is the
+    per-step product's bit for bit and each cell with |n| > t is +0.0.
+    ``evolve``'s last view is its ``(3, 2t+1)`` window; ``iter_evolution``
+    takes the centred slice.  A view is overwritten two steps later, so a
+    caller that keeps one copies it.  The loop differences d are the
+    caller's: they only change sign.  ``view.base`` is its flat buffer: site
+    n of row r at r (2t_max + 1) + n + t_max.
 
     Past the fronts at +-sqrt(tau/(tau+2)) t the amplitudes decay
     exponentially, down into float64's subnormals, whose arithmetic is slow.
-    So every ``_FLUSH_EVERY`` steps the columns at the two edges whose every
-    value is below ``_FLUSH_BELOW`` (2^-600) are set to 0, in the window and
-    in the other buffer outside the shrunken range, and later products
-    multiply only the surviving hull: a window is 0 outside it.  The square
-    of a flushed value rounds to 0.0 (below 2^-537), and no window cell is
+    So on a block's last step, before it is yielded, the columns at the two
+    edges whose every value is below ``_FLUSH_BELOW`` (2^-600) are set to 0,
+    in that step's buffer and in the other one outside the shrunken range,
+    and later blocks multiply only the surviving hull.  The square of a
+    flushed value rounds to 0.0 (below 2^-537), and no view cell is
     subnormal (the smallest nonzero cell to t 4000 at tau 1 to 10: 2^-649.6).
-    Against the unflushed kernel at every t <= 4000, tau 1, 2, 3 and 10:
-    the real walk from |left> keeps every cell of at least 2^-500 and every
-    column's squared norm bit for bit, and every cell within 2^-566; from
-    the complex start (0.6, 0.8i) at tau 1 a rounding that flips hands an
-    ulp on inwards, up to a cell of 2^-484 and by at most 2^-537.  Past
+    Against the unflushed kernel at every t <= 4000, tau 1, 2, 3 and 10,
+    every cell of at least 2^-484 is bit for bit the same and every cell
+    within 2^-537 (``TestTailFlush`` in ``tests/test_core.py``).  Past
     about 8000 steps at tau <= 3 such differences reach the bulk: ``simulate
     --tau 1 --steps 20000`` moves by at most 1.7e-16.  ``evolve`` at tau 1,
-    t 20000 takes about 0.4 s instead of 2.0 s (hull +-12256 against
-    v t = 11547), and at tau 3, t 4000, 31 ms instead of 85 ms (one BLAS
-    thread, 2-core x86-64).
-
-    ``window.base`` is the window's flat buffer: site n of row r at
-    r (2t_max + 1) + n + t_max.  Internal only.
+    t 20000 takes 0.35 s, 2.0 s unflushed (one x86-64 core).  Internal only.
     """
     g = _moving_coin(params)[_LUR][:, _LUR]
     floats = start.itemsize // 8  # float64 values per window column
@@ -405,24 +403,29 @@ def _evolution_buffers(start: np.ndarray, params: WalkParams, t_max: int):
     windows[0][:, t_max] = start[_LUR]
     lo, hi = t_max, t_max + 1  # the live hull: columns [lo, hi) of the last window
     yield 0, windows[0][:, lo:hi]
-    for t in range(1, t_max + 1):
-        new, old = t % 2, 1 - t % 2
-        np.matmul(g, rows[old][:, floats * lo:floats * hi],
-                  out=coined[new][:, floats * (lo - 1):floats * (hi - 1)])
-        lo, hi = lo - 1, hi + 1
-        if not t % _FLUSH_EVERY:
-            live_lo = _first_live(rows[new], lo, hi, floats, scratch)
-            # column c of the reversed rows is column width - 1 - c
-            live_hi = width - _first_live(rows[new][:, ::-1], width - hi, width - live_lo,
-                                          floats, scratch)
-            windows[new][:, lo:live_lo] = 0
-            windows[new][:, live_hi:hi] = 0
-            # window t-1 holds columns [lo + 1, hi - 1): the next product
-            # overwrites what is left of it inside [live_lo + 1, live_hi - 1)
-            windows[old][:, lo + 1:live_lo + 1] = 0
-            windows[old][:, live_hi - 1:hi - 1] = 0
-            lo, hi = live_lo, live_hi
-        yield t, windows[new][:, t_max - t:t_max + t + 1]
+    for first in range(1, t_max + 1, _FLUSH_EVERY):
+        last = min(first + _FLUSH_EVERY - 1, t_max)
+        # each step multiplies what the block's last step reads, its hull [lo, hi) less the edges
+        lo, hi = lo - (last - first) - 1, hi + (last - first) + 1
+        reads = [row[:, floats * (lo + 1):floats * (hi - 1)] for row in rows]
+        writes = [view[:, floats * lo:floats * (hi - 2)] for view in coined]
+        views = [window[:, t_max - last:t_max + last + 1] for window in windows]
+        for t in range(first, last + 1):
+            new = t % 2
+            np.matmul(g, reads[1 - new], out=writes[new])
+            if not t % _FLUSH_EVERY:  # the block's last step, flushed before it is yielded
+                live_lo = _first_live(rows[new], lo, hi, floats, scratch)
+                # column c of the reversed rows is column width - 1 - c
+                live_hi = width - _first_live(rows[new][:, ::-1], width - hi, width - live_lo,
+                                              floats, scratch)
+                windows[new][:, lo:live_lo] = 0
+                windows[new][:, live_hi:hi] = 0
+                # window t-1 holds columns [lo + 1, hi - 1): the next product
+                # overwrites what is left of it inside [live_lo + 1, live_hi - 1)
+                windows[1 - new][:, lo + 1:live_lo + 1] = 0
+                windows[1 - new][:, live_hi - 1:hi - 1] = 0
+                lo, hi = live_lo, live_hi
+            yield t, views[new]
 
 
 def _window_state(t: int, window: np.ndarray, diff: np.ndarray, loop_weight=None) -> WalkerState:
@@ -546,4 +549,5 @@ def iter_evolution(init: InitialCondition, params: WalkParams, t_max: int):
     # d only flips sign, so |d|^2 is the same at every step
     loop_weight = np.vdot(diff, diff).real
     for t, window in _evolution_buffers(start, params, t_max):
-        yield _window_state(t, window, signed_diff[t % 2], loop_weight)
+        s = window.shape[1] // 2  # the block's last step: site n is column n + s
+        yield _window_state(t, window[:, s - t:s + t + 1], signed_diff[t % 2], loop_weight)

@@ -15,17 +15,19 @@ origin series from exact recurrences (``core._origin_recurrence``) and
 iterates ``WalkerState`` snapshots of the complex walk only as their probe,
 for at most 256 steps; a GeneralInit's series reads one snapshot per step.
 verification_suite's walk (``_walk``) and variance_series read every step
-from the kernel's reused buffers, whose rows are (left, u, right).  For a
-StandardInit both step only the real walk a from |left> and read the state
-alpha a + beta mirror(a) from it (see ``lqw.core``): ``_walk`` reads the
-origin column a[:, t], checks each step's norm from the window and
-combines the columns once, after the walk, with one state at its last
-step; variance_series takes the moments from a * a and a * mirror(a), with
-no probability vector and no tau-vector, so it runs in O(t) memory at any
-tau.  verification_suite takes a StandardInit only, and a GeneralInit
-raises before its walk.  variance_series steps a GeneralInit's complex
-window and checks each step's norm from the step's sums, building no
-state.  distribution_snapshot and the kernel probe of
+from the kernel's zero-padded view of its flush block, rows (left, u,
+right), through views of it built once per block and buffer, and take
+every sum over step t's 2t+1 columns.  For a StandardInit both step only
+the real walk a from |left> and read the state alpha a + beta mirror(a)
+from it (see ``lqw.core``): ``_walk`` reads the origin column at the view's
+centre, checks each step's norm from the view and combines the columns
+once, after the walk, with one state at its last step; variance_series
+takes the moments from a * a and a * mirror(a), with no probability vector
+and no tau-vector, so it runs in O(t) memory at any tau.
+verification_suite takes a StandardInit only, and a GeneralInit raises
+before its walk.  variance_series steps a GeneralInit's complex window and
+checks each step's norm from the step's sums, building no state.
+distribution_snapshot and the kernel probe of
 empirical_vs_weak_limit build one final state with ``evolve``.
 """
 
@@ -153,10 +155,10 @@ def _mirror_weights(init: StandardInit) -> tuple[float, float, float]:
 def _walk(init: StandardInit, params: WalkParams, t_max: int) -> tuple[np.ndarray, WalkerState]:
     """One walk of the kernel's reused buffers: P(X_t = 0) for t = 1..t_max and the final state.
 
-    The walk is the real walk a from |left>.  Each step stores the window's
-    origin column and checks the state's norm from the window: ||a||^2,
-    one dot over the window's rows and the zero cells between them in its
-    flat buffer, times |alpha|^2 + |beta|^2, since the cross term
+    The walk is the real walk a from |left>.  Each step stores the origin
+    column, the centre of the kernel's block view, and checks the norm from
+    it: ||a||^2, one dot over the view's rows and the zero cells between
+    them in its flat buffer, times |alpha|^2 + |beta|^2, since the cross term
     <a, mirror(a)> is 0 by unitarity (see ``_mirror_weights``).  P(X_t = 0) is
     ``WalkerState.probabilities()``' arithmetic on those columns, put in
     its (left, right, u) order once, after the walk.  The origin columns
@@ -167,10 +169,14 @@ def _walk(init: StandardInit, params: WalkParams, t_max: int) -> tuple[np.ndarra
     total = _mirror_weights(init)[0]
     columns = np.empty((3, t_max))
     width = 2 * t_max + 1  # a kernel buffer's row
+    spans = [(None,)] * 2  # per buffer: the block's view and its flat span
     for t, a in core._evolution_buffers(core._LEFT, params, t_max):
+        if spans[t % 2][0] is not a:  # a new block: site 0 is column s, s its last step
+            s = a.shape[1] // 2
+            spans[t % 2] = a, a.base[t_max - s:2 * width + t_max + s + 1]
         if t:
-            columns[:, t - 1] = a[:, t]
-        flat = a.base[t_max - t:2 * width + t_max + t + 1]
+            columns[:, t - 1] = a[:, s]
+        flat = spans[t % 2][1]
         core._check_norm(total * np.dot(flat, flat))
     # mirror(a) maps n = 0 to itself: its origin column is a's, rows reversed
     origin = core._column_weights(core._superpose(init, columns, columns[::-1]))
@@ -343,36 +349,41 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     which is even in n, so sum n C(n) = 0 and the mean has no cross term: the
     mean is (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
     (|alpha|^2 + |beta|^2) sum n^2 A(n) + 2 Re(conj(alpha) beta) sum n^2 C(n).
-    Each step copies the window, a strided view, into contiguous work rows,
-    forms a * mirror(a) and a * a there and takes their sums against 1, n
-    and n^2 in one product; the norm is checked from the sums against 1,
-    cross term included, since that product gives it.
+    Each step copies the kernel's zero-padded block view into contiguous
+    work rows, forms a * mirror(a), the flat rows reversed, and a * a there,
+    and sums step t's 2t+1 columns against 1, n and n^2 in one product; the
+    norm is checked from the sums against 1, cross term included.
     A GeneralInit walks the complex window:
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
     row into one work row, |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
     the origin; contiguous rows keep every ufunc call off numpy's buffer, and
-    the norm is checked from that row's sum.
+    the norm is checked from the sum of the step's 2t+1 columns of that row.
     """
     # the weights 1, n and n^2 at every step are slices of these
     ns = np.arange(-t_max, t_max + 1, dtype=float)
     variances = np.empty(t_max + 1)
     if isinstance(init, StandardInit):
         total, skew, cross = _mirror_weights(init)
-        powers = np.stack((np.ones_like(ns), ns, ns * ns))
-        work = np.empty(6 * (2 * t_max + 1))
+        powers = np.stack((np.ones_like(ns), ns, ns * ns)).T
+        del ns  # powers holds n: the walk's peak is one (2t_max+1)-vector lower
+        work, n = np.empty(6 * (2 * t_max + 1)), 0
         for t, window in core._evolution_buffers(core._LEFT, params, t_max):
-            products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
+            if window.shape[1] != n:  # a new block: the work views of its span
+                n, s = window.shape[1], window.shape[1] // 2
+                a, products = work[:3 * n], work[:6 * n].reshape(6, n)
+                # on contiguous rows, mirror(a) = a[::-1, ::-1] is the flat run reversed
+                rows, mirror, cross_products = a.reshape(3, n), a[::-1], work[3 * n:6 * n]
             # ufuncs on the strided window itself would go through numpy's buffer
-            a = products[0]
-            np.copyto(a, window)
-            np.multiply(a, a[::-1, ::-1], out=products[1])
+            np.copyto(rows, window)
+            np.multiply(a, mirror, out=cross_products)
             np.multiply(a, a, out=a)
-            sums = products.reshape(6, -1) @ powers[:, t_max - t:t_max + t + 1].T
-            (norm_a, first, second), (norm_c, _, second_c) = (
-                sums.reshape(2, 3, 3).sum(axis=1).tolist())
-            core._check_norm(total * norm_a + cross * norm_c)
-            mean = skew * first
-            variances[t] = total * second + cross * second_c - mean * mean
+            sums = products[:, s - t:s + t + 1] @ powers[t_max - t:t_max + t + 1]
+            # rows (left, u, right) of a * a and of a * mirror(a), added in np.sum's order
+            al, au, ar, cl, cu, cr = sums.tolist()
+            core._check_norm(total * (al[0] + au[0] + ar[0]) + cross * (cl[0] + cu[0] + cr[0]))
+            mean = skew * (al[1] + au[1] + ar[1])
+            second = total * (al[2] + au[2] + ar[2]) + cross * (cl[2] + cu[2] + cr[2])
+            variances[t] = second - mean * mean
         return variances
 
     ns2 = ns * ns
@@ -381,16 +392,21 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
     start, diff = core._reduced_start(init, params)
     # d only flips sign, so |d|^2 is the same at every step
     loop_weight = np.sum(np.abs(diff) ** 2)
+    held = [(None,)] * 2  # per buffer: the block's view, its left row, its right and u rows
     for t, window in core._evolution_buffers(start, params, t_max):
-        q, r = probs[:2 * t + 1], square[:2 * t + 1]
-        np.square(np.abs(window[0], out=q), out=q)
-        for row in (window[2], window[1]):
+        if held[t % 2][0] is not window:  # a new block: site 0 is column s, s its last step
+            s = window.shape[1] // 2
+            q, r = probs[:2 * s + 1], square[:2 * s + 1]
+            held[t % 2] = window, window[0], (window[2], window[1])
+        np.square(np.abs(held[t % 2][1], out=q), out=q)
+        for row in held[t % 2][2]:
             q += np.square(np.abs(row, out=r), out=r)
-        q[t] += loop_weight
-        core._check_norm(np.sum(q))
+        q[s] += loop_weight
+        p = q[s - t:s + t + 1]
+        core._check_norm(np.sum(p))
         sites = slice(t_max - t, t_max + t + 1)
-        mean = float(np.dot(ns[sites], q))
-        second = float(np.dot(ns2[sites], q))
+        mean = float(np.dot(ns[sites], p))
+        second = float(np.dot(ns2[sites], p))
         variances[t] = second - mean * mean
     return variances
 

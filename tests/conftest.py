@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqw.analytics
+import lqw.core
 from lqw import GeneralInit, StandardInit, WalkParams
 
 
@@ -39,3 +40,14 @@ def random_general(rng: np.random.Generator, params: WalkParams) -> GeneralInit:
     """A random normalized coin vector; at tau >= 2 its loops are not uniform."""
     v = rng.normal(size=params.delta) + 1j * rng.normal(size=params.delta)
     return GeneralInit(tuple(v / np.linalg.norm(v)))
+
+
+def kernel_windows(start: np.ndarray, params: WalkParams, t_max: int):
+    """Yield (t, window) of ``lqw.core._evolution_buffers``, window the (3, 2t+1) sites |n| <= t.
+
+    The kernel yields one view per flush block and buffer, of the sites
+    |n| <= s, s the block's last step, with site 0 in its centre column.
+    """
+    for t, view in lqw.core._evolution_buffers(start, params, t_max):
+        s = view.shape[1] // 2
+        yield t, view[:, s - t:s + t + 1]

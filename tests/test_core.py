@@ -40,7 +40,7 @@ from lqw.core import (
 )
 from lqw.spectral import _closed_form_state, _light_cone_tail
 
-from conftest import random_general, random_standard
+from conftest import kernel_windows, random_general, random_standard
 
 
 def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
@@ -102,6 +102,45 @@ def unflushed_walk(start: np.ndarray, params: WalkParams, t_max: int):
         np.matmul(g, window.view(np.float64), out=shifted)
         window = flat.reshape(3, -1)
         yield t, window
+
+
+def per_step_kernel(start: np.ndarray, params: WalkParams, t_max: int):
+    """Yield (t, window) for t = 0 .. t_max: the kernel's loop with new views at every step.
+
+    The same two buffers, product and tail flush as ``_evolution_buffers``,
+    but each step multiplies window t-1's live hull only and yields a new
+    (3, 2t+1) view of its own sites: the reference for the kernel's block
+    views.
+    """
+    lur = [0, 2, 1]
+    g = _moving_coin(params)[lur][:, lur]
+    floats = start.itemsize // 8
+    width = 2 * t_max + 1
+    buffers = [np.zeros(3 * width, dtype=start.dtype) for _ in range(2)]
+    windows = [buffer.reshape(3, width) for buffer in buffers]
+    rows = [buffer.view(np.float64).reshape(3, floats * width) for buffer in buffers]
+    coined = [np.ndarray((3, floats * max(width - 2, 0)), np.float64, buffer,
+                         strides=(buffer.itemsize * (width + 1), 8)) for buffer in buffers]
+    scratch = (np.empty((3, floats * _SCAN_COLUMNS)), np.empty(floats * _SCAN_COLUMNS),
+               np.empty(floats * _SCAN_COLUMNS, dtype=bool))
+    windows[0][:, t_max] = start[lur]
+    lo, hi = t_max, t_max + 1
+    yield 0, windows[0][:, lo:hi]
+    for t in range(1, t_max + 1):
+        new, old = t % 2, 1 - t % 2
+        np.matmul(g, rows[old][:, floats * lo:floats * hi],
+                  out=coined[new][:, floats * (lo - 1):floats * (hi - 1)])
+        lo, hi = lo - 1, hi + 1
+        if not t % _FLUSH_EVERY:
+            live_lo = _first_live(rows[new], lo, hi, floats, scratch)
+            live_hi = width - _first_live(rows[new][:, ::-1], width - hi, width - live_lo,
+                                          floats, scratch)
+            windows[new][:, lo:live_lo] = 0
+            windows[new][:, live_hi:hi] = 0
+            windows[old][:, lo + 1:live_lo + 1] = 0
+            windows[old][:, live_hi - 1:hi - 1] = 0
+            lo, hi = live_lo, live_hi
+        yield t, windows[new][:, t_max - t:t_max + t + 1]
 
 
 class TestWalkParams:
@@ -357,10 +396,12 @@ class TestEvolve:
     @pytest.mark.parametrize("kind", ["standard", "general"])
     def test_cells_no_product_reaches_are_zero(self, tau, kind):
         # site n sits in column n + 64 of each buffer row, rows (left, u, right):
-        # step t's coin product writes row 0 at sites -t .. t-2, row 1 at 1-t ..
-        # t-1 and row 2 at 2-t .. t, over what the buffer held two steps before;
-        # every other cell of the buffer was never written.  No tail is below
-        # the flush threshold by t 64.  A StandardInit walks the real walk from
+        # step t's coin product reaches row 0 at sites -t .. t-2, row 1 at 1-t ..
+        # t-1 and row 2 at 2-t .. t; every other cell of the buffer is +0.0,
+        # either never written or coined from zeros over the block's span.  The
+        # yielded view spans the sites |n| <= s, s the last step of t's block
+        # of 32.  No tail is below the flush threshold by t 64.  A StandardInit
+        # walks the real walk from
         # |left> (evolve) and its complex start (iter_evolution); a GeneralInit
         # its complex start only.  The complex product in the (left, right, u)
         # order is 4.4e-16 off at most.
@@ -374,15 +415,19 @@ class TestEvolve:
         for start, walk_init in walks:
             steps = zip(_evolution_buffers(start, params, 64),
                         complex_coin_walk(walk_init, params, 64))
-            for (t, window), (moving, _) in steps:
+            for (t, view), (moving, _) in steps:
+                last = -(-t // _FLUSH_EVERY) * _FLUSH_EVERY
+                assert view.shape == (3, 2 * last + 1) and view.dtype == start.dtype
+                assert view.strides == ((2 * 64 + 1) * view.itemsize, view.itemsize)
+                window = view[:, last - t:last + t + 1]
                 assert np.max(np.abs(window - moving[[0, 2, 1]])) < 1e-15
-                assert window.shape == (3, 2 * t + 1) and window.dtype == start.dtype
-                assert window.strides == ((2 * 64 + 1) * window.itemsize, window.itemsize)
                 written = (np.abs(columns - 64 + 1 - np.arange(3)[:, None]) < t if t
                            else columns == 64)
-                buffer = window.base.reshape(3, -1)
-                assert np.array_equal(buffer[:, 64 - t:64 + t + 1], window)
-                assert not np.any(buffer[~np.broadcast_to(written, buffer.shape)])
+                buffer = view.base.reshape(3, -1)
+                assert np.array_equal(buffer[:, 64 - last:64 + last + 1], view)
+                untouched = buffer.view(np.float64).reshape(3, -1, buffer.itemsize // 8)[
+                    ~np.broadcast_to(written, buffer.shape)]
+                assert not np.any(untouched) and not np.any(np.signbit(untouched))
 
     @pytest.mark.parametrize("tau", [1, 2, 10, 100])
     @pytest.mark.parametrize("kind", ["standard", "general"])
@@ -458,7 +503,7 @@ class TestTailFlush:
         params = WalkParams(tau)
         first = self.STARTS[start](params)
         cells, weights, bound = self.AGREEMENT[start]
-        walks = zip(_evolution_buffers(first, params, 4000), unflushed_walk(first, params, 4000))
+        walks = zip(kernel_windows(first, params, 4000), unflushed_walk(first, params, 4000))
         for (t, window), (_, plain) in walks:
             large = np.abs(plain) >= cells
             assert np.array_equal(window[large], plain[large]), t
@@ -496,10 +541,10 @@ class TestTailFlush:
         # each window, in either buffer, is 0 beyond those sites plus one a step
         params = WalkParams(tau)
         start = _reduced_start(StandardInit(0.6, 0.8j), params)[0]
-        default = [window.copy() for _, window in _evolution_buffers(start, params, 1000)]
+        default = [window.copy() for _, window in kernel_windows(start, params, 1000)]
         monkeypatch.setattr(lqw.core, "_SCAN_COLUMNS", 2)
         flushed, hull = 0, None
-        for t, window in _evolution_buffers(start, params, 1000):
+        for t, window in kernel_windows(start, params, 1000):
             assert np.array_equal(window, default[t]), t
             if hull is not None:
                 (first, last), reach = hull, t - flush_t
@@ -622,6 +667,46 @@ def exact_origin(tau: int, t_max: int) -> list[tuple[Fraction, Fraction, Fractio
     return out
 
 
+class TestFlushBlocks:
+    """The kernel builds its views once per block of ``_FLUSH_EVERY`` steps.
+
+    Every step of a block multiplies the columns that the block's last step
+    reads, and yields the block's view of the sites |n| <= s, s the block's
+    last step (t_max for the last block).  Cells outside a step's live hull
+    are zeros, which coin to +0.0.
+    """
+
+    @pytest.mark.parametrize("tau", [1, 3, 10, 100])
+    @pytest.mark.parametrize("start", ["real", "complex"])
+    @pytest.mark.parametrize("t_max", [1, 31, 32, 33, 65, 1000, 4001])
+    def test_views_match_the_per_step_loop(self, tau, start, t_max):
+        params = WalkParams(tau)
+        first = TestTailFlush.STARTS[start](params)
+        views, trimmed = {}, 0
+        walks = zip(_evolution_buffers(first, params, t_max), per_step_kernel(first, params, t_max))
+        for (t, view), (_, window) in walks:
+            last = min(-(-t // _FLUSH_EVERY) * _FLUSH_EVERY, t_max)
+            assert view.shape == (3, 2 * last + 1), t
+            # one view per block and buffer
+            assert views.setdefault((last, t % 2), view) is view, t
+            # every cell of |n| <= t bit for bit, the sign of a zero included
+            assert view[:, last - t:last + t + 1].tobytes() == window.tobytes(), t
+            outside = np.concatenate((view[:, :last - t], view[:, last + t + 1:]), axis=1)
+            assert not np.any(outside), t
+            assert not np.any(np.signbit(outside.view(np.float64))), t
+            if t and not t % _FLUSH_EVERY:
+                # the block's last step is flushed before it is yielded: its
+                # live edges hold a value of at least the threshold
+                live = np.flatnonzero(np.any(view != 0, axis=0))
+                edges = view[:, live[[0, -1]]]
+                peaks = np.maximum(np.abs(edges.real), np.abs(edges.imag)).max(axis=0)
+                assert np.all(peaks >= _FLUSH_BELOW), t
+                trimmed += 2 * t + 1 - (live[-1] - live[0] + 1)
+        assert t == t_max
+        # the tau-1 and tau-3 walks to t 1000 flush their tails
+        assert trimmed > 0 or tau > 3 or t_max < 1000
+
+
 class TestOriginRecurrence:
     """The origin column of the walk from |left> from its exact recurrences (``_origin_recurrence``)."""
 
@@ -661,7 +746,7 @@ class TestOriginRecurrence:
         for tau, bound in ((1, 2.5e-13), (10, 3e-14)):
             run = _origin_recurrence(WalkParams(tau), 4000)
             kernel = np.empty_like(run)
-            for t, a in _evolution_buffers(_LEFT, WalkParams(tau), 4000):
+            for t, a in kernel_windows(_LEFT, WalkParams(tau), 4000):
                 kernel[:, t] = a[:, t]
             assert np.max(np.abs(run - kernel)) < bound, tau
 
@@ -875,7 +960,7 @@ class TestMirrorSymmetry:
         # measured over t <= 256: 1.2e-15 between the mirror and the complex walk
         # from |right> (tau 100), 5.3e-15 for <a, mirror(a)> (tau 2)
         params = WalkParams(tau)
-        walks = zip(_evolution_buffers(_LEFT, params, 256),
+        walks = zip(kernel_windows(_LEFT, params, 256),
                     iter_evolution(StandardInit(1, 0), params, 256),
                     iter_evolution(StandardInit(0, 1), params, 256))
         for (t, a), left, right in walks:

@@ -29,7 +29,7 @@ from lqw import (
     verification_suite,
 )
 
-from conftest import random_general
+from conftest import kernel_windows, random_general
 
 
 def direct_vs_fourier(init, tau, t):
@@ -37,6 +37,55 @@ def direct_vs_fourier(init, tau, t):
     params = WalkParams(tau)
     direct = evolve(init, params, t)
     return np.max(np.abs(direct.amplitudes - propagate_fourier(init, params, t)))
+
+
+def per_step_variances(init, params: WalkParams, t_max: int) -> np.ndarray:
+    """sigma^2(t) read as ``_variances`` read it with new views of every step's (3, 2t+1) window."""
+    ns = np.arange(-t_max, t_max + 1, dtype=float)
+    variances = np.empty(t_max + 1)
+    if isinstance(init, StandardInit):
+        total, skew, cross = lqw.harness._mirror_weights(init)
+        powers = np.stack((np.ones_like(ns), ns, ns * ns))
+        work = np.empty(6 * (2 * t_max + 1))
+        for t, window in kernel_windows(lqw.core._LEFT, params, t_max):
+            products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
+            a = products[0]
+            np.copyto(a, window)
+            np.multiply(a, a[::-1, ::-1], out=products[1])
+            np.multiply(a, a, out=a)
+            sums = products.reshape(6, -1) @ powers[:, t_max - t:t_max + t + 1].T
+            (norm_a, first, second), (norm_c, _, second_c) = (
+                sums.reshape(2, 3, 3).sum(axis=1).tolist())
+            lqw.core._check_norm(total * norm_a + cross * norm_c)
+            mean = skew * first
+            variances[t] = total * second + cross * second_c - mean * mean
+        return variances
+    ns2 = ns * ns
+    probs, square = np.empty(2 * t_max + 1), np.empty(2 * t_max + 1)
+    start, diff = lqw.core._reduced_start(init, params)
+    loop_weight = np.sum(np.abs(diff) ** 2)
+    for t, window in kernel_windows(start, params, t_max):
+        q, r = probs[:2 * t + 1], square[:2 * t + 1]
+        np.square(np.abs(window[0], out=q), out=q)
+        for row in (window[2], window[1]):
+            q += np.square(np.abs(row, out=r), out=r)
+        q[t] += loop_weight
+        lqw.core._check_norm(np.sum(q))
+        sites = slice(t_max - t, t_max + t + 1)
+        mean = float(np.dot(ns[sites], q))
+        second = float(np.dot(ns2[sites], q))
+        variances[t] = second - mean * mean
+    return variances
+
+
+def per_step_walk(init: StandardInit, params: WalkParams, t_max: int):
+    """``_walk``'s origin series and final state, read from every step's (3, 2t+1) window."""
+    columns = np.empty((3, t_max))
+    for t, a in kernel_windows(lqw.core._LEFT, params, t_max):
+        if t:
+            columns[:, t - 1] = a[:, t]
+    origin = lqw.core._column_weights(lqw.core._superpose(init, columns, columns[::-1]))
+    return origin, lqw.core._mirror_state(init, params, t_max, a)
 
 
 class TestReportTable:
@@ -181,7 +230,7 @@ class TestLocalizationByRecurrence:
         params = WalkParams(tau)
         kernel = np.empty(4000)
         start = lqw.core._reduced_start(init, params)[0]
-        for t, window in lqw.core._evolution_buffers(start, params, 4000):
+        for t, window in kernel_windows(start, params, 4000):
             if t:
                 kernel[t - 1] = np.sum(np.abs(window[:, t]) ** 2)
         report = localization_series(init, tau, 4000)
@@ -450,7 +499,7 @@ class TestPerStepSeriesAreExact:
             start, diff = lqw.core._reduced_start(init, params)
             loop_weight = np.sum(np.abs(diff) ** 2)
             columns = np.empty((3, t_max), dtype=np.complex128)
-            for t, window in lqw.core._evolution_buffers(start, params, t_max):
+            for t, window in kernel_windows(start, params, t_max):
                 if t:
                     columns[:, t - 1] = window[:, t]
             origin = lqw.core._column_weights(columns[lqw.core._LUR]) + loop_weight
@@ -466,6 +515,40 @@ class TestPerStepSeriesAreExact:
         else:
             assert np.array_equal(origin, expected)
             assert np.array_equal(final.moving, state.moving)
+
+
+class TestBlockViewReaders:
+    """The variance and verify walks read the kernel's fixed view of each flush block.
+
+    Their sums and origin columns equal a read of every step's own (3, 2t+1)
+    window bit for bit.
+    """
+
+    INITS = {"default": StandardInit(1 / np.sqrt(2), 1j / np.sqrt(2)),
+             "real": StandardInit(0.6, 0.8),
+             "skewed": StandardInit((1 + np.sqrt(2) * 1j) / 2, np.sqrt(2) * (1 + 1j) / 4)}
+
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    @pytest.mark.parametrize("t_max", [1001, 2000])
+    @pytest.mark.parametrize("kind", ["default", "real", "skewed", "general"])
+    def test_variances_match_the_per_step_read(self, tau, t_max, kind):
+        params = WalkParams(tau)
+        init = (random_general(np.random.default_rng(70 + tau), params) if kind == "general"
+                else self.INITS[kind])
+        variances = lqw.harness._variances(init, params, t_max)
+        assert variances.tobytes() == per_step_variances(init, params, t_max).tobytes()
+
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    @pytest.mark.parametrize("t_max", [1, 33, 1001])
+    @pytest.mark.parametrize("kind", ["default", "real", "skewed"])
+    def test_walk_matches_the_per_step_read(self, tau, t_max, kind):
+        params, init = WalkParams(tau), self.INITS[kind]
+        origin, final = lqw.harness._walk(init, params, t_max)
+        expected_origin, expected = per_step_walk(init, params, t_max)
+        assert origin.tobytes() == expected_origin.tobytes()
+        assert final.t == expected.t == t_max
+        assert final.moving.tobytes() == expected.moving.tobytes()
+        assert final.loop_diff.tobytes() == expected.loop_diff.tobytes()
 
 
 class TestPerStepNormCheck:
