@@ -772,9 +772,24 @@ class TestVerificationSuite:
         ]
 
     def test_large_tau_passes(self, symmetric_init):
-        # tau 100, t 200 is where the oracle's cost grows with delta: a k-block
-        # of operators is squared about three times instead of 200 steps
+        # tau 100, t 200 is where the oracle's cost grows with delta: its cost
+        # model picks 200 steps of the shared dense coin on the 512-point grid
+        # over 3 squarings of delta-102 operators
+        # (test_spectral.py's test_cost_model_at_the_verify_sizes)
         assert verification_suite(symmetric_init, 100, 200).passed
+
+    def test_memory_after_the_oracle_verdict(self):
+        # measured 1.12 MB (2.83 MB while the oracle squared 1 MiB k-blocks,
+        # transformed out of place and direct_vs_fourier was one whole-array
+        # difference kept beside the walk's final state); the bound leaves 1.25x
+        tracemalloc.start()
+        try:
+            report = verification_suite(StandardInit(0.6, 0.8j), 10, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 1.4e6
 
     def test_walks_the_kernel_once(self, symmetric_init, monkeypatch):
         # norm, direct-vs-Fourier and the localization window share one walk of

@@ -225,6 +225,32 @@ def force_route(monkeypatch, stepping: bool) -> None:
     monkeypatch.setattr(lqw.spectral, "_stepping_is_cheaper", lambda t, delta, m: stepping)
 
 
+def squaring_in_mib_blocks(init, params: WalkParams, t: int) -> np.ndarray:
+    """The squaring route as it once ran: k-blocks of 1 MiB of stacked operators."""
+    m = lqw.spectral._default_grid_size(t)
+    d = params.delta
+    ks = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    psi = np.broadcast_to(init.coin_vector(params), (m, d)).copy()
+    squarings = lqw.spectral._squarings(t, d)
+    chunk = max(1, 2**20 // (16 * d * d))
+    for lo in range(0, m, chunk):
+        base = momentum_operator(params, ks[lo:lo + chunk])
+        block = psi[lo:lo + chunk]
+        for bit in range(squarings):
+            if t >> bit & 1:
+                block = np.einsum("mij,mj->mi", base, block)
+            base = base @ base
+        for _ in range(t >> squarings):
+            block = np.einsum("mij,mj->mi", base, block)
+        psi[lo:lo + chunk] = block
+    return psi
+
+
+def out_of_place_transform(psi: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The oracle's inverse transform as it once ran: a new array, times a (-1)^n array."""
+    return np.fft.ifft(psi, axis=0)[np.mod(ns, len(psi))] * ((-1.0) ** ns)[:, None]
+
+
 class TestMomentumGridSolution:
     # odd, even and power-of-two exponents; on the squaring route squaring
     # stops once 4 e < delta, so at tau 100 (delta 102) t = 31 squares once
@@ -245,6 +271,17 @@ class TestMomentumGridSolution:
                 sub = slice(None, None, max(1, len(ks) // 32))
                 ref = stepwise_grid_solution(init, params, t, ks[sub])
                 assert np.max(np.abs(psi[sub] - ref)) < 1e-12, (stepping, t)
+
+    @pytest.mark.parametrize("tau,t", [(1, 4000), (10, 1000), (2, 65)])
+    def test_squaring_blocks_move_no_bit(self, tau, t, monkeypatch):
+        # 256 KiB k-blocks of operators, where there were 1 MiB ones: each k
+        # is powered on its own, so psi keeps every bit (5 blocks for 2 at
+        # tau 1, 19 for 5 at tau 10, one at tau 2)
+        params = WalkParams(tau)
+        force_route(monkeypatch, False)
+        for init in (StandardInit(0.6, 0.8j), random_general(np.random.default_rng(tau), params)):
+            ks, psi = momentum_grid_solution(init, params, t)
+            assert np.array_equal(psi, squaring_in_mib_blocks(init, params, t))
 
     def test_cost_model_at_the_verify_sizes(self):
         # verify's walk at tau 10 and t 1000 stays on squaring; its walk at
@@ -318,6 +355,50 @@ class TestPropagateFourier:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 512 * 102 * 16
+
+    @pytest.mark.parametrize("tau", [2, 10, 100])
+    @pytest.mark.parametrize("stepping", [True, False])
+    def test_transform_in_place_moves_no_bit(self, tau, stepping, monkeypatch):
+        # the transform runs in the oracle's psi, a transposed view on the
+        # stepping route, and negates the odd sites; t 64 and 65 put an even
+        # and an odd site in the first row
+        params = WalkParams(tau)
+        init = random_general(np.random.default_rng(tau), params)
+        force_route(monkeypatch, stepping)
+        for t in (64, 65):
+            _, psi = momentum_grid_solution(init, params, t)
+            beyond = np.arange(t + 1, t + 5)
+            tail = out_of_place_transform(psi, np.concatenate((beyond, -beyond)))
+            assert np.array_equal(propagate_fourier(init, params, t),
+                                  out_of_place_transform(psi, np.arange(-t, t + 1)))
+            assert lqw.spectral._light_cone_tail(init, params, t) == np.max(np.abs(tail))
+
+    def test_squaring_memory_at_the_verify_size(self, symmetric_init, monkeypatch):
+        # verify --tau 10 --steps 1000's oracle: two 256 KiB operator blocks beside the
+        # (2048, 12) states, then the states and the (2001, 12) output.
+        # Measured 1.00 MB (2.71 MB with 1 MiB blocks and an out-of-place
+        # transform); the bound leaves 1.25x
+        force_route(monkeypatch, False)
+        tracemalloc.start()
+        try:
+            propagate_fourier(symmetric_init, WalkParams(10), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25e6
+
+    def test_stepping_memory_at_the_verify_size(self, symmetric_init, monkeypatch):
+        # verify --tau 100 --steps 200's oracle: two (102, 512) state blocks while
+        # stepping, then one of them and the (401, 102) output.  Measured
+        # 1.78 MB (2.34 MB with an out-of-place transform); the bound leaves 1.24x
+        force_route(monkeypatch, True)
+        tracemalloc.start()
+        try:
+            propagate_fourier(symmetric_init, WalkParams(100), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2e6
 
     def test_default_grid_size(self):
         def points(t):
