@@ -26,8 +26,9 @@ the dense G, which every k shares, to the (delta, M) block of states with
 one real matrix product per step and then scales rows 0 and 1 by e^{+-ik}:
 O(t M delta^2) time, 2 M delta 16 bytes.  Repeated squaring of the stacked
 U_k, in k-blocks of at most 256 KiB, takes O(M delta^3 log t) time and wins
-for small delta and long walks.  The inverse transform runs in place, in the
-oracle's own array.  The private ``_light_cone_tail`` reads the same
+for small delta and long walks.  The inverse transform replaces the grid's
+states, which are then dropped, and the sign (-1)^n is multiplied into the
+sites read out in place.  The private ``_light_cone_tail`` reads the same
 transform just outside the light cone.  Only this module knows the oracle's
 grid and its aliasing.
 
@@ -320,10 +321,12 @@ def _stepping_is_cheaper(t: int, delta: int, m: int) -> bool:
     and 2 at 52; the bits of t move the crossing (a power of two squares
     cheaply).
 
-    The squaring terms were fitted on k-blocks of 1 MiB of operators; on
-    today's 256 KiB blocks that route runs 4-13% faster than the fit
-    (tau 10, t 1000 and tau 1, t 4000).  The fit is kept as it is: a call
-    that changed route would change the oracle's bits.
+    The squaring terms were fitted on k-blocks of 1 MiB of operators.  On
+    today's 256 KiB blocks that route ran 4-13% faster than the fit at
+    delta 3 and 12 (tau 1, t 4000 and tau 10, t 1000) and 7% faster at
+    delta 22, but 4% slower at delta 102, where a block holds one k instead
+    of six (both forced to square at t 200).  The fit is kept as it is: a
+    call that changed route would change the oracle's bits.
     """
     s = _squarings(t, delta)
     p = (t & ((1 << s) - 1)).bit_count() + (t >> s)
@@ -411,9 +414,9 @@ def propagate_fourier(init: InitialCondition, params: WalkParams, t: int) -> np.
     coin state at position n, the layout of ``WalkerState.amplitudes``; its
     norm is checked like a ``WalkerState``'s.  The grid, the smallest power
     of two >= 2t + 10, has more points than the walk's 2t + 1 sites, so the
-    inverse transform is exact up to roundoff.  The transform runs in the
-    oracle's own (M, delta) array, and the 2t + 1 rows read from it are the
-    only other array of that size.
+    inverse transform is exact up to roundoff.  The grid's (M, delta) states
+    are dropped once the transform has replaced them, and (-1)^n is
+    multiplied into the 2t + 1 rows read out, in place.
     """
     t = _check_int("t", t, 0)
     amps = _position_amplitudes(init, params, t, np.arange(-t, t + 1))
@@ -439,10 +442,12 @@ def _position_amplitudes(
 ) -> np.ndarray:
     """Coin states at the positions ``ns`` after t steps, from the oracle's grid."""
     ks, psi = momentum_grid_solution(init, params, t)
-    # Psi(t, n) = (-1)^n * IDFT[Psi~](n mod M) for the -pi-based grid; the
-    # transform runs in psi, which is the oracle's own, and negating the odd
-    # sites is the product with (-1)^n, bit for bit
-    np.fft.ifft(psi, axis=0, out=psi)
+    # Psi(t, n) = (-1)^n * IDFT[Psi~](n mod M) for the -pi-based grid.  The
+    # grid's states are dropped as the transform replaces them, and the sign
+    # is multiplied into the rows read out, in place, once the transform is
+    # dropped too: the multiply takes scratch of its own (0.3 MB at tau 10, t 1000)
+    psi = np.fft.ifft(psi, axis=0)
     amps = psi[np.mod(ns, ks.shape[0])]
-    np.negative(amps, out=amps, where=(ns % 2 == 1)[:, None])
+    del psi
+    np.multiply(amps, ((-1.0) ** ns)[:, None], out=amps)
     return amps
