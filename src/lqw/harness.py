@@ -22,8 +22,13 @@ the real walk a from |left> and read the state alpha a + beta mirror(a)
 from it (see ``lqw.core``): ``_walk`` reads the origin column at the view's
 centre, checks each step's norm from the view and combines the columns
 once, after the walk, with one state at its last step; variance_series
-takes the moments from a * a and a * mirror(a), with no probability vector
-and no tau-vector, so it runs in O(t) memory at any tau.
+telescopes the moments of a * a and a * mirror(a) through the steps, by an
+exact identity of the walk (``_variances``): each step adds sums of its
+left and right rows' L^2, R^2 and L(n) R(-n) against 1 and n, and checks
+its norm from them and u . u, and ``moments_telescoped_vs_direct`` judges
+the moments at t_max against direct sums over the last window.  It builds
+no probability vector and no tau-vector, so it runs in O(t) memory at any
+tau.
 verification_suite takes a StandardInit only, and a GeneralInit raises
 before its walk.  variance_series steps a GeneralInit's complex window and
 checks each step's norm from the step's sums, building no state.
@@ -79,6 +84,12 @@ _KERNEL_PROBE_STEPS = 256
 # route's own error at tau 10^6, t 10^6 (at most 2.3e-13 for tau <= 100).
 _RECURRENCE_VS_KERNEL = 1.5e-14
 _RECURRENCE_VS_CLOSED_FORM = 1e-10
+
+# Bound on the telescoped moments' difference from the direct sums at t_max,
+# relative to m2 (``_variances``).  It grows like 3.6e-17 t: measured 1.1e-14
+# to 7.3e-14 at t 2000 over tau 1 to 10^12, 7.3e-13 at t 20000 and 3.7e-12 at
+# t 10^5 (tau 1), so about 3.7e-11 at t 10^6, 2.7x below the bound.
+_TELESCOPED_VS_DIRECT = 1e-10
 
 # Half-width of the window around the atom at x = 0 that the empirical CDF
 # comparison leaves out; Omega >= 1/sqrt(3) keeps it inside the support.
@@ -340,52 +351,77 @@ def density_table(init: StandardInit, tau: int, grid: int) -> ExperimentReport:
     )
 
 
-def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.ndarray:
-    """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffers.
+def _variances(init: InitialCondition, params: WalkParams,
+               t_max: int) -> tuple[np.ndarray, float | None]:
+    """sigma^2(t) for t = 0..t_max from one walk of the kernel's reused buffers, and its drift.
 
     A StandardInit walks the real walk a from |left>, whose state is
     alpha a + beta mirror(a).  With A(n) = sum_r a_r(n)^2 and C(n) the row
     sum of a * mirror(a), a_L(n) a_R(-n) + a_R(n) a_L(-n) + a_u(n) a_u(-n),
-    which is even in n, so sum n C(n) = 0 and the mean has no cross term: the
-    mean is (|alpha|^2 - |beta|^2) sum n A(n) and the second moment
-    (|alpha|^2 + |beta|^2) sum n^2 A(n) + 2 Re(conj(alpha) beta) sum n^2 C(n).
-    Each step copies the kernel's zero-padded block view into contiguous
-    work rows, forms a * mirror(a), the flat rows reversed, and a * a there,
-    and sums step t's 2t+1 columns against 1, n and n^2 in one product; the
-    norm is checked from the sums against 1, cross term included.
-    A GeneralInit walks the complex window:
+    which is even in n, so sum n C(n) = 0 and the mean has no cross term:
+    with m1 = sum n A(n), m2 = sum n^2 A(n) and c2 = sum n^2 C(n),
+    sigma^2 = (|alpha|^2 + |beta|^2) m2 + 2 Re(conj(alpha) beta) c2
+    - ((|alpha|^2 - |beta|^2) m1)^2.  The moments are telescoped through
+    the steps: the coin is orthogonal and commutes with the mirror, so it
+    keeps A(n) and C(n) at every site, and only the shift moves weight, the
+    left row from n + 1 to n and the right row from n - 1 to n.  So with
+    step t's rows L and R, exactly,
+    m1 += sum R^2 - sum L^2, m2 += sum (2n - 1) R^2 - sum (2n + 1) L^2 and
+    c2 -= 2 sum (2n + 1) L(n) R(-n).  Each step forms L^2, R^2 and
+    L * reversed R from the kernel's contiguous block view into three work
+    rows and sums step t's 2t+1 columns against 1 and n in one product.  The
+    norm check is (|alpha|^2 + |beta|^2) ||a||^2, ||a||^2 = sum L^2 +
+    sum R^2 + u . u, since <a, mirror(a)> is 0 by unitarity (as ``_walk``'s).
+    The drift is the largest difference of m1, m2 and c2 at t_max from the
+    direct sums of the last window against n and n^2, relative to m2.
+    A GeneralInit walks the complex window, and its drift is None:
     P(X_t = n) is ``WalkerState.probabilities()``' arithmetic, written row by
     row into one work row, |left|^2 + |right|^2, then + |u|^2, and |d|^2 at
     the origin; contiguous rows keep every ufunc call off numpy's buffer, and
     the norm is checked from the sum of the step's 2t+1 columns of that row.
     """
-    # the weights 1, n and n^2 at every step are slices of these
-    ns = np.arange(-t_max, t_max + 1, dtype=float)
     variances = np.empty(t_max + 1)
     if isinstance(init, StandardInit):
         total, skew, cross = _mirror_weights(init)
-        powers = np.stack((np.ones_like(ns), ns, ns * ns)).T
-        del ns  # powers holds n: the walk's peak is one (2t_max+1)-vector lower
-        work, n = np.empty(6 * (2 * t_max + 1)), 0
-        for t, window in core._evolution_buffers(core._LEFT, params, t_max):
-            if window.shape[1] != n:  # a new block: the work views of its span
-                n, s = window.shape[1], window.shape[1] // 2
-                a, products = work[:3 * n], work[:6 * n].reshape(6, n)
-                # on contiguous rows, mirror(a) = a[::-1, ::-1] is the flat run reversed
-                rows, mirror, cross_products = a.reshape(3, n), a[::-1], work[3 * n:6 * n]
-            # ufuncs on the strided window itself would go through numpy's buffer
-            np.copyto(rows, window)
-            np.multiply(a, mirror, out=cross_products)
-            np.multiply(a, a, out=a)
-            sums = products[:, s - t:s + t + 1] @ powers[t_max - t:t_max + t + 1]
-            # rows (left, u, right) of a * a and of a * mirror(a), added in np.sum's order
-            al, au, ar, cl, cu, cr = sums.tolist()
-            core._check_norm(total * (al[0] + au[0] + ar[0]) + cross * (cl[0] + cu[0] + cr[0]))
-            mean = skew * (al[1] + au[1] + ar[1])
-            second = total * (al[2] + au[2] + ar[2]) + cross * (cl[2] + cu[2] + cr[2])
-            variances[t] = second - mean * mean
-        return variances
+        # the weights 1 and n at every step are slices of these rows
+        weights = np.ones((2, 2 * t_max + 1))
+        weights[1] = np.arange(-t_max, t_max + 1)
+        work = np.empty((3, 2 * t_max + 1))
+        m1 = m2 = c2 = 0.0
+        held = [(None,)] * 2  # per buffer: the block's view and its rows L, u, R, reversed R
+        steps = core._evolution_buffers(core._LEFT, params, t_max)
+        next(steps)  # t 0: |left> at the origin, every moment 0
+        variances[0] = 0.0
+        for t, window in steps:
+            if held[t % 2][0] is not window:  # a new block: site 0 is column s, s its last step
+                s = window.shape[1] // 2
+                products = work[:, :2 * s + 1]
+                # R(-n) under L(n): the right row reversed, site 0 in the centre of both
+                held[t % 2] = window, *window, window[2, ::-1]
+            _, left, u, right, mirrored = held[t % 2]
+            np.multiply(left, left, out=products[0])
+            np.multiply(right, right, out=products[1])
+            np.multiply(left, mirrored, out=products[2])
+            (l2, r2, lr), (nl2, nr2, nlr) = (
+                weights[:, t_max - t:t_max + t + 1] @ work[:, s - t:s + t + 1].T).tolist()
+            core._check_norm(total * (l2 + r2 + np.dot(u, u)))
+            m1 += r2 - l2
+            m2 += (2.0 * nr2 - r2) - (2.0 * nl2 + l2)
+            c2 -= 2.0 * (2.0 * nlr + lr)
+            mean = skew * m1
+            variances[t] = total * m2 + cross * c2 - mean * mean
+        # the direct sums of the last window, (3, 2t_max + 1), in the same work rows
+        np.multiply(weights[1], weights[1], out=weights[0])  # the weights n^2 and n
+        for row, r in zip(work, window):
+            np.multiply(r, r, out=row)
+        second, first = (weights @ work.T).sum(axis=1).tolist()
+        for row, r, q in zip(work, window, window[::-1, ::-1]):
+            np.multiply(r, q, out=row)
+        crossed = float(np.sum(weights[0] @ work.T))
+        drift = max(abs(m1 - first), abs(m2 - second), abs(c2 - crossed)) / second
+        return variances, drift
 
+    ns = np.arange(-t_max, t_max + 1, dtype=float)
     ns2 = ns * ns
     probs = np.empty(2 * t_max + 1)
     square = np.empty(2 * t_max + 1)
@@ -408,19 +444,21 @@ def _variances(init: InitialCondition, params: WalkParams, t_max: int) -> np.nda
         mean = float(np.dot(ns[sites], p))
         second = float(np.dot(ns2[sites], p))
         variances[t] = second - mean * mean
-    return variances
+    return variances, None
 
 
 def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentReport:
     """sigma^2(t) for t = 0..t_max, computed exactly from the distribution.
 
     For a StandardInit, ``fit_power_law`` of the two table columns is judged
-    against sigma^2 ~ c t^2, c the closed-form spread coefficient.  A GeneralInit
+    against sigma^2 ~ c t^2, c the closed-form spread coefficient, and
+    ``moments_telescoped_vs_direct`` judges the telescoped moments behind the
+    series against direct sums at t_max (``_variances``).  A GeneralInit
     gets the bare series: no closed form covers it (its variance can be 0 at every t).
     """
     t_max = _check_int("t_max", t_max, 10)
     ts = np.arange(t_max + 1)
-    variances = _variances(init, WalkParams(tau), t_max)
+    variances, drift = _variances(init, WalkParams(tau), t_max)
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):
         c_fit, alpha_fit = fit_power_law(ts, variances)
@@ -430,6 +468,7 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
             Verdict.judge("spread_exponent_offset", abs(alpha_fit - 2.0), 0.05),
             Verdict.judge("spread_coefficient_relative_error",
                           abs(c_fit - c_theory) / c_theory, 0.10),
+            Verdict.judge("moments_telescoped_vs_direct", drift, _TELESCOPED_VS_DIRECT),
         ]
     return ExperimentReport(
         experiment="variance_series",

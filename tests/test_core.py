@@ -993,7 +993,9 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("tau", range(1, 21))
     def test_mirror_moments_match_the_complex_walk_at_skewed_states(self, tau, skewed_init):
         # the cross term 2 Re(conj(alpha) beta) sum n^2 C(n) of the variance;
-        # measured within 2.1e-15 relative of the complex walk's moments to t 200
+        # the telescoped moments measured within 6.9e-15 relative of the complex
+        # walk's to t 200 (tau 10).  Against the exact walk there, the
+        # telescoped series is 1.2e-14 off and the complex walk's 1.9e-14
         params = WalkParams(tau)
         t_max = 200
         ns = np.arange(-t_max, t_max + 1, dtype=float)
@@ -1004,9 +1006,9 @@ class TestMirrorSymmetry:
                 probs = state.probabilities()
                 mean = float(np.dot(ns[sites], probs))
                 expected[state.t] = float(np.dot(ns[sites] ** 2, probs)) - mean * mean
-            variances = lqw.harness._variances(init, params, t_max)
+            variances, _ = lqw.harness._variances(init, params, t_max)
             assert variances[0] == expected[0] == 0.0
-            assert np.all(np.abs(variances - expected) <= 8e-15 * expected)
+            assert np.all(np.abs(variances - expected) <= 2e-14 * expected)
 
 
 def _rebuilt_state(init, params, t):

@@ -1,6 +1,10 @@
 """Experiment drivers: series, snapshots, fits, and the cross-check suite."""
 
+import inspect
+import sys
 import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,26 +44,32 @@ def direct_vs_fourier(init, tau, t):
 
 
 def per_step_variances(init, params: WalkParams, t_max: int) -> np.ndarray:
-    """sigma^2(t) read as ``_variances`` read it with new views of every step's (3, 2t+1) window."""
-    ns = np.arange(-t_max, t_max + 1, dtype=float)
+    """sigma^2(t) as ``_variances`` reads it, from new views of each step's (3, 2t+1) window."""
     variances = np.empty(t_max + 1)
     if isinstance(init, StandardInit):
         total, skew, cross = lqw.harness._mirror_weights(init)
-        powers = np.stack((np.ones_like(ns), ns, ns * ns))
-        work = np.empty(6 * (2 * t_max + 1))
-        for t, window in kernel_windows(lqw.core._LEFT, params, t_max):
-            products = work[:6 * (2 * t + 1)].reshape(2, 3, 2 * t + 1)
-            a = products[0]
-            np.copyto(a, window)
-            np.multiply(a, a[::-1, ::-1], out=products[1])
-            np.multiply(a, a, out=a)
-            sums = products.reshape(6, -1) @ powers[:, t_max - t:t_max + t + 1].T
-            (norm_a, first, second), (norm_c, _, second_c) = (
-                sums.reshape(2, 3, 3).sum(axis=1).tolist())
-            lqw.core._check_norm(total * norm_a + cross * norm_c)
-            mean = skew * first
-            variances[t] = total * second + cross * second_c - mean * mean
+        weights = np.ones((2, 2 * t_max + 1))
+        weights[1] = np.arange(-t_max, t_max + 1)
+        work = np.empty((3, 2 * t_max + 1))
+        m1 = m2 = c2 = 0.0
+        for t, (left, u, right) in kernel_windows(lqw.core._LEFT, params, t_max):
+            if not t:
+                variances[0] = 0.0
+                continue
+            products = work[:, :2 * t + 1]
+            np.multiply(left, left, out=products[0])
+            np.multiply(right, right, out=products[1])
+            np.multiply(left, right[::-1], out=products[2])
+            (l2, r2, lr), (nl2, nr2, nlr) = (
+                weights[:, t_max - t:t_max + t + 1] @ products.T).tolist()
+            lqw.core._check_norm(total * (l2 + r2 + np.dot(u, u)))
+            m1 += r2 - l2
+            m2 += (2.0 * nr2 - r2) - (2.0 * nl2 + l2)
+            c2 -= 2.0 * (2.0 * nlr + lr)
+            mean = skew * m1
+            variances[t] = total * m2 + cross * c2 - mean * mean
         return variances
+    ns = np.arange(-t_max, t_max + 1, dtype=float)
     ns2 = ns * ns
     probs, square = np.empty(2 * t_max + 1), np.empty(2 * t_max + 1)
     start, diff = lqw.core._reduced_start(init, params)
@@ -76,6 +86,41 @@ def per_step_variances(init, params: WalkParams, t_max: int) -> np.ndarray:
         second = float(np.dot(ns2[sites], q))
         variances[t] = second - mean * mean
     return variances
+
+
+def exact_moments(tau: int, t_max: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(m1, m2, c2) of the walk from |left> at t = 0..t_max, exactly, from a walk on Python ints.
+
+    With u' = u / sqrt(tau), delta^t (L, R, u') is integer, and one step is
+    L <- -tau L + 2R + 2 tau u', R <- 2L - tau R + 2 tau u',
+    u' <- 2(L + R) + (tau - 2) u', then the shifts: the left row from n + 1 to
+    n, the right row from n - 1 to n.  So delta^(2t) A(n) = L^2 + R^2 + tau u'^2
+    and delta^(2t) C(n) = L(n) R(-n) + R(n) L(-n) + tau u'(n) u'(-n), and
+    every step checks the walk's unitarity: sum A(n) = 1 and sum C(n) = 0.
+    """
+    o = t_max + 1  # site n at index n + o, with a spare site at each end
+    left, right, loop = [0] * (2 * o + 1), [0] * (2 * o + 1), [0] * (2 * o + 1)
+    left[o] = 1
+    moments = [(Fraction(0),) * 3]
+    for t in range(1, t_max + 1):
+        new_left, new_right, new_loop = [0] * (2 * o + 1), [0] * (2 * o + 1), [0] * (2 * o + 1)
+        for i in range(o - t + 1, o + t):  # step t - 1's sites
+            l, r, w = left[i], right[i], 2 * tau * loop[i]
+            new_left[i - 1] = -tau * l + 2 * r + w
+            new_right[i + 1] = 2 * l - tau * r + w
+            new_loop[i] = 2 * (l + r) + (tau - 2) * loop[i]
+        left, right, loop = new_left, new_right, new_loop
+        norm = inner = first = second = crossed = 0
+        for n in range(-t, t + 1):
+            i, j = o + n, o - n
+            a = left[i] ** 2 + right[i] ** 2 + tau * loop[i] ** 2
+            c = left[i] * right[j] + right[i] * left[j] + tau * loop[i] * loop[j]
+            norm, inner = norm + a, inner + c
+            first, second, crossed = first + n * a, second + n * n * a, crossed + n * n * c
+        scale = (tau + 2) ** (2 * t)
+        assert norm == scale and inner == 0
+        moments.append((Fraction(first, scale), Fraction(second, scale), Fraction(crossed, scale)))
+    return moments
 
 
 def per_step_walk(init: StandardInit, params: WalkParams, t_max: int):
@@ -320,7 +365,8 @@ class TestVarianceSeries:
         c_theory = spread_coefficient(skewed_init, 3)
         assert report.metrics == {"c_fit": c_fit, "alpha_fit": alpha_fit, "c_theory": c_theory}
         assert [(v.name, v.tolerance) for v in report.verdicts] == [
-            ("spread_exponent_offset", 0.05), ("spread_coefficient_relative_error", 0.10)]
+            ("spread_exponent_offset", 0.05), ("spread_coefficient_relative_error", 0.10),
+            ("moments_telescoped_vs_direct", 1e-10)]
         assert report.verdicts[0].measured == abs(alpha_fit - 2.0)
         assert report.verdicts[1].measured == abs(c_fit - c_theory) / c_theory
         assert report.passed
@@ -352,9 +398,10 @@ class TestVarianceSeries:
         assert states == []
 
     def test_peak_memory_holds_no_window_per_step(self, symmetric_init):
-        # the kernel's two flat buffers of one window each and a few (2t+1)-float rows:
-        # about 0.55 MB at t 2000; a WalkerState per step, or one ufunc call on
-        # the 2-D window, reads above 0.7 MB
+        # the kernel's two flat buffers of one window each and five (2t+1)-float
+        # rows: about 0.39 MB at t 2000 (0.52 MB with six work rows and three
+        # weight rows); a WalkerState per step, or one ufunc call on the 2-D
+        # window, reads above 0.7 MB
         variance_series(symmetric_init, 10, 50)
         tracemalloc.start()
         try:
@@ -362,11 +409,11 @@ class TestVarianceSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 650_000
+        assert peak < 480_000
 
     def test_memory_does_not_grow_with_tau(self, symmetric_init):
         # a StandardInit walks the real walk from |left>: no delta- or tau-vector,
-        # about 58 KB at t 200 at any tau (the complex start asked for 14.6 TiB here)
+        # about 45 KB at t 200 at any tau (the complex start asked for 14.6 TiB here)
         variance_series(symmetric_init, 10, 50)
         tracemalloc.start()
         try:
@@ -394,20 +441,26 @@ class TestPerStepSeriesAreExact:
     bit for bit.  A StandardInit's evolve, variance and verify walk step the
     real walk from |left> and read its mirror, while localize and
     iter_evolution step the complex walk: the two agree within bounds
-    measured over every t <= 4000 (``MIRROR_*``, 2.3x to 3x the largest
-    difference, at tau 1 or 10).  Routes that share the real walk stay bit
-    for bit.  The skewed state has Re(conj(alpha) beta) != 0, so its origin
-    probability and variance read the cross term a * mirror(a).
+    measured over every t <= 4000, the variance's over t <= 1400
+    (``MIRROR_*``, 2.3x to 3x the largest difference, at tau 1 or 10).
+    Routes that share the real walk stay bit for bit.  The skewed state has
+    Re(conj(alpha) beta) != 0, so its origin probability and variance read
+    the cross term a * mirror(a).
     """
 
     T_MAX = 64
     # measured over t <= 4000 at StandardInit(0.6, 0.8j) and the skewed state,
-    # tau 1, 2 and 10: the origin probability 1.3e-14 apart (9.2e-15 skewed),
-    # the final moving sector 1.3e-14 (skewed, tau 1), the variance 6.8e-15
-    # relative (skewed, tau 10; 2.0e-15 against moments of evolve's states)
+    # tau 1, 2 and 10: the origin probability 1.3e-14 apart (9.2e-15 skewed)
+    # and the final moving sector 1.3e-14 (skewed, tau 1).  The variance
+    # telescopes its moments through the steps, while the complex walk's are
+    # read from each state, and the two drift apart like t eps: 4.7e-14
+    # relative over t <= 1400 (tau 1; 1.3e-13 at t 4000), and 2.2e-15 at
+    # t <= 64 against moments of evolve's states (tau 10).  Against the exact
+    # walk over t <= 1400 the telescoped series is the closer one: 1.0e-13
+    # against 1.5e-13 at tau 1 (``exact_moments``)
     MIRROR_ORIGIN = 4e-14
     MIRROR_MOVING = 3e-14
-    MIRROR_VARIANCE = 2e-14
+    MIRROR_VARIANCE = 1.2e-13
     MIRROR_VARIANCE_EVOLVED = 5e-15
 
     @staticmethod
@@ -535,7 +588,7 @@ class TestBlockViewReaders:
         params = WalkParams(tau)
         init = (random_general(np.random.default_rng(70 + tau), params) if kind == "general"
                 else self.INITS[kind])
-        variances = lqw.harness._variances(init, params, t_max)
+        variances, _ = lqw.harness._variances(init, params, t_max)
         assert variances.tobytes() == per_step_variances(init, params, t_max).tobytes()
 
     @pytest.mark.parametrize("tau", [1, 10, 100])
@@ -570,6 +623,78 @@ class TestPerStepNormCheck:
         with pytest.raises(NormalizationError):
             series(symmetric_init, 10, 2000)
         assert 0 < len(steps) < 300
+
+
+class TestVarianceAgainstExactWalk:
+    """``variance_series`` against sigma^2 of the exact walk on Python ints (``exact_moments``).
+
+    The difference is taken relative to m2(t), the second moment of the walk
+    from |left>, which bounds every term of sigma^2: |c2| <= m2 and m1^2 <= m2.
+    """
+
+    # measured at most 9.3e-15 (tau 1, the default state) over these taus,
+    # states and t <= 128; the read of six product rows against 1, n and n^2
+    # before the moments were telescoped measured 1.4e-14 there
+    EXACT_VARIANCE = 2.5e-14
+    INITS = {"default": StandardInit(1 / np.sqrt(2), 1j / np.sqrt(2)),
+             "complex": StandardInit(0.6, 0.8j),
+             "skewed": StandardInit((1 + np.sqrt(2) * 1j) / 2, np.sqrt(2) * (1 + 1j) / 4),
+             "left": StandardInit(1, 0)}
+
+    @pytest.mark.parametrize("tau, t_max", [(1, 128), (2, 128), (3, 128), (10, 128),
+                                            (100, 128), (10**6, 64)])
+    def test_variance_series_meets_the_exact_walk(self, tau, t_max):
+        exact = exact_moments(tau, t_max)
+        for init in self.INITS.values():
+            total, skew, cross = map(Fraction, lqw.harness._mirror_weights(init))
+            variances = variance_series(init, tau, t_max).table[1]
+            assert variances[0] == 0.0
+            for variance, (m1, m2, c2) in zip(variances[1:], exact[1:]):
+                expected = total * m2 + cross * c2 - (skew * m1) ** 2
+                assert abs(Fraction(variance) - expected) <= Fraction(self.EXACT_VARIANCE) * m2
+
+
+class TestTelescopedMoments:
+    """``moments_telescoped_vs_direct``: the moments telescoped through the steps against
+    the direct sums of the last window, relative to m2(t_max)."""
+
+    # the harness lines of each increment, and each one mutated
+    MUTATIONS = {
+        "m2 weight 2n - 1 as 2n": ("(2.0 * nr2 - r2)", "(2.0 * nr2)"),
+        "c2 increment without its 2": ("c2 -= 2.0 * (2.0 * nlr + lr)",
+                                       "c2 -= (2.0 * nlr + lr)"),
+        "m1 increment with L and R swapped": ("m1 += r2 - l2", "m1 += l2 - r2"),
+    }
+
+    @pytest.mark.parametrize("tau", [1, 10, 100, 10**6, 10**12])
+    def test_passes_at_every_tau(self, symmetric_init, tau):
+        # 1.1e-14 to 7.3e-14 at t 2000, growing like 3.6e-17 t (3.7e-12 at t 10^5)
+        verdict = variance_series(symmetric_init, tau, 2000).verdicts[-1]
+        assert verdict.name == "moments_telescoped_vs_direct"
+        assert verdict.tolerance == 1e-10
+        assert 0.0 < verdict.measured and verdict.passed
+
+    def test_judges_the_real_walk_at_any_state(self, symmetric_init, skewed_init):
+        # the moments are those of the walk from |left>, whatever alpha and beta
+        measured = {variance_series(init, 10, 300).verdicts[-1].measured
+                    for init in (symmetric_init, skewed_init, StandardInit(1, 0))}
+        assert len(measured) == 1
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("tau", [1, 10, 100])
+    def test_a_mutated_increment_fails_it(self, symmetric_init, mutation, tau, monkeypatch):
+        line, mutated = self.MUTATIONS[mutation]
+        source = inspect.getsource(lqw.harness)
+        assert source.count(line) == 1
+        mutant = types.ModuleType("lqw.mutant_harness")
+        mutant.__package__ = "lqw"
+        # dataclasses look their module up while they build the class
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(line, mutated), "<mutant harness>", "exec"), mutant.__dict__)
+        verdict = mutant.variance_series(symmetric_init, tau, 200).verdicts[-1]
+        assert verdict.name == "moments_telescoped_vs_direct"
+        assert not verdict.passed
+        assert variance_series(symmetric_init, tau, 200).verdicts[-1].passed
 
 
 class TestDensityTable:
