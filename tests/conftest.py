@@ -3,7 +3,7 @@ import pytest
 
 import lqw.analytics
 import lqw.core
-from lqw import GeneralInit, StandardInit, WalkParams
+from lqw import GeneralInit, StandardInit, WalkParams, grover_coin
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +40,26 @@ def random_general(rng: np.random.Generator, params: WalkParams) -> GeneralInit:
     """A random normalized coin vector; at tau >= 2 its loops are not uniform."""
     v = rng.normal(size=params.delta) + 1j * rng.normal(size=params.delta)
     return GeneralInit(tuple(v / np.linalg.norm(v)))
+
+
+def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
+    """Dense reference for one step U = S (I x G), independent of the kernel's buffers."""
+    coined = amps @ grover_coin(params).T
+    n = coined.shape[0]
+    new = np.zeros((n + 2, params.delta), dtype=np.complex128)
+    new[0:n, 0] = coined[:, 0]
+    new[2 : n + 2, 1] = coined[:, 1]
+    new[1 : n + 1, 2:] = coined[:, 2:]
+    return new
+
+
+def dense_states(init, params: WalkParams, t_max: int):
+    """Yield (t, amplitudes) for t = 0 .. t_max by repeated dense steps."""
+    amps = init.coin_vector(params)[None, :]
+    yield 0, amps
+    for t in range(1, t_max + 1):
+        amps = apply_step(amps, params)
+        yield t, amps
 
 
 def kernel_windows(start: np.ndarray, params: WalkParams, t_max: int):

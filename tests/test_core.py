@@ -40,27 +40,7 @@ from lqw.core import (
 )
 from lqw.spectral import _closed_form_state, _light_cone_tail
 
-from conftest import kernel_windows, random_general, random_standard
-
-
-def apply_step(amps: np.ndarray, params: WalkParams) -> np.ndarray:
-    """Dense reference for one step U = S (I x G), independent of the kernel's buffers."""
-    coined = amps @ grover_coin(params).T
-    n = coined.shape[0]
-    new = np.zeros((n + 2, params.delta), dtype=np.complex128)
-    new[0:n, 0] = coined[:, 0]
-    new[2 : n + 2, 1] = coined[:, 1]
-    new[1 : n + 1, 2:] = coined[:, 2:]
-    return new
-
-
-def dense_states(init, params: WalkParams, t_max: int):
-    """Yield (t, amplitudes) for t = 0 .. t_max by repeated dense steps."""
-    amps = init.coin_vector(params)[None, :]
-    yield 0, amps
-    for t in range(1, t_max + 1):
-        amps = apply_step(amps, params)
-        yield t, amps
+from conftest import dense_states, kernel_windows, random_general, random_standard
 
 
 def complex_coin_walk(init, params: WalkParams, t_max: int):

@@ -33,7 +33,7 @@ from lqw import (
     verification_suite,
 )
 
-from conftest import kernel_windows, random_general
+from conftest import dense_states, kernel_windows, random_general
 
 
 def direct_vs_fourier(init, tau, t):
@@ -45,46 +45,35 @@ def direct_vs_fourier(init, tau, t):
 
 def per_step_variances(init, params: WalkParams, t_max: int) -> np.ndarray:
     """sigma^2(t) as ``_variances`` reads it, from new views of each step's (3, 2t+1) window."""
-    variances = np.empty(t_max + 1)
     if isinstance(init, StandardInit):
         total, skew, cross = lqw.harness._mirror_weights(init)
-        weights = np.ones((2, 2 * t_max + 1))
-        weights[1] = np.arange(-t_max, t_max + 1)
-        work = np.empty((3, 2 * t_max + 1))
-        m1 = m2 = c2 = 0.0
-        for t, (left, u, right) in kernel_windows(lqw.core._LEFT, params, t_max):
-            if not t:
-                variances[0] = 0.0
-                continue
-            products = work[:, :2 * t + 1]
-            np.multiply(left, left, out=products[0])
-            np.multiply(right, right, out=products[1])
-            np.multiply(left, right[::-1], out=products[2])
-            (l2, r2, lr), (nl2, nr2, nlr) = (
-                weights[:, t_max - t:t_max + t + 1] @ products.T).tolist()
-            lqw.core._check_norm(total * (l2 + r2 + np.dot(u, u)))
-            m1 += r2 - l2
-            m2 += (2.0 * nr2 - r2) - (2.0 * nl2 + l2)
-            c2 -= 2.0 * (2.0 * nlr + lr)
-            mean = skew * m1
-            variances[t] = total * m2 + cross * c2 - mean * mean
-        return variances
-    ns = np.arange(-t_max, t_max + 1, dtype=float)
-    ns2 = ns * ns
-    probs, square = np.empty(2 * t_max + 1), np.empty(2 * t_max + 1)
-    start, diff = lqw.core._reduced_start(init, params)
-    loop_weight = np.sum(np.abs(diff) ** 2)
+        start, loop_weight, floats = lqw.core._LEFT, 0.0, 1
+    else:
+        total, skew, cross = 1.0, 1.0, 0.0
+        start, diff = lqw.core._reduced_start(init, params)
+        loop_weight, floats = np.sum(np.abs(diff) ** 2), 2
+    variances = np.empty(t_max + 1)
+    weights = np.ones((2, floats * (2 * t_max + 1)))
+    weights[1] = np.repeat(np.arange(-t_max, t_max + 1), floats)
+    work = np.empty((3, floats * (2 * t_max + 1)))
+    m1 = m2 = c2 = 0.0
     for t, window in kernel_windows(start, params, t_max):
-        q, r = probs[:2 * t + 1], square[:2 * t + 1]
-        np.square(np.abs(window[0], out=q), out=q)
-        for row in (window[2], window[1]):
-            q += np.square(np.abs(row, out=r), out=r)
-        q[t] += loop_weight
-        lqw.core._check_norm(np.sum(q))
-        sites = slice(t_max - t, t_max + t + 1)
-        mean = float(np.dot(ns[sites], q))
-        second = float(np.dot(ns2[sites], q))
-        variances[t] = second - mean * mean
+        if not t:
+            variances[0] = 0.0
+            continue
+        left, u, right = window.view(np.float64)
+        products = work[:, :floats * (2 * t + 1)]
+        np.multiply(left, left, out=products[0])
+        np.multiply(right, right, out=products[1])
+        np.multiply(left, right[::-1], out=products[2])
+        (l2, r2, lr), (nl2, nr2, nlr) = (
+            weights[:, floats * (t_max - t):floats * (t_max + t + 1)] @ products.T).tolist()
+        lqw.core._check_norm(total * (l2 + r2 + np.dot(u, u)) + loop_weight)
+        m1 += r2 - l2
+        m2 += (2.0 * nr2 - r2) - (2.0 * nl2 + l2)
+        c2 -= 2.0 * (2.0 * nlr + lr)
+        mean = skew * m1
+        variances[t] = total * m2 + cross * c2 - mean * mean
     return variances
 
 
@@ -121,6 +110,18 @@ def exact_moments(tau: int, t_max: int) -> list[tuple[Fraction, Fraction, Fracti
         assert norm == scale and inner == 0
         moments.append((Fraction(first, scale), Fraction(second, scale), Fraction(crossed, scale)))
     return moments
+
+
+def mutant_harness(monkeypatch, line: str, mutated: str) -> types.ModuleType:
+    """``lqw.harness`` compiled as a new module with its one ``line`` replaced by ``mutated``."""
+    source = inspect.getsource(lqw.harness)
+    assert source.count(line) == 1
+    mutant = types.ModuleType("lqw.mutant_harness")
+    mutant.__package__ = "lqw"
+    # dataclasses look their module up while they build the class
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(line, mutated), "<mutant harness>", "exec"), mutant.__dict__)
+    return mutant
 
 
 def per_step_walk(init: StandardInit, params: WalkParams, t_max: int):
@@ -437,12 +438,15 @@ class TestVarianceSeries:
 class TestPerStepSeriesAreExact:
     """The per-step series equal what each evolved state gives.
 
-    A GeneralInit steps the complex walk on every route, and every series is
-    bit for bit.  A StandardInit's evolve, variance and verify walk step the
-    real walk from |left> and read its mirror, while localize and
-    iter_evolution step the complex walk: the two agree within bounds
-    measured over every t <= 4000, the variance's over t <= 1400
-    (``MIRROR_*``, 2.3x to 3x the largest difference, at tau 1 or 10).
+    A GeneralInit steps the complex walk on every route, and its origin
+    series and verify walk are bit for bit.  A StandardInit's evolve,
+    variance and verify walk step the real walk from |left> and read its
+    mirror, while localize and iter_evolution step the complex walk: the two
+    agree within bounds measured over every t <= 4000, the variance's over
+    t <= 1400 (``MIRROR_*``, 2.3x to 3x the largest difference, at tau 1 or
+    10).  Every variance, a GeneralInit's too, telescopes its moments
+    through the steps while the states' are read from each state, so the
+    variance meets the states within ``MIRROR_VARIANCE*`` for every kind.
     Routes that share the real walk stay bit for bit.  The skewed state has
     Re(conj(alpha) beta) != 0, so its origin probability and variance read
     the cross term a * mirror(a).
@@ -457,7 +461,9 @@ class TestPerStepSeriesAreExact:
     # relative over t <= 1400 (tau 1; 1.3e-13 at t 4000), and 2.2e-15 at
     # t <= 64 against moments of evolve's states (tau 10).  Against the exact
     # walk over t <= 1400 the telescoped series is the closer one: 1.0e-13
-    # against 1.5e-13 at tau 1 (``exact_moments``)
+    # against 1.5e-13 at tau 1 (``exact_moments``).  A GeneralInit's
+    # telescoped variance, against the same two reads: 4.6e-14 over t <= 1400
+    # and 2.1e-15 at t <= 64 (both tau 10)
     MIRROR_ORIGIN = 4e-14
     MIRROR_MOVING = 3e-14
     MIRROR_VARIANCE = 1.2e-13
@@ -500,15 +506,12 @@ class TestPerStepSeriesAreExact:
             mean = float(np.dot(ns, probs))
             second = float(np.dot(ns * ns, probs))
             expected.append((t, second - mean * mean))
-        if kind != "general":
-            got, want = np.array(report.rows).T[1], np.array(expected).T[1]
-            assert got[0] == want[0] == 0.0
-            assert np.all(np.abs(got - want) <= self.MIRROR_VARIANCE_EVOLVED * want)
-        else:
-            assert report.rows == expected
+        got, want = np.array(report.rows).T[1], np.array(expected).T[1]
+        assert got[0] == want[0] == 0.0
+        assert np.all(np.abs(got - want) <= self.MIRROR_VARIANCE_EVOLVED * want)
 
     # Past 8192 values a ufunc call on a (3, 2t+1) array may go through numpy's
-    # buffer; the complex route works row by row, so its bits must not change there.
+    # buffer; the variance works row by row, so its bits must not change there.
     @pytest.mark.parametrize("tau", [1, 10])
     @pytest.mark.parametrize("kind", ["standard", "skewed", "general"])
     def test_variance_equals_moments_of_iterated_states_at_full_size(self, tau, kind):
@@ -524,11 +527,8 @@ class TestPerStepSeriesAreExact:
             second = float(np.dot(ns2[sites], probs))
             expected[state.t] = second - mean * mean
         variances = variance_series(init, tau, t_max).table[1]
-        if kind != "general":
-            assert variances[0] == expected[0] == 0.0
-            assert np.all(np.abs(variances - expected) <= self.MIRROR_VARIANCE * expected)
-        else:
-            assert np.array_equal(variances, expected)
+        assert variances[0] == expected[0] == 0.0
+        assert np.all(np.abs(variances - expected) <= self.MIRROR_VARIANCE * expected)
 
     # The verify walk reads the reused buffers; at tau 1 the kernel flushes the
     # light-cone tails from t 384 (unflushed, they turn subnormal from about
@@ -607,9 +607,9 @@ class TestBlockViewReaders:
 class TestPerStepNormCheck:
     """A walk that leaks norm is stopped within a few steps of the leak, on every route."""
 
-    @pytest.mark.parametrize("series", [localization_series, variance_series,
-                                        verification_suite])
-    def test_a_non_unitary_coin_is_caught_early(self, series, symmetric_init, monkeypatch):
+    @staticmethod
+    def leaking_steps(series, init, monkeypatch) -> int:
+        """The kernel steps that ``series(init, 10, 2000)`` takes under a coin that leaks norm."""
         coin, kernel = lqw.core._moving_coin, lqw.core._evolution_buffers
         steps = []
 
@@ -621,8 +621,24 @@ class TestPerStepNormCheck:
         monkeypatch.setattr(lqw.core, "_moving_coin", lambda params: coin(params) * (1 + 1e-6))
         monkeypatch.setattr(lqw.core, "_evolution_buffers", counted)
         with pytest.raises(NormalizationError):
-            series(symmetric_init, 10, 2000)
-        assert 0 < len(steps) < 300
+            series(init, 10, 2000)
+        return len(steps)
+
+    @pytest.mark.parametrize("series", [localization_series, variance_series,
+                                        verification_suite])
+    def test_a_non_unitary_coin_is_caught_early(self, series, symmetric_init, monkeypatch):
+        assert 0 < self.leaking_steps(series, symmetric_init, monkeypatch) < 300
+
+    def test_a_general_init_with_loop_differences_is_caught_early(self, monkeypatch):
+        # the variance checks (sum L^2 + sum R^2 + u . u) + |d|^2 on the float64
+        # view of the complex window: the unitary walk, whose moving sector holds
+        # only 1 - |d|^2 of the norm, passes, and the leaking coin is caught
+        params = WalkParams(10)
+        init = random_general(np.random.default_rng(7), params)
+        diff = lqw.core._reduced_start(init, params)[1]
+        assert np.sum(np.abs(diff) ** 2) > 0.5
+        assert variance_series(init, 10, 2000).passed
+        assert 0 < self.leaking_steps(variance_series, init, monkeypatch) < 300
 
 
 class TestVarianceAgainstExactWalk:
@@ -654,6 +670,72 @@ class TestVarianceAgainstExactWalk:
                 assert abs(Fraction(variance) - expected) <= Fraction(self.EXACT_VARIANCE) * m2
 
 
+class TestVarianceAgainstDenseWalk:
+    """``variance_series`` against sigma^2 of the dense delta-dimensional walk (``dense_states``).
+
+    The dense walk steps the whole coin vector under ``grover_coin``, with
+    neither the kernel nor the 3 x 3 reduction.  A GeneralInit's variance
+    telescopes its moments in the StandardInit's loop, over the float64 view
+    of its complex window; the difference is taken relative to m2(t).
+    """
+
+    # measured at most 1.4e-14 (tau 10, the two-loop state) over these taus,
+    # states and t <= 200, 2.8x below; the per-step probability row that a
+    # GeneralInit's variance read before it shared the loop measured 2.0e-14
+    DENSE_VARIANCE = 4e-14
+
+    @staticmethod
+    def states(tau: int) -> dict:
+        params = WalkParams(tau)
+        states = {"random": random_general(np.random.default_rng(90 + tau), params),
+                  "uniform loop": GeneralInit((0, 0) + (1 / np.sqrt(tau),) * tau),
+                  # Re(conj(alpha) beta) != 0: the only kind whose variance reads c2
+                  "skewed": StandardInit((1 + np.sqrt(2) * 1j) / 2, np.sqrt(2) * (1 + 1j) / 4)}
+        if tau >= 2:  # loops that are not uniform: d != 0
+            states["two loops"] = GeneralInit((0.5, 0.5j, 0.5, -0.5j) + (0,) * (tau - 2))
+        return states
+
+    @staticmethod
+    def dense_error(series, init, tau: int, t_max: int) -> float:
+        """max over t of |sigma^2(t) from ``series`` - the dense walk's| / the dense walk's m2(t)."""
+        variances = series(init, tau, t_max).table[1]
+        assert variances[0] == 0.0
+        worst = 0.0
+        for t, amps in dense_states(init, WalkParams(tau), t_max):
+            if t:
+                probs, ns = np.sum(np.abs(amps) ** 2, axis=1), np.arange(-t, t + 1)
+                m1, m2 = np.dot(ns, probs), np.dot(ns * ns, probs)
+                worst = max(worst, abs(variances[t] - (m2 - m1 * m1)) / m2)
+        return worst
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 10, 20])
+    def test_variance_series_meets_the_dense_walk(self, tau):
+        for init in self.states(tau).values():
+            assert self.dense_error(variance_series, init, tau, 200) <= self.DENSE_VARIANCE
+
+    # The mutated lines serve both kinds of start.  c2 is read only by a
+    # StandardInit with Re(conj(alpha) beta) != 0: a GeneralInit's weight on it is 0.
+    @pytest.mark.parametrize("mutation, state", [
+        ("m2 weight 2n - 1 as 2n", "random"), ("m2 weight 2n - 1 as 2n", "two loops"),
+        ("c2 increment without its 2", "skewed")])
+    @pytest.mark.parametrize("tau", [3, 10])
+    def test_a_mutated_increment_fails_it(self, mutation, state, tau, monkeypatch):
+        mutant = mutant_harness(monkeypatch, *TestTelescopedMoments.MUTATIONS[mutation])
+        init = self.states(tau)[state]
+        assert self.dense_error(mutant.variance_series, init, tau, 200) > self.DENSE_VARIANCE
+        assert self.dense_error(variance_series, init, tau, 200) <= self.DENSE_VARIANCE
+
+    def test_the_mean_enters_squared(self, monkeypatch):
+        # sigma^2 reads (skew m1)^2, so no variance sees the sign of m1: the m1
+        # increment with L and R swapped keeps every bit of every series, and
+        # only moments_telescoped_vs_direct, a StandardInit's, catches it
+        mutant = mutant_harness(
+            monkeypatch, *TestTelescopedMoments.MUTATIONS["m1 increment with L and R swapped"])
+        for init in self.states(3).values():
+            assert (mutant.variance_series(init, 3, 200).table[1].tobytes()
+                    == variance_series(init, 3, 200).table[1].tobytes())
+
+
 class TestTelescopedMoments:
     """``moments_telescoped_vs_direct``: the moments telescoped through the steps against
     the direct sums of the last window, relative to m2(t_max)."""
@@ -683,14 +765,7 @@ class TestTelescopedMoments:
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("tau", [1, 10, 100])
     def test_a_mutated_increment_fails_it(self, symmetric_init, mutation, tau, monkeypatch):
-        line, mutated = self.MUTATIONS[mutation]
-        source = inspect.getsource(lqw.harness)
-        assert source.count(line) == 1
-        mutant = types.ModuleType("lqw.mutant_harness")
-        mutant.__package__ = "lqw"
-        # dataclasses look their module up while they build the class
-        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
-        exec(compile(source.replace(line, mutated), "<mutant harness>", "exec"), mutant.__dict__)
+        mutant = mutant_harness(monkeypatch, *self.MUTATIONS[mutation])
         verdict = mutant.variance_series(symmetric_init, tau, 200).verdicts[-1]
         assert verdict.name == "moments_telescoped_vs_direct"
         assert not verdict.passed
