@@ -372,9 +372,9 @@ def _variances(init: InitialCondition, params: WalkParams,
     n + 1 to n and the right row from n - 1 to n.  So with step t's rows L
     and R, exactly, m1 += sum R^2 - sum L^2,
     m2 += sum (2n - 1) R^2 - sum (2n + 1) L^2 and
-    c2 -= 2 sum (2n + 1) L(n) R(-n).  Each step forms L^2, R^2 and
-    L * reversed R from the kernel's contiguous block view into three work
-    rows and sums step t's 2t+1 sites against 1 and n in one product.  The
+    c2 -= 2 sum (2n + 1) L(n) R(-n).  Each step forms L^2, R^2 and, for a
+    StandardInit, L * reversed R from the kernel's contiguous block view into
+    work rows and sums step t's 2t+1 sites against 1 and n in one product.  The
     norm check is total (sum L^2 + sum R^2 + u . u) + |d|^2: for a
     StandardInit <a, mirror(a)> is 0 by unitarity (as ``_walk``'s) and d = 0,
     and a GeneralInit's loop differences d only flip sign.  The drift, for a
@@ -382,7 +382,8 @@ def _variances(init: InitialCondition, params: WalkParams,
     m1, m2 and c2 at t_max from the direct sums of the last window against n
     and n^2, relative to m2.
     """
-    if isinstance(init, StandardInit):
+    mirror = isinstance(init, StandardInit)
+    if mirror:
         total, skew, cross = _mirror_weights(init)
         start, loop_weight, floats = core._LEFT, 0.0, 1
     else:
@@ -393,7 +394,8 @@ def _variances(init: InitialCondition, params: WalkParams,
     # the weights 1 and n at every step are slices of these rows, n once per float
     weights = np.ones((2, floats * (2 * t_max + 1)))
     weights[1].reshape(-1, floats)[:] = np.arange(-t_max, t_max + 1)[:, None]
-    work = np.empty((3, floats * (2 * t_max + 1)))
+    # a GeneralInit's c2 is never read: it forms no L * reversed R row, and its lr sums read 0
+    work = np.empty((3 if mirror else 2, floats * (2 * t_max + 1)))
     m1 = m2 = c2 = 0.0
     held = [(None,)] * 2  # per buffer: the block's view and its rows L, u, R, reversed R
     steps = core._evolution_buffers(start, params, t_max)
@@ -409,17 +411,18 @@ def _variances(init: InitialCondition, params: WalkParams,
         _, left, u, right, mirrored = held[t % 2]
         np.multiply(left, left, out=products[0])
         np.multiply(right, right, out=products[1])
-        np.multiply(left, mirrored, out=products[2])
-        (l2, r2, lr), (nl2, nr2, nlr) = (
-            weights[:, floats * (t_max - t):floats * (t_max + t + 1)]
-            @ work[:, floats * (s - t):floats * (s + t + 1)].T).tolist()
+        if mirror:
+            np.multiply(left, mirrored, out=products[2])
+        sums = (weights[:, floats * (t_max - t):floats * (t_max + t + 1)]
+                @ work[:, floats * (s - t):floats * (s + t + 1)].T).tolist()
+        (l2, r2, lr), (nl2, nr2, nlr) = sums if mirror else (row + [0.0] for row in sums)
         core._check_norm(total * (l2 + r2 + np.dot(u, u)) + loop_weight)
         m1 += r2 - l2
         m2 += (2.0 * nr2 - r2) - (2.0 * nl2 + l2)
         c2 -= 2.0 * (2.0 * nlr + lr)
         mean = skew * m1
         variances[t] = total * m2 + cross * c2 - mean * mean
-    if not isinstance(init, StandardInit):
+    if not mirror:
         return variances, None
     # the direct sums of the last window, (3, 2t_max + 1), in the same work rows
     np.multiply(weights[1], weights[1], out=weights[0])  # the weights n^2 and n
@@ -448,8 +451,8 @@ def variance_series(init: InitialCondition, tau: int, t_max: int) -> ExperimentR
     to m2 against the exact walk, t <= 128.
     """
     t_max = _check_int("t_max", t_max, 10)
-    ts = np.arange(t_max + 1)
     variances, drift = _variances(init, WalkParams(tau), t_max)
+    ts = np.arange(t_max + 1)
     metrics, verdicts = {}, []
     if isinstance(init, StandardInit):
         c_fit, alpha_fit = fit_power_law(ts, variances)
@@ -516,6 +519,7 @@ def empirical_vs_weak_limit(init: InitialCondition, tau: int, t_max: int) -> Exp
     state = spectral._closed_form_state(init, params, t_max)
     probs = state.probabilities()
     xs = state.positions / t_max
+    del state  # the CDF sweep need not overlap its (3, 2t+1) complex rows
     emp_cdf = np.cumsum(probs)
 
     outside = np.abs(xs) > _NEAR_ORIGIN

@@ -47,7 +47,11 @@ grid would cost more memory.  It needs neither the theta-eigenvectors nor
 their 1/(1 + e^{i omega}) denominators.  The kernel judges it
 (``harness.empirical_vs_weak_limit``).  ``_closed_form_origin`` reads the
 origin alone from the same Psi~ rows, as their mean over t + 1 momenta, in
-O(t) with no FFT; it judges the origin recurrences of ``lqw.core``.
+O(t) with no FFT; it judges the origin recurrences of ``lqw.core``.  Both
+fill the grid in k-chunks of 2048 points straight into its (3, M) rows, 48
+bytes a point, so chunk-sized temporaries are all that adds to those rows
+and, for the state, one 16-byte row of the inverse transform: 130 MB for
+the state at t = 10^6 (M = 2025000) and 48 MB for the origin.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ __all__ = [
     "momentum_grid_solution",
     "propagate_fourier",
 ]
+
+
+# grid points per k-chunk of the closed-form route (``_k_chunks``)
+_K_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -204,8 +212,11 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
     algorithm; any M >= 2t + 1 transforms the 2t + 1 sites back exactly, into
     the first 2t + 1 rows of the inverse transform, and the rows past them,
     sites beyond +-t, are zero up to roundoff.  The loop differences are
-    (-1)^t d, as in the kernel.  O(t log t) time; about 136 bytes per grid
-    point at the peak, and the state keeps 48.
+    (-1)^t d, as in the kernel.  O(t log t) time.  At the peak the grid's
+    (3, M) rows, which the state keeps, and one row of the inverse transform
+    hold 64 bytes per grid point; the k-chunks' temporaries, about 0.4 MB,
+    set the peak only at small t: 111 bytes a point at t 3000, 64.4 at
+    t 20000.
     """
     t = _check_int("t", t, 0)
     start, diff = _reduced_start(init, params)
@@ -213,8 +224,11 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
     m = _five_smooth_at_least(n)
     out = _momentum_state(start, params, t, m)
     # row p of the inverse transform holds n = p - t once the rows carry
-    # e^{-i k t} (k t reduced mod 2 pi in integers) and the output e^{i pi p / M}
-    out *= np.exp((-1j * np.pi / m) * ((2 * np.arange(m) + 1) * t % (2 * m)))
+    # e^{-i k t} (k t reduced mod 2 pi in integers) and the output e^{i pi p / M};
+    # both phase ramps go in k-chunks, as the grid does
+    for chunk in _k_chunks(m):
+        j = np.arange(chunk.start, chunk.stop)
+        out[:, chunk] *= np.exp((-1j * np.pi / m) * ((2 * j + 1) * t % (2 * m)))
     # one row at a time, its 2t + 1 sites packed in front of the buffer: each
     # row is transformed before any write reaches it, and the state is one
     # contiguous block, which its norm check reads without a copy
@@ -222,7 +236,8 @@ def _closed_form_state(init: InitialCondition, params: WalkParams, t: int) -> Wa
     for r in range(3):
         flat[r * n:(r + 1) * n] = np.fft.ifft(flat[r * m:(r + 1) * m])[:n]
     sites = flat[:3 * n].reshape(3, n)
-    sites *= np.exp((1j * np.pi / m) * np.arange(n))
+    for chunk in _k_chunks(n):
+        sites[:, chunk] *= np.exp((1j * np.pi / m) * np.arange(chunk.start, chunk.stop))
     return WalkerState(t, sites, diff if t % 2 == 0 else -diff)
 
 
@@ -231,8 +246,9 @@ def _closed_form_origin(start: np.ndarray, params: WalkParams, t: int) -> np.nda
 
     psi(t, 0) is the mean of Psi~(t, k) over the M = t + 1 momenta of
     ``_momentum_state``'s grid: that mean adds up the sites n = 0 mod M, and
-    the origin is the only one within the support |n| <= t.  O(t) time and
-    memory, at any tau.  It judges ``lqw.core._origin_recurrence``
+    the origin is the only one within the support |n| <= t.  O(t) time, at
+    any tau; it holds the (3, t + 1) rows, 48 bytes a momentum, and one
+    k-chunk's temporaries.  It judges ``lqw.core._origin_recurrence``
     (``harness.localization_series``).
     """
     return _momentum_state(start, params, t, t + 1).mean(axis=1)
@@ -242,38 +258,56 @@ def _momentum_state(start: np.ndarray, params: WalkParams, t: int, m: int) -> np
     """Psi~(t, k_j) as a (3, m) array, rows (left, right, u), on k_j = 2 pi (j + 1/2) / m.
 
     ``start`` is the moving sector at the origin, (left, right, u); the
-    formula is ``_closed_form_state``'s.
+    formula is ``_closed_form_state``'s.  The grid is filled in k-chunks of
+    ``_K_CHUNK`` points, written straight into the output, so what adds to
+    its 48 bytes per point is a few chunk-sized rows; each k sees the same
+    arithmetic in any chunk, so the chunk size moves no bit.
     """
-    ks = (2.0 * np.pi / m) * (np.arange(m) + 0.5)
-    phi = _pi_minus_theta(params.tau, ks)
-    sin_phi = np.sin(phi)
     sign = 1.0 if t % 2 else -1.0  # (-1)^(t+1)
-    s_t = sign * np.sin(t * phi) / sin_phi
-    s_prev = -sign * np.sin((t - 1) * phi) / sin_phi
-    del phi, sin_phi
-    left, right, loop = _zero_phase_vector(params.tau, ks)
-    loop *= math.sqrt(params.tau)  # v0 on (left, right, u)
-    overlap = left.conj() * start[0] + right.conj() * start[1] + loop * start[2]
-    # in place, row by row, so one row-sized buffer is all that adds to the output
-    out = np.empty((3, m), dtype=np.complex128)
     coined = _moving_coin(params) @ start
-    np.cos(ks, out=out[0].real)  # e^{ik}, with no complex temporary
-    np.sin(ks, out=out[0].imag)
-    del ks
-    np.multiply(out[0].conj(), coined[1], out=out[1])
-    out[0] *= coined[0]
-    out[2] = coined[2]  # out = D_k C psi0
-    proj = np.empty(m, dtype=np.complex128)
-    for row, v, s in zip(out, (left, right, loop), start):
-        # row <- proj + s_t (row - proj) + s_{t-1} (proj - psi0), proj = (P0 psi0) on this row
-        np.multiply(v, overlap, out=proj)
-        row -= proj
-        row *= s_t
-        row += proj
-        proj -= s
-        proj *= s_prev
-        row += proj
+    out = np.empty((3, m), dtype=np.complex128)
+    for chunk in _k_chunks(m):
+        block = out[:, chunk]
+        ks = (2.0 * np.pi / m) * (np.arange(chunk.start, chunk.stop) + 0.5)
+        phi = _pi_minus_theta(params.tau, ks)
+        sin_phi = np.sin(phi)
+        s_t = sign * np.sin(t * phi) / sin_phi
+        s_prev = -sign * np.sin((t - 1) * phi) / sin_phi
+        del phi, sin_phi
+        left, right, loop = _zero_phase_vector(params.tau, ks)
+        loop *= math.sqrt(params.tau)  # v0 on (left, right, u)
+        overlap = left.conj() * start[0] + right.conj() * start[1] + loop * start[2]
+        # in place, row by row, so one row-sized buffer is all that adds to the block
+        np.cos(ks, out=block[0].real)  # e^{ik}, with no complex temporary
+        np.sin(ks, out=block[0].imag)
+        del ks
+        np.multiply(block[0].conj(), coined[1], out=block[1])
+        block[0] *= coined[0]
+        block[2] = coined[2]  # block = D_k C psi0
+        proj = np.empty(block.shape[1], dtype=np.complex128)
+        for row, v, s in zip(block, (left, right, loop), start):
+            # row <- proj + s_t (row - proj) + s_{t-1} (proj - psi0), proj = (P0 psi0) on this row
+            np.multiply(v, overlap, out=proj)
+            row -= proj
+            row *= s_t
+            row += proj
+            proj -= s
+            proj *= s_prev
+            row += proj
     return out
+
+
+def _k_chunks(m: int) -> list[slice]:
+    """Slices of ``_K_CHUNK`` points that cover range(m), none of them one point unless m = 1.
+
+    A last chunk of one point joins the one before it: numpy's in-place
+    complex multiply of a one-element array takes a loop of its own, which
+    rounds differently from the vector loop, and would move that point's bits.
+    """
+    edges = [*range(0, m, _K_CHUNK), m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _five_smooth_at_least(n: int) -> int:

@@ -1,11 +1,16 @@
 """Quadrature rules: exactness of the panel rule and layout of the graded panels."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lqw.quadrature import graded_edges, legendre_rule, midpoint_rule
+import lqw
+from lqw.quadrature import _leggauss, graded_edges, legendre_rule, midpoint_rule
 
 # the panels of the weak-limit density quadrature at tau 10^12: s / 32 = 4.4e-8
 DENSITY_EDGES = graded_edges(-0.5 * math.pi, 0.5 * math.pi, 8, math.sqrt(2.0 / (1e12 + 2)) / 32)
@@ -66,3 +71,43 @@ def test_graded_edges_need_no_halving_when_panels_are_fine():
 def test_nonpositive_node_count_rejected(rule):
     with pytest.raises(ValueError):
         rule(0, 0.0, 1.0)
+
+
+def numpy_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre nodes, and the weights _leggauss derives from them."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, _ = leggauss(n)
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    slope = n * (p_prev - x * p) / (1.0 - x * x)
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+@pytest.mark.parametrize("n", range(1, 101))
+def test_nodes_and_weights_are_numpys_bit_for_bit(n):
+    x, w = _leggauss.__wrapped__(n)
+    expected_x, expected_w = numpy_rule(n)
+    assert x.tobytes() == expected_x.tobytes()
+    assert w.tobytes() == expected_w.tobytes()
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+def test_no_run_imports_numpys_polynomial_package(tmp_path):
+    # a fresh interpreter: density and verify through the CLI, and the weak-limit check
+    script = (
+        "import sys\n"
+        "from lqw import StandardInit\n"
+        "from lqw.cli import main\n"
+        "from lqw.harness import empirical_vs_weak_limit\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['density', '--grid', '201'], ['verify', '--steps', '20']):\n"
+        "    assert main([*argv, '--tau', '3', '--out', out]) == 0, argv\n"
+        "assert empirical_vs_weak_limit(StandardInit(0.6, 0.8j), 3, 300).passed\n"
+        "assert 'numpy.polynomial' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = Path(lqw.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

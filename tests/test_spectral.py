@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lqw.core
 import lqw.spectral
 from lqw import (
     DegenerateMomentumError,
@@ -497,9 +498,29 @@ class TestClosedFormState:
             assert np.max(np.abs(closed.moving - direct.moving)) <= 1.5e-16 * (t + 20)
             assert np.array_equal(closed.loop_diff, direct.loop_diff)
 
+    @pytest.mark.parametrize("tau", [1, 3, 100])
+    @pytest.mark.parametrize("t", GRIDS)
+    def test_k_chunks_move_no_bit(self, tau, t, skewed_init, monkeypatch):
+        # the default chunk splits t 2000 and 3000 into 2 and 3 chunks; 7 and 2 split
+        # every grid, and leave one point over at t 3 (M 8) and at every odd M
+        params = WalkParams(tau)
+        inits = (skewed_init, random_general(np.random.default_rng(tau), params))
+
+        def read():
+            return [(lqw.spectral._closed_form_state(init, params, t).moving.tobytes(),
+                     lqw.spectral._closed_form_origin(
+                         lqw.core._reduced_start(init, params)[0], params, t).tobytes())
+                    for init in inits]
+
+        chunked = read()
+        for chunk in (self.GRIDS[t], 7, 2):
+            monkeypatch.setattr(lqw.spectral, "_K_CHUNK", chunk)
+            assert read() == chunked
+
     def test_memory_no_more_than_the_kernel(self, symmetric_init):
         # the kernel's evolve peaks at 1.15 MB here; the eigenvector sum on a
-        # power-of-two grid took 3.8 MB
+        # power-of-two grid took 3.8 MB, the whole grid at once 0.93 MB, and
+        # k-chunks 0.67 MB (the bound is that times 1.25)
         route = lqw.spectral._closed_form_state
         tracemalloc.start()
         try:
@@ -507,7 +528,18 @@ class TestClosedFormState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2e6
+        assert peak <= 0.84e6
+
+    def test_memory_per_grid_point_at_t_20000(self, symmetric_init):
+        # the 48 bytes a point of the (3, M) rows and one 16-byte row of the
+        # inverse transform: measured 64.4 bytes a point (139 on the whole grid at once)
+        tracemalloc.start()
+        try:
+            lqw.spectral._closed_form_state(symmetric_init, WalkParams(3), 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * lqw.spectral._five_smooth_at_least(40001)
 
     def test_negative_t_rejected(self, symmetric_init):
         with pytest.raises(ValueError):
